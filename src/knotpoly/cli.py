@@ -10,7 +10,7 @@ Subcommands:
     search   enumerate braid closures and report
 
 Exit codes: 0 success, 1 a verification failed (identity or bound), 2 usage
-or parse error.
+or parse error, 3 an I/O error (cache, config or output file).
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ def _cmd_sum(args) -> int:
     words = args.braid or []
     if not words:
         raise ParseError("provide at least one --braid")
+    if args.copies < 1:
+        raise ParseError("--copies must be at least 1")
     diagrams = [braid_closure(parse_braid(w)) for w in words]
     total = diagrams[0]
     for d in diagrams[1:]:
@@ -209,7 +211,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

@@ -490,24 +490,59 @@ def _swap_adjacent(e1: Event, e2: Event) -> Optional[tuple[Event, Event]]:
     return None
 
 
-def _normalize_pass(items: list) -> bool:
+# (e1, e2) -> (e2', e1') when the pair commutes toward lexicographic order,
+# else None; filled on first use, keys are pairs of events
+_SWAP_TABLE: dict[tuple[Event, Event], Optional[tuple[Event, Event]]] = {}
+
+
+def _ordered_swap(e1: Event, e2: Event) -> Optional[tuple[Event, Event]]:
+    swapped = _swap_adjacent(e1, e2)
+    if swapped is None or not swapped[0] < e1:
+        return None
+    return swapped
+
+
+def _normalize_pass(events: list, pairs: Optional[list]) -> bool:
     """Bubble adjacent independent events toward lexicographic order.
 
-    items holds (event, dir_pair_or_None); dir pairs travel with their cups.
+    pairs, when given, runs parallel to events and holds each cup's dir pair
+    (None elsewhere); a pair travels with its cup.
     """
     changed = False
-    for i in range(len(items) - 1):
-        e1, p1 = items[i]
-        e2, p2 = items[i + 1]
-        swapped = _swap_adjacent(e1, e2)
+    table = _SWAP_TABLE
+    for i in range(len(events) - 1):
+        key = (events[i], events[i + 1])
+        try:
+            swapped = table[key]
+        except KeyError:
+            swapped = table[key] = _ordered_swap(*key)
         if swapped is None:
             continue
-        e2n, e1n = swapped
-        if e2n < e1:
-            items[i] = (e2n, p2)
-            items[i + 1] = (e1n, p1)
-            changed = True
+        events[i], events[i + 1] = swapped
+        if pairs is not None:
+            pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+        changed = True
     return changed
+
+
+def _normalize(events: list, dirs: Optional[list]) -> tuple[Optional[list], bool]:
+    """Level-normalize events in place; returns (dirs, changed)."""
+    pairs = None
+    if dirs is not None:
+        pairs = []
+        di = 0
+        for e in events:
+            if e[0] == "cup":
+                pairs.append((dirs[di], dirs[di + 1]))
+                di += 2
+            else:
+                pairs.append(None)
+    changed = False
+    while _normalize_pass(events, pairs):
+        changed = True
+    if changed and pairs is not None:
+        dirs = [x for pair in pairs if pair is not None for x in pair]
+    return dirs, changed
 
 
 def reduce_diagram(events: Sequence[Event],
@@ -530,23 +565,7 @@ def reduce_diagram(events: Sequence[Event],
         circles += c
         changed2 = False
         if normalize:
-            items = []
-            di = 0
-            for e in ev:
-                if e[0] == "cup" and dd is not None:
-                    items.append((e, (dd[di], dd[di + 1])))
-                    di += 2
-                else:
-                    items.append((e, None))
-            while _normalize_pass(items):
-                changed2 = True
-            if changed2:
-                ev = [e for e, _ in items]
-                if dd is not None:
-                    dd = []
-                    for _e, pair in items:
-                        if pair is not None:
-                            dd.extend(pair)
+            dd, changed2 = _normalize(ev, dd)
         if not changed1 and not changed2:
             break
     return tuple(ev), (tuple(dd) if dd is not None else None), a_pow, circles
@@ -590,35 +609,9 @@ def canonical_code(d: "MorseDiagram | Sequence[Event]",
     Equal event sequences yield equal codes; no canonical form up to isotopy
     is attempted.  Orientation bits are appended when supplied.
     """
-    if isinstance(d, MorseDiagram):
-        events = d.events
-    else:
-        events = tuple(d)
-    ev, dd = _normalized_only(events, dirs)
+    ev = list(d.events if isinstance(d, MorseDiagram) else d)
+    dd, _ = _normalize(ev, list(dirs) if dirs is not None else None)
     return encode_events(ev, dd)
-
-
-def _normalized_only(events: Sequence[Event],
-                     dirs: Optional[Sequence[int]]) -> tuple[tuple, Optional[tuple]]:
-    items = []
-    di = 0
-    dd = list(dirs) if dirs is not None else None
-    for e in events:
-        if e[0] == "cup" and dd is not None:
-            items.append((e, (dd[di], dd[di + 1])))
-            di += 2
-        else:
-            items.append((e, None))
-    while _normalize_pass(items):
-        pass
-    ev = tuple(e for e, _ in items)
-    if dd is None:
-        return ev, None
-    out: list[int] = []
-    for e, pair in items:
-        if pair is not None:
-            out.extend(pair)
-    return ev, tuple(out)
 
 
 def ascii_render(events: Sequence[Event], glyphs: Optional[dict] = None) -> str:
@@ -655,18 +648,26 @@ def ascii_render(events: Sequence[Event], glyphs: Optional[dict] = None) -> str:
 
 
 _KIND_BYTE = {"cup": 0, "cap": 1, "x": 2}
+# event -> its 4-byte code; filled on first use
+_CODE_TABLE: dict[Event, bytes] = {}
+
+
+def _event_code(e: Event) -> bytes:
+    level = e[1]
+    return bytes((_KIND_BYTE[e[0]], level & 0xFF, (level >> 8) & 0xFF,
+                  0 if len(e) < 3 else (1 if e[2] > 0 else 2)))
 
 
 def encode_events(events: Sequence[Event],
                   dirs: Optional[Sequence[int]] = None) -> bytes:
-    out = bytearray()
+    table = _CODE_TABLE
+    codes = []
     for e in events:
-        out.append(_KIND_BYTE[e[0]])
-        level = e[1]
-        out.append(level & 0xFF)
-        out.append((level >> 8) & 0xFF)
-        out.append(0 if len(e) < 3 else (1 if e[2] > 0 else 2))
+        code = table.get(e)
+        if code is None:
+            code = table[e] = _event_code(e)
+        codes.append(code)
     if dirs is not None:
-        out.append(255)
-        out.extend(1 if d > 0 else 0 for d in dirs)
-    return bytes(out)
+        codes.append(b"\xff")
+        codes.append(bytes([1 if d > 0 else 0 for d in dirs]))
+    return b"".join(codes)

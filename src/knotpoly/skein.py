@@ -20,6 +20,12 @@ smoothed remainders recurse with one crossing fewer.  A descending diagram
 with writhe w and k components is an unlink with curls and evaluates to
 a^w * delta^k (delta the unknot value).
 
+Each memo miss makes one scan of the events (`_scan`), which validates the
+diagram and yields its component count, orientation, writhe and violations.
+The descending diagram is not built: switching keeps the components, and
+each switched crossing of oriented sign eps lowers the writhe by 2 eps, so
+its value follows from that ledger.
+
 Diagrams are planar-reduced and level-normalized before memoization.
 Disjoint-union and connected-sum slices are split off and recombined
 multiplicatively (R(A # B) = R(A) R(B) / delta and R(A u B) = R(A) R(B));
@@ -37,9 +43,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .laurent import LaurentPoly, exact_divide
-from .diagram import (MorseDiagram, reduce_diagram, encode_events, find_split,
-                      _switch_events, _smooth_h_events, _smooth_v_events,
-                      _cups_before)
+from .diagram import (DiagramError, MorseDiagram, reduce_diagram, encode_events,
+                      find_split, _switch_events, _smooth_h_events,
+                      _smooth_v_events, _cups_before)
 
 # unknot values
 DELTA = LaurentPoly({(-1, 1): 1, (-1, -1): -1})            # (a - a^-1)/z
@@ -107,35 +113,103 @@ class SkeinCache:
             self._fh = None
 
 
-def _violations(d: MorseDiagram) -> list[tuple[int, int]]:
-    """Crossings first met on the under strand, in traversal order.
+def _scan(events: tuple,
+          dirs: Optional[tuple]) -> tuple[int, tuple, int, list]:
+    """One pass over a closed diagram: (components, dirs, writhe, violations).
 
-    The traversal takes components in birth order, starting each at its
-    first-born thread and following the flow.  Returns (crossing_number,
-    oriented_sign) pairs.
+    Validates like `MorseDiagram` (levels, crossing signs, closedness,
+    orientation shape and consistency).  Without `dirs`, the first-born
+    thread of each component runs left-to-right and orientation alternates
+    along the loop.  Violations are the crossings first met on the under
+    strand, as (ev_idx, lo_thread, hi_thread, sign, oriented_sign), along the
+    traversal that takes components in birth order, starts each at its
+    first-born thread and follows the flow.
     """
-    ev_to_cn = {ci[0]: n for n, ci in enumerate(d.cross_info)}
-    seen: set[int] = set()
-    out: list[tuple[int, int]] = []
-    for comp in d.components:
-        start = comp  # component id is its least thread
+    active: list[int] = []
+    cup_mate: list[int] = []
+    cap_mate: list[int] = []
+    passes: list[list[tuple[int, bool]]] = []   # per thread: (crossing, under)
+    cross: list[tuple[int, int, int, int]] = []  # ev_idx, lo, hi, sign
+    for idx, ev in enumerate(events):
+        kind = ev[0]
+        i = ev[1]
+        k = len(active)
+        if kind == "cup":
+            if not 0 <= i <= k:
+                raise DiagramError(f"event {idx}: cup level {i} out of range 0..{k}")
+            t = len(cup_mate)
+            active[i:i] = (t, t + 1)
+            cup_mate += (t + 1, t)
+            cap_mate += (-1, -1)
+            passes += ([], [])
+        elif kind == "cap":
+            if k < 2 or not 0 <= i <= k - 2:
+                raise DiagramError(f"event {idx}: cap level {i} out of range")
+            lo, hi = active[i], active[i + 1]
+            cap_mate[lo] = hi
+            cap_mate[hi] = lo
+            del active[i:i + 2]
+        elif kind == "x":
+            s = ev[2]
+            if s not in (1, -1):
+                raise DiagramError(f"event {idx}: crossing sign must be +-1")
+            if k < 2 or not 0 <= i <= k - 2:
+                raise DiagramError(f"event {idx}: crossing level {i} out of range")
+            lo, hi = active[i], active[i + 1]
+            cn = len(cross)
+            cross.append((idx, lo, hi, s))
+            # s = +1: the strand entering at the lower level passes over
+            passes[lo].append((cn, s == -1))
+            passes[hi].append((cn, s == 1))
+            active[i], active[i + 1] = hi, lo
+        else:
+            raise DiagramError(f"event {idx}: unknown kind {kind!r}")
+    if active:
+        raise DiagramError("diagram is not closed: strands remain")
+
+    n = len(cup_mate)
+    if dirs is None:
+        d = [0] * n
+    else:
+        if len(dirs) != n or any(x not in (1, -1) for x in dirs):
+            raise DiagramError("orientation vector has wrong shape")
+        d = list(dirs)
+    visited = bytearray(n)
+    seen = bytearray(len(cross))
+    order: list[int] = []
+    ncomp = 0
+    for start in range(n):
+        if visited[start]:
+            continue
+        ncomp += 1
+        if dirs is None:
+            d[start] = 1
         t = start
         while True:
-            plist = d.thread_passes[t]
-            east = d.dirs[t] == 1
-            for ev_idx, entered_lower in (plist if east else reversed(plist)):
-                if ev_idx in seen:
-                    continue
-                seen.add(ev_idx)
-                s = d.cross_info[ev_to_cn[ev_idx]][3]
-                over = (s == 1) if entered_lower else (s == -1)
-                if not over:
-                    cn = ev_to_cn[ev_idx]
-                    out.append((cn, d.oriented_sign(cn)))
-            t = d.cap_pair[t] if east else d.cup_pair[t]
+            visited[t] = 1
+            east = d[t] == 1
+            plist = passes[t]
+            for cn, under in (plist if east else reversed(plist)):
+                if not seen[cn]:
+                    seen[cn] = 1
+                    if under:
+                        order.append(cn)
+            m = cap_mate[t] if east else cup_mate[t]
+            if dirs is None:
+                d[m] = -d[t]
+            elif d[m] != -d[t]:
+                raise DiagramError("inconsistent orientation assignment")
+            t = m
             if t == start:
                 break
-    return out
+    writhe = 0
+    for _, lo, hi, s in cross:
+        writhe += s * d[lo] * d[hi]
+    viols = []
+    for cn in order:
+        ev_idx, lo, hi, s = cross[cn]
+        viols.append((ev_idx, lo, hi, s, s * d[lo] * d[hi]))
+    return ncomp, tuple(d), writhe, viols
 
 
 @dataclass
@@ -174,15 +248,6 @@ def _split_dirs(events: tuple, dirs: tuple, pos: int, kind: int):
     lo, hi = active
     d2 = (dirs[lo], dirs[hi]) + dirs[2 * ncups1:]
     return e1, dirs[:2 * ncups1], e2, d2
-
-
-def _descending_value(events: tuple, dirs: Optional[tuple],
-                      unknot_num: LaurentPoly) -> LaurentPoly:
-    d = MorseDiagram(events, dirs)
-    k = len(d.components)
-    # value = a^w * (unknot_num / z)^k
-    val = unknot_num ** k
-    return val.shift(-k, d.writhe)
 
 
 def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
@@ -225,13 +290,10 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
                 val = q
 
     if val is None:
-        d = MorseDiagram(events, dirs)
-        use_dirs = d.dirs
-        viols = _violations(d)
+        k, use_dirs, writhe, viols = _scan(events, dirs)
         cur = events
         acc = LaurentPoly()
-        for cn, eps in viols:
-            ev_idx, lo, hi, s = d.cross_info[cn]
+        for ev_idx, lo, hi, s, eps in viols:
             if kauffman:
                 h = _skein_eval(_smooth_h_events(cur, ev_idx), None,
                                 kauffman=True, cache=cache, stats=stats,
@@ -251,7 +313,9 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
                                  stats=stats, allow_split=allow_split)
                 acc = acc + sm.shift(1, 0) * eps
             cur = _switch_events(cur, ev_idx)
-        val = _descending_value(cur, dirs, unknot_num) + acc
+            writhe -= 2 * eps
+        # all violations switched: a descending diagram, a^w * (unknot_num/z)^k
+        val = (unknot_num ** k).shift(-k, writhe) + acc
 
     cache.put(key, val)
     return mult * val

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from knotpoly.laurent import LaurentPoly
-from knotpoly.diagram import MorseDiagram, parse_braid, braid_closure
+from knotpoly.diagram import (MorseDiagram, parse_braid, braid_closure,
+                              crossing_surgery)
 from knotpoly.front import FrontWord
 from knotpoly.skein import SkeinCache, full_invariants, DELTA, DELTA_D
 
@@ -26,6 +27,14 @@ WITNESS_BRAID = "braid 5: 3 2 1 -2 3 -4 -1 2 3 -4 -3 -2 3 -1 2 -1 4 3 2 1"
 # maximal-tb front of the reference trefoil, found by bounded search
 TREFOIL_TB6_FRONT = (("L", 0), ("L", 0), ("L", 0), ("X", 1), ("X", 3),
                      ("R", 2), ("X", 1), ("R", 0), ("R", 0))
+
+# structurally invalid event sequences
+INVALID_EVENTS = (
+    [("cup", 0)],                             # not closed
+    [("cap", 0)],                             # nothing to cap
+    [("cup", 3)],                             # level out of range
+    [("cup", 0), ("x", 0, 2), ("cap", 0)],    # crossing sign not +-1
+)
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +65,18 @@ def random_braid(rng: random.Random, max_strands=4, max_letters=8,
         b = parse_braid(f"braid {n}: " + " ".join(map(str, letters)))
         if not knot_only or b.component_count() == 1:
             return b
+
+
+def random_surgered_closure(rng: random.Random) -> MorseDiagram:
+    """A random braid closure after up to four random crossing surgeries."""
+    d = braid_closure(random_braid(rng))
+    for _ in range(rng.randint(0, 4)):
+        if not d.cross_info:
+            break
+        c = rng.randrange(len(d.cross_info))
+        act = rng.choice(["switch", "smooth_horizontal", "smooth_vertical"])
+        d = crossing_surgery(d, c, act)
+    return d
 
 
 def random_front(rng: random.Random, max_crossings=6, knot_only=False):

@@ -8,7 +8,8 @@ from knotpoly.diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
                               crossing_surgery, connected_sum, canonical_code,
                               reduce_diagram, _swap_adjacent)
 
-from conftest import random_braid, random_front
+from conftest import (INVALID_EVENTS, random_braid, random_front,
+                      random_surgered_closure)
 
 
 def test_parse_braid_examples():
@@ -133,27 +134,16 @@ def test_canonical_code_examples():
 
 
 def test_validation_errors():
-    with pytest.raises(DiagramError):
-        MorseDiagram([("cup", 0)])            # not closed
-    with pytest.raises(DiagramError):
-        MorseDiagram([("cap", 0)])            # nothing to cap
-    with pytest.raises(DiagramError):
-        MorseDiagram([("cup", 3)])            # level out of range
-    with pytest.raises(DiagramError):
-        MorseDiagram([("cup", 0), ("x", 0, 2), ("cap", 0)])
+    for events in INVALID_EVENTS:
+        with pytest.raises(DiagramError):
+            MorseDiagram(events)
 
 
 def test_reduction_ledger_random():
     """Reduction must preserve writhe (ledgered), components, orientation."""
     rng = random.Random(7)
     for _ in range(400):
-        d = braid_closure(random_braid(rng))
-        for _ in range(rng.randint(0, 4)):
-            if not d.cross_info:
-                break
-            c = rng.randrange(len(d.cross_info))
-            act = rng.choice(["switch", "smooth_horizontal", "smooth_vertical"])
-            d = crossing_surgery(d, c, act)
+        d = random_surgered_closure(rng)
         ev, dd, a_pow, circles = reduce_diagram(d.events, d.dirs)
         if ev:
             d2 = MorseDiagram(ev, dd)

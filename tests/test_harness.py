@@ -139,6 +139,19 @@ def test_cli_missing_input(capsys):
     assert main(["poly"]) == 2
 
 
+@pytest.mark.parametrize("copies", ["0", "-1"])
+def test_cli_sum_copies_below_one_is_usage_error(capsys, copies):
+    assert main(["sum", "--braid", "braid 2: 1 1 1", "--copies", copies]) == 2
+    err = capsys.readouterr().err
+    assert "--copies" in err
+
+
+def test_cli_io_error_has_own_code(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "dir" / "c.txt")
+    assert main(["poly", "--braid", "braid 2: 1 1 1", "--cache", missing]) == 3
+    assert "io error" in capsys.readouterr().err
+
+
 def test_cli_search(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code = main(["search", "--max-strands", "2", "--max-letters", "3",

@@ -1,16 +1,20 @@
+import hashlib
 import os
 import random
 
 import pytest
 
 from knotpoly.laurent import LaurentPoly
-from knotpoly.diagram import (MorseDiagram, parse_braid, braid_closure,
-                              connected_sum, _switch_events, _smooth_h_events,
+from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
+                              braid_closure, connected_sum, reduce_diagram,
+                              _switch_events, _smooth_h_events,
                               _smooth_v_events, smooth_vertical_dirs)
 from knotpoly.skein import (SkeinCache, SkeinStats, homfly_R, kauffman_D,
-                            full_invariants, DELTA, DELTA_D, CACHE_ENV_VAR)
+                            full_invariants, DELTA, DELTA_D, CACHE_ENV_VAR,
+                            _scan)
 
-from conftest import (A, AINV, ZVAR, P_TREFOIL, Y_TREFOIL, random_braid)
+from conftest import (A, AINV, ZVAR, P_TREFOIL, Y_TREFOIL, INVALID_EVENTS,
+                      random_braid, random_surgered_closure)
 
 ONE = LaurentPoly.one()
 
@@ -154,3 +158,97 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert os.path.exists(path)
     monkeypatch.delenv(CACHE_ENV_VAR)
     assert full_invariants(d).R == r.R
+
+
+def _reference_scan(events, dirs):
+    """`_scan` recomputed from a MorseDiagram and a thread-by-thread walk."""
+    d = MorseDiagram(events, dirs)
+    ev_to_cn = {ci[0]: n for n, ci in enumerate(d.cross_info)}
+    seen = set()
+    viols = []
+    for start in d.components:  # a component's id is its first-born thread
+        t = start
+        while True:
+            east = d.dirs[t] == 1
+            plist = d.thread_passes[t]
+            for ev_idx, entered_lower in (plist if east else reversed(plist)):
+                if ev_idx in seen:
+                    continue
+                seen.add(ev_idx)
+                cn = ev_to_cn[ev_idx]
+                _, lo, hi, s = d.cross_info[cn]
+                over = (s == 1) if entered_lower else (s == -1)
+                if not over:
+                    viols.append((ev_idx, lo, hi, s, d.oriented_sign(cn)))
+            t = d.cap_pair[t] if east else d.cup_pair[t]
+            if t == start:
+                break
+    return len(d.components), d.dirs, d.writhe, viols
+
+
+def test_scan_matches_morse_diagram_random():
+    rng = random.Random(17)
+    scanned = 0
+    for _ in range(400):
+        d = random_surgered_closure(rng)
+        flips = [rng.random() < 0.5 for _ in d.components]
+        flipped = d.with_orientation(flips)
+        ev, dd, _a, _c = reduce_diagram(d.events, d.dirs)
+        cases = [(d.events, None), (d.events, d.dirs),
+                 (flipped.events, flipped.dirs)]
+        if ev:
+            cases += [(ev, None), (ev, dd)]
+        for events, dirs in cases:
+            assert _scan(events, dirs) == _reference_scan(events, dirs)
+            scanned += 1
+    assert scanned >= 3 * 400
+
+
+@pytest.mark.parametrize("events", INVALID_EVENTS + (
+    [("cup", 1), ("cap", 0)],                 # levels one past the end
+    [("cup", 0), ("cap", 1)],
+    [("cup", 0), ("x", 1, 1), ("cap", 0)],
+    [("cup", 0), ("y", 0), ("cap", 0)],       # unknown kind
+))
+def test_scan_rejects_invalid_events(events):
+    with pytest.raises(DiagramError):
+        MorseDiagram(events)
+    with pytest.raises(DiagramError):
+        _scan(tuple(events), None)
+
+
+def test_scan_rejects_bad_orientation():
+    d = braid_closure(parse_braid("braid 2: 1 1"))
+    with pytest.raises(DiagramError):
+        _scan(d.events, d.dirs[:-1])                  # wrong shape
+    with pytest.raises(DiagramError):
+        _scan(d.events, (1, 1, 1, 1))                 # cup mates agree
+    with pytest.raises(DiagramError):
+        MorseDiagram(d.events, (1, 1, 1, 1))
+
+
+# sha256 of the sorted memo keys (hex, one per line) and of the cache file
+# written by full_invariants over MEMO_CORPUS on one fresh file-backed cache.
+# Recorded before the event-scan kernel; a change here re-keys or reorders
+# the persistent cache files users already have.
+MEMO_CORPUS = ("braid 2: 1 1 1",                        # trefoil
+               "braid 3: -1 2 -1 2",                    # figure-eight
+               "braid 3: 1 -2 1 -2",                    # its mirror word
+               "braid 5: 1 -2 3 -4 2 1 -3 2 4 -1 3 -2")  # a 12-letter knot
+MEMO_KEYS_SHA256 = \
+    "6a3fd8fc9e46d617407ec176793eb37115adbc9ad745bbe696c6ef39106c493b"
+CACHE_FILE_SHA256 = \
+    "e09e1ad6ac949c1ba92e704847d3975ea7d0b427174efdf9cc967f2811992c74"
+
+
+def test_memo_keys_and_cache_file_golden(tmp_path):
+    path = tmp_path / "cache.txt"
+    cache = SkeinCache(str(path))
+    stats = SkeinStats()
+    for word in MEMO_CORPUS:
+        full_invariants(braid_closure(parse_braid(word)), cache, stats)
+    cache.close()
+    keys = "\n".join(k.hex() for k in sorted(cache.mem)).encode()
+    assert (stats.nodes, stats.cache_hits, stats.cache_misses) == (1631, 172, 1459)
+    assert hashlib.sha256(keys).hexdigest() == MEMO_KEYS_SHA256
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_FILE_SHA256
