@@ -10,7 +10,8 @@ Subcommands:
     search   enumerate braid closures and report
 
 Exit codes: 0 success, 1 a verification failed (identity or bound), 2 usage
-or parse error, 3 an I/O error (cache, config or output file).
+or parse error, 3 an I/O error (cache, config or output file), 4 an internal
+error (an engine invariant broke; a bug, not a verdict on the input).
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ from .harness import SearchConfig, load_config, search
 
 
 def _make_cache(args) -> SkeinCache:
+    """The command's cache; main() closes it on every exit path."""
     path = getattr(args, "cache", None) or os.environ.get(CACHE_ENV_VAR) or None
-    return SkeinCache(path)
+    cache = SkeinCache(path)
+    args.open_caches.append(cache)
+    return cache
 
 
 def _emit(args, payload: dict, csv_lines: Optional[list[str]] = None) -> None:
@@ -204,6 +208,7 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.open_caches = []
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, DiagramError, ValueError) as exc:
@@ -212,6 +217,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 3
+    except AssertionError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
+    finally:
+        for cache in args.open_caches:
+            cache.close()
 
 
 if __name__ == "__main__":

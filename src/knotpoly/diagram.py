@@ -223,9 +223,6 @@ class MorseDiagram:
         return f"MorseDiagram({len(self.events)} events, w={self.writhe}, " \
                f"r={self.rotation}, k={len(self.components)})"
 
-    def ascii_art(self) -> str:
-        return ascii_render(self.events)
-
 
 # -- braid words -------------------------------------------------------------
 
@@ -612,39 +609,6 @@ def canonical_code(d: "MorseDiagram | Sequence[Event]",
     ev = list(d.events if isinstance(d, MorseDiagram) else d)
     dd, _ = _normalize(ev, list(dirs) if dirs is not None else None)
     return encode_events(ev, dd)
-
-
-def ascii_render(events: Sequence[Event], glyphs: Optional[dict] = None) -> str:
-    """Crude debug picture: one column per event, levels bottom-up.
-
-    Cups print '(', caps ')', crossings 'X' (lower strand over) or 'x'.
-    """
-    if glyphs is None:
-        glyphs = {"cup": "(", "cap": ")", 1: "X", -1: "x"}
-    prof = strand_profile(events)
-    height = max(prof, default=0)
-    grid = [[" "] * (2 * len(events)) for _ in range(height)]
-    k = 0
-    for col, ev in enumerate(events):
-        i = ev[1]
-        if ev[0] == "cup":
-            mark = (glyphs["cup"], i, i + 1)
-            k += 2
-        elif ev[0] == "cap":
-            mark = (glyphs["cap"], i, i + 1)
-        else:
-            mark = (glyphs[ev[2]], i, i + 1)
-        for row in range(k):
-            grid[row][2 * col] = "-"
-            grid[row][2 * col + 1] = "-"
-        ch, lo, hi = mark
-        grid[lo][2 * col] = ch
-        grid[hi][2 * col] = ch
-        if ev[0] == "cap":
-            k -= 2
-            for row in (lo, hi):
-                grid[row][2 * col + 1] = " "
-    return "\n".join("".join(row) for row in reversed(grid))
 
 
 _KIND_BYTE = {"cup": 0, "cap": 1, "x": 2}

@@ -43,6 +43,25 @@ FRONT_CROSS_SIGN = -1
 CURL_SIGN = -1
 
 
+def diagram_events_of(events: Sequence[FrontEvent], morsified: bool = False) -> list:
+    """Diagram events of the rounding: L -> cup, R -> cap, X -> crossing.
+
+    morsified=True gives the morsification instead: each R is a curl, then
+    a cap.  Both keep the front's threads.
+    """
+    out = []
+    for kind, i in events:
+        if kind == "L":
+            out.append(("cup", i))
+        elif kind == "X":
+            out.append(("x", i, FRONT_CROSS_SIGN))
+        else:
+            if morsified:
+                out.append(("x", i, CURL_SIGN))
+            out.append(("cap", i))
+    return out
+
+
 class FrontWord:
     """A validated closed front with a chosen orientation."""
 
@@ -54,14 +73,7 @@ class FrontWord:
         for idx, ev in enumerate(self.events):
             if ev[0] not in ("L", "R", "X") or len(ev) != 2:
                 raise DiagramError(f"event {idx}: bad front event {ev!r}")
-        rounded_events = []
-        for kind, i in self.events:
-            if kind == "L":
-                rounded_events.append(("cup", i))
-            elif kind == "R":
-                rounded_events.append(("cap", i))
-            else:
-                rounded_events.append(("x", i, FRONT_CROSS_SIGN))
+        rounded_events = diagram_events_of(self.events)
         if dirs is None:
             skeleton = MorseDiagram(rounded_events)
             seed = {c: -1 for c in skeleton.components}
@@ -77,16 +89,7 @@ class FrontWord:
 
     def morsify(self) -> MorseDiagram:
         """Regular diagram with curled right cusps; same threads, same dirs."""
-        events = []
-        for kind, i in self.events:
-            if kind == "L":
-                events.append(("cup", i))
-            elif kind == "R":
-                events.append(("x", i, CURL_SIGN))
-                events.append(("cap", i))
-            else:
-                events.append(("x", i, FRONT_CROSS_SIGN))
-        return MorseDiagram(events, self.dirs)
+        return MorseDiagram(diagram_events_of(self.events, morsified=True), self.dirs)
 
     # -- structure -----------------------------------------------------------
 
@@ -102,17 +105,6 @@ class FrontWord:
 
     def crossing_count(self) -> int:
         return sum(1 for ev in self.events if ev[0] == "X")
-
-    def left_cusps(self) -> list[tuple[int, int, int]]:
-        """(event index, lower thread, upper thread) per left cusp."""
-        return [(idx, lo, hi) for idx, lo, hi in self._rounded._cup_events]
-
-    def right_cusps(self) -> list[tuple[int, int, int]]:
-        return [(idx, lo, hi) for idx, lo, hi in self._rounded._cap_events]
-
-    def crossings(self) -> list[tuple[int, int, int]]:
-        """(event index, lower-in thread, upper-in thread) per crossing."""
-        return [(idx, lo, hi) for idx, lo, hi, _s in self._rounded.cross_info]
 
     def with_orientation(self, flips: Sequence[bool]) -> "FrontWord":
         flip_of = dict(zip(self.components, flips))
@@ -143,11 +135,6 @@ class FrontWord:
 
     def __repr__(self) -> str:
         return f"FrontWord({self.cusp_count()} cusps, {self.crossing_count()} crossings)"
-
-    def ascii_art(self) -> str:
-        from .diagram import ascii_render
-        return ascii_render(self._rounded.events,
-                            glyphs={"cup": "<", "cap": ">", 1: "X", -1: "X"})
 
 
 class LegendrianInvariants:

@@ -140,9 +140,12 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
     rows: list[Optional[dict]] = []
     if cfg.jobs == 1:
         cache = SkeinCache(cfg.cache) if cfg.cache else SkeinCache()
-        for letters in words:
-            rep = _row_for_word(n, letters, cache)
-            rows.append(None if rep is None else rep.to_json())
+        try:
+            for letters in words:
+                rep = _row_for_word(n, letters, cache)
+                rows.append(None if rep is None else rep.to_json())
+        finally:
+            cache.close()
     else:
         chunks = [words[i::cfg.jobs] for i in range(cfg.jobs)]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .laurent import LaurentPoly, DeltaFraction, TAU, substitute_jaeger
-from .diagram import MorseDiagram
-from .front import FrontWord
+from .laurent import LaurentPoly, DeltaFraction, TAU, tau_power, substitute_jaeger
+from .diagram import DiagramError, MorseDiagram
+from .front import FrontWord, diagram_events_of
 from .skein import SkeinCache, homfly_R, kauffman_D
 
 # weight = coeff * tau at the listed oriented pattern; all others vanish
@@ -55,7 +55,10 @@ FRONT_WEIGHTS: dict[tuple[str, tuple[int, int]], int] = {
     ("c", (-1, -1)): 1,
 }
 
-_CUSP_WEIGHT_BASE = TAU.shift(1, -2)  # t a^-2 (t - t^-1)
+# event alphabets: (birth, death, crossing) kinds and the canonical dir of
+# each component's first-born thread (MorseDiagram: +1, FrontWord: -1)
+DIAGRAM_ALPHABET = ("cup", "cap", "x", 1)
+FRONT_ALPHABET = ("L", "R", "X", -1)
 
 
 @dataclass
@@ -72,51 +75,124 @@ class SpliceState:
     r_sigma: Optional[int] = None     # diagram states
     left_up: Optional[int] = None     # front states
     right_down: Optional[int] = None
+    sign: int = 0                     # weight / tau^(V+H), up to (t a^-2)^V on fronts
 
 
-def _build_spliced_diagram(d: MorseDiagram, choices: Sequence[int]):
-    """Spliced event list plus probe thread ids per spliced crossing."""
-    events = []
-    probes = []  # (choice, tid_a, tid_b) per spliced crossing, splice order
+class Splice(NamedTuple):
+    """A spliced diagram or front and its threads under canonical dirs."""
+
+    events: tuple
+    probes: list          # (choice, thread a, thread b) per spliced crossing
+    dirs: tuple
+    component_of: list    # thread -> its component's first-born thread
+    components: list
+    cup_lows: list        # lower thread of each cup (left cusp)
+    cap_lows: list        # lower thread of each cap (right cusp)
+
+
+def splice(events: Sequence, choices: Sequence[int], alphabet=DIAGRAM_ALPHABET) -> Splice:
+    """Splice the crossings by `choices` and scan the result, in one pass.
+
+    Choice 0 keeps a crossing, 1 opens it horizontally and 2 replaces it by a
+    death-birth wall; a probe records the two threads whose directions the
+    splice weight reads.  Validates the events like MorseDiagram (levels,
+    crossing signs, closedness, kinds).  Threads are numbered by birth; the
+    first-born thread of each component gets the alphabet's dir and the rest
+    alternate along the loop.
+    """
+    birth, death, cross, seed = alphabet
+    out: list = []
+    probes: list = []
     active: list[int] = []
-    tid = 0
+    cap_mate: list[int] = []
+    cup_lows: list[int] = []
+    cap_lows: list[int] = []
     xn = 0
-    for ev in d.events:
+    for idx, ev in enumerate(events):
         kind = ev[0]
         i = ev[1]
-        if kind == "cup":
-            active[i:i] = [tid, tid + 1]
-            tid += 2
-            events.append(ev)
-        elif kind == "cap":
-            del active[i:i + 2]
-            events.append(ev)
-        else:
+        k = len(active)
+        if kind == birth:
+            if not 0 <= i <= k:
+                raise DiagramError(f"event {idx}: cup level {i} out of range 0..{k}")
+            t = len(cap_mate)
+            active[i:i] = (t, t + 1)
+            cap_mate += (-1, -1)
+            cup_lows.append(t)
+            out.append(ev)
+            continue
+        if kind not in (death, cross):
+            raise DiagramError(f"event {idx}: unknown kind {kind!r}")
+        if k < 2 or not 0 <= i <= k - 2:
+            raise DiagramError(f"event {idx}: {kind} level {i} out of range")
+        lo, hi = active[i], active[i + 1]
+        c = 2
+        if kind == cross:
+            if kind == "x" and ev[2] not in (1, -1):
+                raise DiagramError(f"event {idx}: crossing sign must be +-1")
             c = choices[xn]
             xn += 1
             if c == 0:
-                active[i], active[i + 1] = active[i + 1], active[i]
-                events.append(ev)
-            elif c == 1:
-                probes.append((1, active[i], active[i + 1]))
-            else:
-                probes.append((2, active[i], tid))
-                del active[i:i + 2]
-                active[i:i] = [tid, tid + 1]
-                tid += 2
-                events.append(("cap", i))
-                events.append(("cup", i))
-    return tuple(events), probes
+                active[i], active[i + 1] = hi, lo
+                out.append(ev)
+                continue
+            if c == 1:
+                probes.append((1, lo, hi))
+                continue
+            probes.append((2, lo, len(cap_mate)))
+        cap_mate[lo] = hi
+        cap_mate[hi] = lo
+        cap_lows.append(lo)
+        del active[i:i + 2]
+        if kind == death:
+            out.append(ev)
+            continue
+        # the wall: a death, then a birth at the same level
+        t = len(cap_mate)
+        active[i:i] = (t, t + 1)
+        cap_mate += (-1, -1)
+        cup_lows.append(t)
+        out += ((death, i), (birth, i))
+    if active:
+        raise DiagramError("diagram is not closed: strands remain")
+    n = len(cap_mate)
+    dirs = [0] * n
+    component_of = [0] * n
+    components = []
+    for start in range(n):
+        if dirs[start]:
+            continue
+        components.append(start)
+        t = start
+        while True:  # cap mate, then cup mate, back to start
+            m = cap_mate[t]
+            dirs[t], dirs[m] = seed, -seed
+            component_of[t] = component_of[m] = start
+            t = m ^ 1
+            if t == start:
+                break
+    return Splice(tuple(out), probes, tuple(dirs), component_of, components,
+                  cup_lows, cap_lows)
 
 
-def _component_tallies(skel: MorseDiagram):
-    """Per-component rotation sum and canonical dirs for orientation flips."""
-    rot2 = {c: 0 for c in skel.components}
-    for _idx, lo, _hi in skel._cup_events:
-        rot2[skel.component_of[lo]] += skel.dirs[lo]
-    for _idx, lo, _hi in skel._cap_events:
-        rot2[skel.component_of[lo]] += skel.dirs[lo]
-    return rot2
+def _west_counts(sp: Splice, lows: Sequence[int]) -> dict:
+    """Per component: [turns among `lows`, those whose lower thread runs west]."""
+    out = {c: [0, 0] for c in sp.components}
+    for lo in lows:
+        row = out[sp.component_of[lo]]
+        row[0] += 1
+        row[1] += sp.dirs[lo] == -1
+    return out
+
+
+def _west(counts: dict, flip_of: dict) -> int:
+    """Turns whose lower thread runs west once the flipped components turn."""
+    return sum(n - w if flip_of[c] else w for c, (n, w) in counts.items())
+
+
+def _flipped_dirs(sp: Splice, flip_of: dict) -> tuple:
+    comp = sp.component_of
+    return tuple(-d if flip_of[comp[t]] else d for t, d in enumerate(sp.dirs))
 
 
 def enumerate_states(d: MorseDiagram,
@@ -127,32 +203,27 @@ def enumerate_states(d: MorseDiagram,
     signs = [ci[3] for ci in d.cross_info]
     nx = len(signs)
     for choices in itertools.product((0, 1, 2), repeat=nx):
-        events, probes = _build_spliced_diagram(d, choices)
-        skel = MorseDiagram(events)
-        rot2 = _component_tallies(skel)
-        comps = skel.components
-        v_count = sum(1 for c in choices if c == 2)
-        h_count = sum(1 for c in choices if c == 1)
+        sp = splice(d.events, choices)
+        turns = _west_counts(sp, sp.cup_lows + sp.cap_lows)
+        v_count = choices.count(2)
+        h_count = choices.count(1)
         site_sign = [s for s, c in zip(signs, choices) if c != 0]
-        for flips in itertools.product((False, True), repeat=len(comps)):
-            flip_of = dict(zip(comps, flips))
+        for flips in itertools.product((False, True), repeat=len(sp.components)):
+            flip_of = dict(zip(sp.components, flips))
+            dirs = _flipped_dirs(sp, flip_of)
             sgn = 1
-            for (kind, ta, tb), s in zip(probes, site_sign):
-                da = skel.dirs[ta] * (-1 if flip_of[skel.component_of[ta]] else 1)
-                db = skel.dirs[tb] * (-1 if flip_of[skel.component_of[tb]] else 1)
-                w = weights.get((s, "h" if kind == 1 else "v", (da, db)))
+            for (kind, ta, tb), s in zip(sp.probes, site_sign):
+                w = weights.get((s, "h" if kind == 1 else "v", (dirs[ta], dirs[tb])))
                 if w is None:
                     sgn = 0
                     break
                 sgn *= w
-            r2 = sum(-v if flip_of[c] else v for c, v in rot2.items())
-            weight = (TAU ** (v_count + h_count)) * sgn if sgn else LaurentPoly()
-            dirs = tuple(-dd if flip_of[skel.component_of[t]] else dd
-                         for t, dd in enumerate(skel.dirs))
-            yield SpliceState(choices=choices, flips=flips, weight=weight,
+            r2 = len(sp.cup_lows) + len(sp.cap_lows) - 2 * _west(turns, flip_of)
+            yield SpliceState(choices=choices, flips=flips,
+                              weight=tau_power(v_count + h_count) * sgn,
                               v_count=v_count, h_count=h_count,
-                              spliced_events=events, spliced_dirs=dirs,
-                              r_sigma=r2 // 2)
+                              spliced_events=sp.events, spliced_dirs=dirs,
+                              r_sigma=r2 // 2, sign=sgn)
 
 
 def _nonzero_orientations(skel_dirs, component_of, components, probes,
@@ -164,7 +235,7 @@ def _nonzero_orientations(skel_dirs, component_of, components, probes,
     remaining components are free.
     """
     pinned: dict[int, bool] = {}
-    for (ta, tb), (pa, pb) in zip(probes, requirements):
+    for (_k, ta, tb), (pa, pb) in zip(probes, requirements):
         for thread, want in ((ta, pa), (tb, pb)):
             comp = component_of[thread]
             need = skel_dirs[thread] != want
@@ -192,43 +263,47 @@ class Certificate:
                            for c, f, t in self.contributions]}
 
 
+def _pinned_splices(events, site_keys, weights, alphabet):
+    """(choices, splice, requirements, coeff) per splice pattern whose sites
+    all carry a weight; site_keys[n] holds crossing n's table keys when
+    opened (choice 1) and when walled (choice 2)."""
+    req_of = {key[:-1]: (key[-1], coeff) for key, coeff in weights.items()}
+    for choices in itertools.product((0, 1, 2), repeat=len(site_keys)):
+        reqs = []
+        coeff = 1
+        for keys, c in zip(site_keys, choices):
+            if c:
+                entry = req_of.get(keys[c - 1])
+                if entry is None:
+                    coeff = 0
+                    break
+                reqs.append(entry[0])
+                coeff *= entry[1]
+        if coeff:
+            yield choices, splice(events, choices, alphabet), reqs, coeff
+
+
 def _diagram_states_fast(d: MorseDiagram,
                          weights: Optional[dict] = None) -> Iterator[SpliceState]:
     """Only the nonvanishing states, via orientation pinning."""
-    if weights is None:
-        weights = DIAGRAM_WEIGHTS
-    req_of = {key[:2]: (key[2], coeff) for key, coeff in weights.items()}
-    signs = [ci[3] for ci in d.cross_info]
-    for choices in itertools.product((0, 1, 2), repeat=len(signs)):
-        events, probes = _build_spliced_diagram(d, choices)
-        site_signs = [s for s, c in zip(signs, choices) if c != 0]
-        reqs = []
-        coeff = 1
-        for (kind, _ta, _tb), s in zip(probes, site_signs):
-            entry = req_of.get((s, "h" if kind == 1 else "v"))
-            if entry is None:
-                coeff = 0
-                break
-            reqs.append(entry[0])
-            coeff *= entry[1]
-        if coeff == 0:
-            continue
-        skel = MorseDiagram(events)
-        v_count = sum(1 for c in choices if c == 2)
-        h_count = sum(1 for c in choices if c == 1)
-        weight = (TAU ** (v_count + h_count)) * coeff
-        rot2 = _component_tallies(skel)
-        pairs = [(ta, tb) for _k, ta, tb in probes]
-        for flips in _nonzero_orientations(skel.dirs, skel.component_of,
-                                           skel.components, pairs, reqs):
-            r2 = sum(-v if flips[c] else v for c, v in rot2.items())
-            dirs = tuple(-dd if flips[skel.component_of[t]] else dd
-                         for t, dd in enumerate(skel.dirs))
+    site_keys = [((s, "h"), (s, "v")) for _i, _lo, _hi, s in d.cross_info]
+    table = DIAGRAM_WEIGHTS if weights is None else weights
+    for choices, sp, reqs, coeff in _pinned_splices(d.events, site_keys, table,
+                                                    DIAGRAM_ALPHABET):
+        v_count = choices.count(2)
+        h_count = choices.count(1)
+        weight = tau_power(v_count + h_count) * coeff
+        turns = _west_counts(sp, sp.cup_lows + sp.cap_lows)
+        nturns = len(sp.cup_lows) + len(sp.cap_lows)
+        for flips in _nonzero_orientations(sp.dirs, sp.component_of,
+                                           sp.components, sp.probes, reqs):
             yield SpliceState(choices=choices,
-                              flips=tuple(flips[c] for c in skel.components),
+                              flips=tuple(flips[c] for c in sp.components),
                               weight=weight, v_count=v_count, h_count=h_count,
-                              spliced_events=events, spliced_dirs=dirs,
-                              r_sigma=r2 // 2)
+                              spliced_events=sp.events,
+                              spliced_dirs=_flipped_dirs(sp, flips),
+                              r_sigma=(nturns - 2 * _west(turns, flips)) // 2,
+                              sign=coeff)
 
 
 def jaeger_both_sides(d: MorseDiagram, cache: Optional[SkeinCache] = None,
@@ -237,15 +312,15 @@ def jaeger_both_sides(d: MorseDiagram, cache: Optional[SkeinCache] = None,
     if cache is None:
         cache = SkeinCache.from_env()
     lhs = substitute_jaeger(kauffman_D(d, cache), "kauffman_lhs")
-    rhs = DeltaFraction.zero()
     contributions = []
     for st in _diagram_states_fast(d, weights):
         kd = MorseDiagram(st.spliced_events, st.spliced_dirs)
         rsub = substitute_jaeger(homfly_R(kd, cache), "homfly_rhs")
-        pre = LaurentPoly.monomial(1, st.r_sigma, -st.r_sigma)  # (t a^-1)^r
-        term = rsub * (st.weight * pre)
-        rhs = rhs + term
+        # [K, state] (t a^-1)^r = sign (t a^-1)^r tau^(V+H)
+        unit = LaurentPoly.monomial(st.sign, st.r_sigma, -st.r_sigma)
+        term = rsub.scaled(unit, st.v_count + st.h_count)
         contributions.append((st.choices, st.flips, term))
+    rhs = DeltaFraction.sum(t for _c, _f, t in contributions)
     return Certificate(lhs=lhs, rhs=rhs, equal=lhs == rhs,
                        contributions=contributions)
 
@@ -253,155 +328,79 @@ def jaeger_both_sides(d: MorseDiagram, cache: Optional[SkeinCache] = None,
 # -- front states --------------------------------------------------------------
 
 
-def _build_spliced_front(f: FrontWord, choices: Sequence[int]):
-    """Spliced front events plus probe thread ids per spliced crossing."""
-    events = []
-    probes = []
-    active: list[int] = []
-    tid = 0
-    xn = 0
-    for ev in f.events:
-        kind, i = ev
-        if kind == "L":
-            active[i:i] = [tid, tid + 1]
-            tid += 2
-            events.append(ev)
-        elif kind == "R":
-            del active[i:i + 2]
-            events.append(ev)
-        else:
-            c = choices[xn]
-            xn += 1
-            if c == 0:
-                active[i], active[i + 1] = active[i + 1], active[i]
-                events.append(ev)
-            elif c == 1:
-                probes.append((1, active[i], active[i + 1]))
-            else:
-                probes.append((2, active[i], tid))
-                del active[i:i + 2]
-                active[i:i] = [tid, tid + 1]
-                tid += 2
-                events.append(("R", i))
-                events.append(("L", i))
-    return tuple(events), probes
-
-
 def enumerate_front_states(f: FrontWord,
                            weights: Optional[dict] = None) -> Iterator[SpliceState]:
     """All states of a front: splices to horizontal openings or cusp pairs."""
     if weights is None:
         weights = FRONT_WEIGHTS
-    nx = f.crossing_count()
-    for choices in itertools.product((0, 1, 2), repeat=nx):
-        events, probes = _build_spliced_front(f, choices)
-        skel = FrontWord(events)
-        rskel = skel.rounded()
-        comps = rskel.components
-        v_count = sum(1 for c in choices if c == 2)
-        h_count = sum(1 for c in choices if c == 1)
-        # per-component cusp tallies under canonical dirs
-        lu = {c: 0 for c in comps}
-        nl = {c: 0 for c in comps}
-        rd = {c: 0 for c in comps}
-        nr = {c: 0 for c in comps}
-        for _i, lo, _hi in rskel._cup_events:
-            c = rskel.component_of[lo]
-            nl[c] += 1
-            if rskel.dirs[lo] == -1:
-                lu[c] += 1
-        for _i, lo, _hi in rskel._cap_events:
-            c = rskel.component_of[lo]
-            nr[c] += 1
-            if rskel.dirs[lo] == -1:
-                rd[c] += 1
-        nu = sum(1 for ev in f.events if ev[0] == "L")
-        nu_sigma = len(rskel._cup_events)
-        for flips in itertools.product((False, True), repeat=len(comps)):
-            flip_of = dict(zip(comps, flips))
+    nu = sum(1 for ev in f.events if ev[0] == "L")
+    for choices in itertools.product((0, 1, 2), repeat=f.crossing_count()):
+        sp = splice(f.events, choices, FRONT_ALPHABET)
+        rounded = diagram_events_of(sp.events)
+        v_count = choices.count(2)
+        h_count = choices.count(1)
+        lefts = _west_counts(sp, sp.cup_lows)
+        rights = _west_counts(sp, sp.cap_lows)
+        nu_sigma = len(sp.cup_lows)
+        base = tau_power(v_count + h_count).shift(v_count, -2 * v_count)
+        # structural state invariants
+        if nu != nu_sigma - v_count:
+            raise AssertionError("cusp count bookkeeping broke")
+        for flips in itertools.product((False, True), repeat=len(sp.components)):
+            flip_of = dict(zip(sp.components, flips))
+            dirs = _flipped_dirs(sp, flip_of)
             coeff = 1
-            cusp_weight_power = 0
-            for kind, ta, tb in probes:
-                da = rskel.dirs[ta] * (-1 if flip_of[rskel.component_of[ta]] else 1)
-                db = rskel.dirs[tb] * (-1 if flip_of[rskel.component_of[tb]] else 1)
-                w = weights.get(("h" if kind == 1 else "c", (da, db)))
+            for kind, ta, tb in sp.probes:
+                w = weights.get(("h" if kind == 1 else "c", (dirs[ta], dirs[tb])))
                 if w is None:
                     coeff = 0
                     break
                 coeff *= w
-                if kind == 2:
-                    cusp_weight_power += 1
-            gp = sum(nl[c] - lu[c] if flip_of[c] else lu[c] for c in comps)
-            dn = sum(nr[c] - rd[c] if flip_of[c] else rd[c] for c in comps)
-            if coeff:
-                weight = (TAU ** h_count) * (_CUSP_WEIGHT_BASE ** cusp_weight_power) * coeff
-            else:
-                weight = LaurentPoly()
-            dirs = tuple(-dd if flip_of[rskel.component_of[t]] else dd
-                         for t, dd in enumerate(rskel.dirs))
-            # structural state invariants
-            if nu != nu_sigma - v_count:
-                raise AssertionError("cusp count bookkeeping broke")
-            r_rounded = MorseDiagram(rskel.events, dirs).rotation
+            gp = _west(lefts, flip_of)
+            dn = _west(rights, flip_of)
+            r_rounded = MorseDiagram(rounded, dirs).rotation
             if nu_sigma - r_rounded != gp + dn:
                 raise AssertionError("cusp-class / rotation relation broke")
-            yield SpliceState(choices=choices, flips=flips, weight=weight,
+            yield SpliceState(choices=choices, flips=flips, weight=base * coeff,
                               v_count=v_count, h_count=h_count,
-                              spliced_events=events, spliced_dirs=dirs,
-                              left_up=gp, right_down=dn)
+                              spliced_events=sp.events, spliced_dirs=dirs,
+                              left_up=gp, right_down=dn, sign=coeff)
 
 
 def _front_states_fast(f: FrontWord,
                        weights: Optional[dict] = None) -> Iterator[SpliceState]:
     """Only the nonvanishing front states, via orientation pinning."""
-    if weights is None:
-        weights = FRONT_WEIGHTS
-    req_of = {key[0]: (key[1], coeff) for key, coeff in weights.items()}
-    nx = f.crossing_count()
-    for choices in itertools.product((0, 1, 2), repeat=nx):
-        events, probes = _build_spliced_front(f, choices)
-        reqs = []
-        coeff = 1
-        for kind, _ta, _tb in probes:
-            entry = req_of.get("h" if kind == 1 else "c")
-            if entry is None:
-                coeff = 0
-                break
-            reqs.append(entry[0])
-            coeff *= entry[1]
-        if coeff == 0:
-            continue
-        skel = FrontWord(events)
-        rskel = skel.rounded()
-        v_count = sum(1 for c in choices if c == 2)
-        h_count = sum(1 for c in choices if c == 1)
-        weight = (TAU ** h_count) * (_CUSP_WEIGHT_BASE ** v_count) * coeff
-        lu = {c: 0 for c in rskel.components}
-        nl = {c: 0 for c in rskel.components}
-        rd = {c: 0 for c in rskel.components}
-        nr = {c: 0 for c in rskel.components}
-        for _i, lo, _hi in rskel._cup_events:
-            c = rskel.component_of[lo]
-            nl[c] += 1
-            if rskel.dirs[lo] == -1:
-                lu[c] += 1
-        for _i, lo, _hi in rskel._cap_events:
-            c = rskel.component_of[lo]
-            nr[c] += 1
-            if rskel.dirs[lo] == -1:
-                rd[c] += 1
-        pairs = [(ta, tb) for _k, ta, tb in probes]
-        for flips in _nonzero_orientations(rskel.dirs, rskel.component_of,
-                                           rskel.components, pairs, reqs):
-            gp = sum(nl[c] - lu[c] if flips[c] else lu[c] for c in rskel.components)
-            dn = sum(nr[c] - rd[c] if flips[c] else rd[c] for c in rskel.components)
-            dirs = tuple(-dd if flips[rskel.component_of[t]] else dd
-                         for t, dd in enumerate(rskel.dirs))
+    site_keys = [(("h",), ("c",))] * f.crossing_count()
+    table = FRONT_WEIGHTS if weights is None else weights
+    for choices, sp, reqs, coeff in _pinned_splices(f.events, site_keys, table,
+                                                    FRONT_ALPHABET):
+        v_count = choices.count(2)
+        h_count = choices.count(1)
+        # (t a^-2 tau)^V tau^H
+        weight = tau_power(v_count + h_count).shift(v_count, -2 * v_count) * coeff
+        lefts = _west_counts(sp, sp.cup_lows)
+        rights = _west_counts(sp, sp.cap_lows)
+        for flips in _nonzero_orientations(sp.dirs, sp.component_of,
+                                           sp.components, sp.probes, reqs):
             yield SpliceState(choices=choices,
-                              flips=tuple(flips[c] for c in rskel.components),
+                              flips=tuple(flips[c] for c in sp.components),
                               weight=weight, v_count=v_count, h_count=h_count,
-                              spliced_events=events, spliced_dirs=dirs,
-                              left_up=gp, right_down=dn)
+                              spliced_events=sp.events,
+                              spliced_dirs=_flipped_dirs(sp, flips),
+                              left_up=_west(lefts, flips),
+                              right_down=_west(rights, flips), sign=coeff)
+
+
+def _front_term(st: SpliceState, cache: SkeinCache) -> DeltaFraction:
+    """(a t^-1)^(#left-up + #right-down) [L, state] R(morsified spliced front)."""
+    m = MorseDiagram(diagram_events_of(st.spliced_events, morsified=True),
+                     st.spliced_dirs)
+    rsub = substitute_jaeger(homfly_R(m, cache), "homfly_rhs")
+    e = st.left_up + st.right_down
+    v = st.v_count
+    # sign (a t^-1)^e (t a^-2)^V tau^(V+H)
+    unit = LaurentPoly.monomial(st.sign, v - e, e - 2 * v)
+    return rsub.scaled(unit, v + st.h_count)
 
 
 def lj_both_sides(f: FrontWord, cache: Optional[SkeinCache] = None,
@@ -410,16 +409,9 @@ def lj_both_sides(f: FrontWord, cache: Optional[SkeinCache] = None,
     if cache is None:
         cache = SkeinCache.from_env()
     lhs = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
-    rhs = DeltaFraction.zero()
-    contributions = []
-    for st in _front_states_fast(f, weights):
-        lsig = FrontWord(st.spliced_events, st.spliced_dirs)
-        rsub = substitute_jaeger(homfly_R(lsig.morsify(), cache), "homfly_rhs")
-        e = st.left_up + st.right_down
-        pre = LaurentPoly.monomial(1, -e, e)  # (a t^-1)^e
-        term = rsub * (st.weight * pre)
-        rhs = rhs + term
-        contributions.append((st.choices, st.flips, term))
+    contributions = [(st.choices, st.flips, _front_term(st, cache))
+                     for st in _front_states_fast(f, weights)]
+    rhs = DeltaFraction.sum(t for _c, _f, t in contributions)
     return Certificate(lhs=lhs, rhs=rhs, equal=lhs == rhs,
                        contributions=contributions)
 
@@ -444,16 +436,12 @@ def lemma_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> list[LemmaR
         cache = SkeinCache.from_env()
     rows = []
     for st in _front_states_fast(f):
-        lsig = FrontWord(st.spliced_events, st.spliced_dirs)
-        rsub = substitute_jaeger(homfly_R(lsig.morsify(), cache), "homfly_rhs")
-        e = st.left_up + st.right_down
-        term = rsub * (st.weight * LaurentPoly.monomial(1, -e, e))
+        term = _front_term(st, cache)
         if term.is_zero():
             continue
         ea = term.numerator.min_degree("second")
-        cc = lsig.cusp_classes()
-        mu = cc["left_up"] - cc["right_down"]
-        bound = 2 * (cc["left_up"] - st.v_count) + abs(mu) - mu
+        mu = st.left_up - st.right_down
+        bound = 2 * (st.left_up - st.v_count) + abs(mu) - mu
         rows.append(LemmaRow(choices=st.choices, flips=st.flips,
                              min_a_degree=ea, bound=bound,
                              nonnegative=ea >= 0,

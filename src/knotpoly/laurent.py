@@ -11,11 +11,22 @@ The module also provides DeltaFraction, the quotient type
 
 needed to evaluate polynomials at z = t - t^-1.  Only that single denominator
 ever occurs, so no general rational-function field is built.
+
+A DeltaFraction is normalized when it is constructed: while denom_power > 0
+and the numerator is divisible by t - t^-1, one factor is divided out with
+exact_divide_delta.  Every +, - and * constructs, so it normalizes too.  Two
+operations skip the divisibility test because their result is normalized by
+construction: scaled() multiplies by a unit monomial and a power of
+t - t^-1 (it lowers the denominator power, no division), and sum() adds many
+fractions at their common denominator and normalizes once.  The state-sum
+certificates form each state term with scaled() and the right-hand side with
+sum().
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from functools import lru_cache
+from typing import Iterable, Mapping, Optional
 
 
 class LaurentPoly:
@@ -201,6 +212,12 @@ TAU = LaurentPoly({(1, 0): 1, (-1, 0): -1})
 A_MINUS_AINV = LaurentPoly({(0, 1): 1, (0, -1): -1})
 
 
+@lru_cache(maxsize=None)
+def tau_power(k: int) -> LaurentPoly:
+    """(t - t^-1)^k, shared: callers must not mutate it."""
+    return TAU ** k
+
+
 def exact_divide(p: LaurentPoly, divisor: LaurentPoly, var: str) -> Optional[LaurentPoly]:
     """Exact quotient p / divisor, dividing out the chosen variable.
 
@@ -270,8 +287,32 @@ def exact_divide(p: LaurentPoly, divisor: LaurentPoly, var: str) -> Optional[Lau
 
 
 def exact_divide_delta(p: LaurentPoly) -> Optional[LaurentPoly]:
-    """q with q * (t - t^-1) = p, or None when p is not divisible."""
-    return exact_divide(p, TAU, "first")
+    """q with q * (t - t^-1) = p, or None when p is not divisible.
+
+    Each a-degree row divides synthetically from its top t-degree down:
+    p_j = q_(j-1) - q_(j+1), so q_(j-1) = p_j + q_(j+1).
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for (et, ea), c in p.terms.items():
+        row = rows.get(ea)
+        if row is None:
+            rows[ea] = {et: c}
+        else:
+            row[et] = c
+    out: dict[tuple[int, int], int] = {}
+    for ea, row in rows.items():
+        lo = min(row)
+        q_above = q_at = 0  # q_(j+1) and q_j
+        for j in range(max(row), lo - 1, -1):
+            q_below = row.get(j, 0) + q_above
+            if q_below:
+                out[(j - 1, ea)] = q_below
+            q_above, q_at = q_at, q_below
+        if q_above or q_at:  # q_lo or q_(lo-1) left over: a remainder
+            return None
+    q = LaurentPoly.__new__(LaurentPoly)
+    q.terms = out
+    return q
 
 
 class DeltaFraction:
@@ -297,6 +338,36 @@ class DeltaFraction:
                 denom_power -= 1
         self.numerator = numerator
         self.denom_power = denom_power
+
+    def scaled(self, unit: LaurentPoly, k: int) -> "DeltaFraction":
+        """self * unit * (t - t^-1)^k for a unit monomial and k >= 0.
+
+        A unit keeps the numerator's divisibility, so the power of
+        t - t^-1 only lowers the denominator power; nothing is divided.
+        """
+        num = self.numerator * unit
+        if k >= self.denom_power:
+            num = num * tau_power(k - self.denom_power)
+        f = DeltaFraction.__new__(DeltaFraction)
+        f.numerator = num
+        f.denom_power = max(self.denom_power - k, 0) if num.terms else 0
+        return f
+
+    @staticmethod
+    def sum(fractions: Iterable["DeltaFraction"]) -> "DeltaFraction":
+        """The sum, formed at the common denominator and normalized once."""
+        rows: dict[int, dict[tuple[int, int], int]] = {}
+        for f in fractions:
+            row = rows.setdefault(f.denom_power, {})
+            for e, c in f.numerator.terms.items():
+                row[e] = row.get(e, 0) + c
+        if not rows:
+            return DeltaFraction.zero()
+        top = max(rows)
+        num = LaurentPoly()
+        for power in range(top + 1):  # Horner: rows[p] gets tau^(top - p)
+            num = num * TAU + LaurentPoly(rows.get(power))
+        return DeltaFraction(num, top)
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "DeltaFraction":
@@ -367,17 +438,11 @@ def substitute_jaeger(p: LaurentPoly, side: str) -> DeltaFraction:
     if p.is_zero():
         return DeltaFraction.zero()
     denom = max(0, -p.min_degree("first"))
-    tau_pows: dict[int, LaurentPoly] = {}
-    num = LaurentPoly()
+    lhs = side == "kauffman_lhs"
+    num: dict[tuple[int, int], int] = {}
     for (ez, ea), c in p.terms.items():
-        k = ez + denom
-        tp = tau_pows.get(k)
-        if tp is None:
-            tp = TAU ** k
-            tau_pows[k] = tp
-        if side == "kauffman_lhs":
-            term = tp.shift(-ea, 2 * ea) * c
-        else:
-            term = tp.shift(0, ea) * c
-        num = num + term
-    return DeltaFraction(num, denom)
+        dt, da = (-ea, 2 * ea) if lhs else (0, ea)
+        for (et, _), tc in tau_power(ez + denom).terms.items():
+            e = (et + dt, da)
+            num[e] = num.get(e, 0) + c * tc
+    return DeltaFraction(LaurentPoly(num), denom)

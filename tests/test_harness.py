@@ -152,6 +152,64 @@ def test_cli_io_error_has_own_code(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+def test_cli_internal_error_has_own_code(monkeypatch, capsys):
+    import knotpoly.cli as cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant broke")
+    monkeypatch.setattr(cli, "full_invariants", broken)
+    assert main(["poly", "--braid", "braid 2: 1 1 1"]) == 4
+    assert capsys.readouterr().err == "internal error: invariant broke\n"
+
+
+@pytest.fixture
+def opened_caches(monkeypatch):
+    """Every SkeinCache the CLI and the search harness open, in order."""
+    import knotpoly.cli as cli
+    import knotpoly.harness as harness
+    from knotpoly.skein import SkeinCache
+    opened = []
+
+    class Recorded(SkeinCache):
+        def __init__(self, path=None):
+            super().__init__(path)
+            opened.append(self)
+    monkeypatch.setattr(cli, "SkeinCache", Recorded)
+    monkeypatch.setattr(harness, "SkeinCache", Recorded)
+    return opened
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["poly", "--braid", "braid 2: 1 1 1"], 0),
+    (["jaeger", "--braid", "braid 2: 1 1"], 0),
+    (["lj", "--front", "front: L 1; R 1"], 0),
+    (["check", "--braid", "braid 2: 1 1 1"], 0),
+    (["sum", "--braid", "braid 2: 1 1 1"], 0),
+    (["poly", "--braid", "braid 2: x"], 2),
+    (["sum", "--braid", "braid 2: 1 1 1", "--copies", "0"], 2),
+    (["search", "--max-strands", "2", "--max-letters", "2"], 0),
+])
+def test_cli_closes_cache_file(tmp_path, capsys, opened_caches, argv, code):
+    argv = argv + ["--cache", str(tmp_path / "c.txt")]
+    if argv[0] == "search":
+        argv += ["--out", str(tmp_path / "r.json")]
+    assert main(argv) == code
+    assert opened_caches and all(c.path for c in opened_caches)
+    assert all(c._fh is None for c in opened_caches)
+
+
+def test_cli_closes_cache_file_on_internal_error(tmp_path, monkeypatch, capsys,
+                                                 opened_caches):
+    import knotpoly.cli as cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant broke")
+    monkeypatch.setattr(cli, "full_invariants", broken)
+    argv = ["poly", "--braid", "braid 2: 1 1 1", "--cache", str(tmp_path / "c.txt")]
+    assert main(argv) == 4
+    assert len(opened_caches) == 1 and opened_caches[0]._fh is None
+
+
 def test_cli_search(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code = main(["search", "--max-strands", "2", "--max-letters", "3",

@@ -1,17 +1,21 @@
+import hashlib
+import json
+import os
 import random
 
 import pytest
 
 from knotpoly.laurent import LaurentPoly, DeltaFraction, TAU, substitute_jaeger
-from knotpoly.diagram import MorseDiagram, parse_braid, braid_closure
+from knotpoly.diagram import DiagramError, MorseDiagram, parse_braid, braid_closure
 from knotpoly.front import FrontWord, saucer_front, crossed_saucer_front
-from knotpoly.skein import SkeinCache, kauffman_D
+from knotpoly.skein import CACHE_ENV_VAR, SkeinCache, kauffman_D
 from knotpoly.jaeger import (enumerate_states, enumerate_front_states,
                              jaeger_both_sides, lj_both_sides, lemma_check,
-                             proof_chain_check, selection_sweep,
-                             DIAGRAM_WEIGHTS, FRONT_WEIGHTS)
+                             proof_chain_check, selection_sweep, splice,
+                             DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, FRONT_ALPHABET,
+                             FRONT_WEIGHTS, _main as jaeger_main)
 
-from conftest import A, random_braid, random_front
+from conftest import A, INVALID_EVENTS, random_braid, random_front
 
 ONE = LaurentPoly.one()
 INF_NEG = (("cup", 0), ("x", 0, -1), ("cap", 0))
@@ -181,3 +185,110 @@ def test_frozen_tables_shape():
     assert len(DIAGRAM_WEIGHTS) == 4
     assert set(v for v in DIAGRAM_WEIGHTS.values()) == {1, -1}
     assert len(FRONT_WEIGHTS) == 2
+
+
+# sha256 of the certificates' JSON (terms of every state included) over the
+# corpora below, recorded before the state-sum kernel was rewritten
+DIAGRAM_CERTS_SHA256 = "22ec4c0737b1674025faab95ef493aee053455c9fc2352d34cfadf7cc2c1ec4b"
+FRONT_CERTS_SHA256 = "b6c1918678c625ec66a1e9261af4d372b547ffe3f69dd6ca42693f3758896ccc"
+
+
+def golden_closures():
+    rng = random.Random(3030)
+    return [braid_closure(random_braid(rng, max_strands=4, max_letters=6))
+            for _ in range(40)]
+
+
+def golden_fronts():
+    """Twelve seeded fronts, then the stream's first 6- and 7-component ones."""
+    rng = random.Random(3030)
+    fronts = [random_front(rng, max_crossings=4) for _ in range(12)]
+    wanted = {6, 7}
+    while wanted:
+        f = random_front(rng, max_crossings=4)
+        if f.component_count() in wanted:
+            wanted.discard(f.component_count())
+            fronts.append(f)
+    return fronts
+
+
+def certs_sha256(certs) -> str:
+    data = json.dumps([c.to_json() for c in certs], sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def test_certificates_golden():
+    cache = SkeinCache()
+    dcerts = [jaeger_both_sides(d, cache) for d in golden_closures()]
+    fcerts = [lj_both_sides(f, cache) for f in golden_fronts()]
+    assert all(c.equal for c in dcerts + fcerts)
+    assert certs_sha256(dcerts) == DIAGRAM_CERTS_SHA256
+    assert certs_sha256(fcerts) == FRONT_CERTS_SHA256
+
+
+def test_splice_scan_matches_morse_diagram_and_front_word():
+    """splice() against MorseDiagram and FrontWord(...).rounded()."""
+    rng = random.Random(308)
+    cases = []
+    for _ in range(150):
+        d = braid_closure(random_braid(rng, max_strands=4, max_letters=6))
+        cases.append((d.events, len(d.cross_info), DIAGRAM_ALPHABET))
+        f = random_front(rng, max_crossings=5)
+        cases.append((f.events, f.crossing_count(), FRONT_ALPHABET))
+    for events, nx, alphabet in cases:
+        choices = tuple(rng.randint(0, 2) for _ in range(nx))
+        sp = splice(events, choices, alphabet)
+        if alphabet is DIAGRAM_ALPHABET:
+            ref = MorseDiagram(sp.events)
+        else:
+            ref = FrontWord(sp.events).rounded()
+        assert sp.dirs == ref.dirs
+        assert tuple(sp.component_of) == ref.component_of
+        assert tuple(sp.components) == ref.components
+        assert sp.cup_lows == [lo for _i, lo, _hi in ref._cup_events]
+        assert sp.cap_lows == [lo for _i, lo, _hi in ref._cap_events]
+        assert len(sp.probes) == sum(1 for c in choices if c)
+        # per-component rotation tallies, as the diagram states read them
+        for c in ref.components:
+            turns = [lo for _i, lo, _hi in ref._cup_events + ref._cap_events
+                     if ref.component_of[lo] == c]
+            assert (sum(sp.dirs[t] for t in sp.cup_lows + sp.cap_lows
+                        if sp.component_of[t] == c)
+                    == sum(ref.dirs[t] for t in turns))
+
+
+@pytest.mark.parametrize("events", INVALID_EVENTS + (
+    [("cup", 1), ("cap", 0)],                 # levels one past the end
+    [("cup", 0), ("cap", 1)],
+    [("cup", 0), ("x", 1, 1), ("cap", 0)],
+    [("cup", 0), ("X", 0), ("cap", 0)],       # a front event in a diagram
+))
+def test_splice_scan_rejects_invalid_events(events):
+    with pytest.raises(DiagramError):
+        splice(events, (0,) * sum(1 for ev in events if ev[0] == "x"))
+
+
+@pytest.mark.parametrize("events", (
+    [("L", 0)],                               # not closed
+    [("R", 0)],                               # nothing to close
+    [("L", 3)],                               # level out of range
+    [("L", 1), ("R", 0)],                     # levels one past the end
+    [("L", 0), ("R", 1)],
+    [("L", 0), ("X", 1), ("R", 0)],
+    [("L", 0), ("cap", 0)],                   # a diagram event in a front
+))
+def test_splice_scan_rejects_invalid_fronts(events):
+    with pytest.raises(DiagramError):
+        splice(events, (0,) * sum(1 for ev in events if ev[0] == "X"),
+               FRONT_ALPHABET)
+
+
+def test_selection_report_matches_committed_file(monkeypatch, capsys):
+    """`python -m knotpoly.jaeger` reproduces docs/jaeger-table-selection.json."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    assert jaeger_main() == 0
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                        "jaeger-table-selection.json")
+    with open(path, encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()

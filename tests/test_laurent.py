@@ -150,3 +150,40 @@ def test_json_round_trip_and_sorting():
     assert blob == sorted(blob, key=lambda d: (d["ea"], d["ez"]))
     assert all(isinstance(d["c"], str) for d in blob)
     assert LaurentPoly.from_json(blob) == p
+
+
+def test_exact_divide_delta_matches_generic_division():
+    """The synthetic t - t^-1 kernel against the generic long division."""
+    rng = random.Random(3)
+    inputs = [LaurentPoly.zero()]
+    for _ in range(300):
+        row = rng.randint(-3, 3)
+        inputs.append(LaurentPoly({(rng.randint(-6, 6), row): rng.randint(-9, 9)
+                                   for _ in range(rng.randint(1, 6))}))
+        inputs.append(rand_poly(rng, span=6, terms=10))
+    divisible = 0
+    for p in inputs:
+        for k in range(4):
+            for q in (p * TAU ** k, p * TAU ** k + rand_poly(rng, span=2, terms=2)):
+                got = exact_divide_delta(q)
+                assert got == exact_divide(q, TAU, "first"), q
+                divisible += got is not None and not q.is_zero()
+                if got is not None:
+                    assert got * TAU == q
+    assert divisible > 1000
+
+
+def test_delta_fraction_sum_and_scaled_match_operators():
+    rng = random.Random(4)
+    for _ in range(100):
+        fracs = [DeltaFraction(rand_poly(rng), rng.randint(0, 3))
+                 for _ in range(rng.randint(0, 6))]
+        total = DeltaFraction.zero()
+        for f in fracs:
+            total = total + f
+        assert DeltaFraction.sum(fracs) == total
+        for f in fracs:
+            unit = LaurentPoly.monomial(rng.choice((1, -1)), rng.randint(-3, 3),
+                                        rng.randint(-3, 3))
+            k = rng.randint(0, 4)
+            assert f.scaled(unit, k) == f * (unit * TAU ** k)
