@@ -3,7 +3,15 @@
 Words are streamed in a fixed order (length ascending, then lexicographic by
 letter tuple), so reports are byte-identical across runs and across serial or
 parallel execution.  The optional dedup keeps one representative per orbit
-under cyclic rotation and reversal-with-inversion.
+under cyclic rotation and reversal-with-inversion: the least word of the
+orbit.  Representatives are generated directly rather than filtered from all
+words.  The necklaces (words least among their rotations) of each length come
+in lexicographic order from the FKM construction: Duval's successor walks the
+Lyndon words in order, and each one of length d dividing the length l gives
+the necklace w^(l/d) (Fredricksen-Kessler-Maiorana; Ruskey, Savage and Wang,
+J. Algorithms 1992).  A necklace is kept when no rotation of its inverted
+reversal is smaller, in the manner of bracelet generation (Sawada, SIAM J.
+Comput. 2001).
 
 Closures with more than one component are skipped; the report counts knot
 diagrams, not knot types.
@@ -74,18 +82,39 @@ def load_config(path: str, base: Optional[SearchConfig] = None) -> SearchConfig:
     return cfg
 
 
-def _orbit_min(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Least representative under rotation and reversal-with-inversion."""
-    if not letters:
-        return letters
-    best = letters
-    rev = tuple(-l for l in reversed(letters))
-    for word in (letters, rev):
-        for k in range(len(word)):
-            cand = word[k:] + word[:k]
-            if cand < best:
-                best = cand
-    return best
+def _necklaces(k: int, length: int) -> Iterator[list[int]]:
+    """Necklaces of `length` over letters 0..k-1, in lexicographic order.
+
+    Duval's successor: w runs through the Lyndon words of length at most
+    `length` in order, each extended periodically to `length`; the ones
+    whose length divides it are the necklaces.  The yielded list changes on
+    the next step.
+    """
+    if length == 0:
+        yield []
+        return
+    w = [-1] if k else []
+    while w:
+        w[-1] += 1
+        m = len(w)
+        w = (w * (length // m + 1))[:length]
+        if length % m == 0:
+            yield w
+        while w and w[-1] == k - 1:
+            w.pop()
+
+
+def _orbit_reps(gens: list[int], length: int) -> Iterator[tuple[int, ...]]:
+    """Least words of the orbits under rotation and reversal-with-inversion.
+
+    `gens` is ascending, so the letter order of the necklaces is kept.
+    """
+    for idx in _necklaces(len(gens), length):
+        w = tuple(map(gens.__getitem__, idx))
+        rev = tuple(-x for x in reversed(w))
+        rev2 = rev + rev   # holds every rotation of rev
+        if all(w <= rev2[j:j + length] for j in range(length)):
+            yield w
 
 
 def enumerate_braids(cfg: SearchConfig) -> Iterator[BraidWord]:
@@ -94,9 +123,11 @@ def enumerate_braids(cfg: SearchConfig) -> Iterator[BraidWord]:
     n = cfg.max_strands
     gens = [i for i in range(-(n - 1), n) if i != 0]
     for length in range(cfg.max_letters + 1):
-        for letters in itertools.product(gens, repeat=length):
-            if cfg.dedup == "cyclic+inverse" and letters != _orbit_min(letters):
-                continue
+        if cfg.dedup == "cyclic+inverse":
+            words = _orbit_reps(gens, length)
+        else:
+            words = itertools.product(gens, repeat=length)
+        for letters in words:
             yield BraidWord(n, letters)
 
 
@@ -116,15 +147,14 @@ def _row_for_word(n: int, letters: tuple[int, ...],
     return mfw_check(b, cache)
 
 
-def _worker(payload: tuple[int, tuple[tuple[int, ...], ...], Optional[str]]):
+def _worker(payload: tuple[int, list[tuple[int, ...]], Optional[str]]
+            ) -> list[Optional[BoundReport]]:
     n, words, cache_path = payload
     cache = SkeinCache(cache_path) if cache_path else SkeinCache()
-    rows = []
-    for letters in words:
-        rep = _row_for_word(n, letters, cache)
-        rows.append(None if rep is None else rep.to_json())
-    cache.close()
-    return rows
+    try:
+        return [_row_for_word(n, letters, cache) for letters in words]
+    finally:
+        cache.close()
 
 
 def search(cfg: SearchConfig) -> list[BoundReport]:
@@ -137,15 +167,8 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
     cfg.validate()
     words = [tuple(b.letters) for b in enumerate_braids(cfg)]
     n = cfg.max_strands
-    rows: list[Optional[dict]] = []
     if cfg.jobs == 1:
-        cache = SkeinCache(cfg.cache) if cfg.cache else SkeinCache()
-        try:
-            for letters in words:
-                rep = _row_for_word(n, letters, cache)
-                rows.append(None if rep is None else rep.to_json())
-        finally:
-            cache.close()
+        rows = _worker((n, words, cfg.cache))
     else:
         chunks = [words[i::cfg.jobs] for i in range(cfg.jobs)]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -155,38 +178,22 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
         # restore enumeration order from the strided split
         rows = [None] * len(words)
         for j, chunk_rows in enumerate(results):
-            for i, row in enumerate(chunk_rows):
-                rows[j + i * cfg.jobs] = row
-
-    reports: list[BoundReport] = []
-    for row in rows:
-        if row is None:
-            continue
-        rep = BoundReport(subject=row["id"], kind=row["kind"], tb=row["tb"],
-                          maslov=row["mu"], e_P=row["eP"], e_Y=row["eY"],
-                          bound_b_slack=row["slack_b"],
-                          bound_c_slack=row["slack_c"],
-                          mfw_slack=row["slack_mfw"], witness=row["witness"])
-        reports.append(rep)
+            rows[j::cfg.jobs] = chunk_rows
+    knots = [(letters, rep) for letters, rep in zip(words, rows)
+             if rep is not None]
 
     # re-verify flagged rows without any cache
-    for rep in reports:
+    for letters, rep in knots:
         if _flag(cfg.predicate, rep):
-            b = _parse_subject(rep.subject)
+            b = BraidWord(n, letters)
             fresh = full_invariants(braid_closure(b), SkeinCache())
             if (fresh.e_P, fresh.e_Y) != (rep.e_P, rep.e_Y):
                 raise AssertionError(f"re-verification failed for {rep.subject}")
 
+    reports = [rep for _, rep in knots]
     if cfg.out:
         write_report(reports, cfg.out, cfg.fmt, cfg.predicate)
     return reports
-
-
-def _parse_subject(subject: str) -> BraidWord:
-    head, _, rest = subject.partition(":")
-    n = int(head.split()[1])
-    letters = [int(tok) for tok in rest.split()]
-    return BraidWord(n, letters)
 
 
 def write_report(reports: list[BoundReport], path: str, fmt: str,

@@ -37,9 +37,11 @@ e_P and e_Y their least a-degrees.
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .laurent import LaurentPoly, exact_divide
@@ -87,7 +89,19 @@ class SkeinCache:
 
     @staticmethod
     def from_env() -> "SkeinCache":
-        return SkeinCache(os.environ.get(CACHE_ENV_VAR) or None)
+        """The cache behind `cache=None`: the `KNOTPOLY_CACHE` file or memory.
+
+        Each file is opened once per process and closed at exit; without
+        the variable every call gets a fresh in-memory cache.
+        """
+        path = os.environ.get(CACHE_ENV_VAR) or None
+        if path is None:
+            return SkeinCache()
+        cache = _ENV_CACHES.get(path)
+        if cache is None:
+            cache = _ENV_CACHES[path] = SkeinCache(path)
+            atexit.register(cache.close)
+        return cache
 
     def get(self, key: bytes) -> Optional[LaurentPoly]:
         val = self.mem.get(key)
@@ -111,6 +125,18 @@ class SkeinCache:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+
+
+_ENV_CACHES: dict[str, SkeinCache] = {}
+
+
+@lru_cache(maxsize=None)
+def _unknot_power(kauffman: bool, k: int) -> LaurentPoly:
+    """(z delta)^k, the numerator of delta^k (delta_D^k for D).
+
+    Shared: callers must not mutate it.
+    """
+    return (_DELTA_D_NUM if kauffman else _DELTA_NUM) ** k
 
 
 def _scan(events: tuple,
@@ -254,8 +280,7 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
                 cache: SkeinCache, stats: Optional[SkeinStats],
                 allow_split: bool) -> LaurentPoly:
     events, dirs, a_pow, circles = reduce_diagram(events, dirs)
-    unknot_num = _DELTA_D_NUM if kauffman else _DELTA_NUM
-    mult = (unknot_num ** circles).shift(-circles, a_pow)
+    mult = _unknot_power(kauffman, circles).shift(-circles, a_pow)
     if not events:
         return mult
     if stats is not None:
@@ -284,6 +309,7 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
             if kind == 0:
                 val = prod
             else:
+                unknot_num = _DELTA_D_NUM if kauffman else _DELTA_NUM
                 q = exact_divide(prod.shift(1, 0), unknot_num, "second")
                 if q is None:
                     raise AssertionError("connected-sum factor not divisible")
@@ -314,8 +340,8 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
                 acc = acc + sm.shift(1, 0) * eps
             cur = _switch_events(cur, ev_idx)
             writhe -= 2 * eps
-        # all violations switched: a descending diagram, a^w * (unknot_num/z)^k
-        val = (unknot_num ** k).shift(-k, writhe) + acc
+        # all violations switched: a descending diagram, a^w * delta^k
+        val = _unknot_power(kauffman, k).shift(-k, writhe) + acc
 
     cache.put(key, val)
     return mult * val

@@ -1,10 +1,10 @@
+import itertools
 import json
 import os
 
 import pytest
 
-from knotpoly.harness import (SearchConfig, enumerate_braids, search,
-                              load_config, _orbit_min)
+from knotpoly.harness import SearchConfig, enumerate_braids, search, load_config
 from knotpoly.cli import main
 
 from conftest import EP3_BRAID, WITNESS_BRAID
@@ -24,16 +24,40 @@ def test_enumeration_single_strand():
     assert len(words) == 1 and words[0].letters == ()
 
 
+def _orbit_min(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Least representative under rotation and reversal-with-inversion."""
+    if not letters:
+        return letters
+    best = letters
+    rev = tuple(-l for l in reversed(letters))
+    for word in (letters, rev):
+        for k in range(len(word)):
+            cand = word[k:] + word[:k]
+            if cand < best:
+                best = cand
+    return best
+
+
 def test_dedup_orbit():
     cfg = SearchConfig(max_strands=2, max_letters=3, dedup="cyclic+inverse")
     words = [w.letters for w in enumerate_braids(cfg)]
     # exactly one representative of the pair sigma^3 / sigma^-3
     assert sum(1 for w in words if w in ((1, 1, 1), (-1, -1, -1))) == 1
     # count matches a brute orbit enumeration
-    import itertools
     all_words = [w for L in range(4) for w in itertools.product((1, -1), repeat=L)]
     orbits = {_orbit_min(w) for w in all_words}
     assert len(words) == len(orbits)
+
+
+@pytest.mark.parametrize("n, length", [(1, 5), (2, 0), (2, 10), (3, 8), (4, 7)])
+def test_orbit_reps_match_brute_force(n, length):
+    """The generated representatives are the product-and-filter list, in order."""
+    gens = [i for i in range(-(n - 1), n) if i != 0]
+    cfg = SearchConfig(max_strands=n, max_letters=length, dedup="cyclic+inverse")
+    words = [w.letters for w in enumerate_braids(cfg)]
+    brute = [w for L in range(length + 1)
+             for w in itertools.product(gens, repeat=L) if w == _orbit_min(w)]
+    assert words == brute
 
 
 def test_search_deterministic(tmp_path):

@@ -1,6 +1,8 @@
 import hashlib
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +160,33 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert os.path.exists(path)
     monkeypatch.delenv(CACHE_ENV_VAR)
     assert full_invariants(d).R == r.R
+
+
+def test_cache_env_var_file_opened_once_and_closed(tmp_path):
+    """cache=None calls share one cache per file; it is closed at exit."""
+    import knotpoly
+    path = tmp_path / "envcache.txt"
+    code = "\n".join([
+        "from knotpoly.diagram import parse_braid, braid_closure",
+        "from knotpoly.inequalities import mfw_check",
+        "from knotpoly.skein import SkeinCache, full_invariants, homfly_R",
+        "b = parse_braid('braid 2: 1 1 1')",
+        "full_invariants(braid_closure(b))",
+        "homfly_R(braid_closure(b))",
+        "mfw_check(b)",
+        "cache = SkeinCache.from_env()",
+        "assert cache is SkeinCache.from_env() and cache._fh is not None",
+        "assert cache.hits >= 2, cache.hits  # later calls read the first's memo",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knotpoly.__file__)))
+    env = {**os.environ, CACHE_ENV_VAR: str(path), "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-X", "dev", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+    fresh = SkeinCache()
+    full_invariants(braid_closure(parse_braid("braid 2: 1 1 1")), fresh)
+    assert len(path.read_text().splitlines()) == len(fresh.mem)
 
 
 def _reference_scan(events, dirs):
