@@ -10,8 +10,9 @@ Subcommands:
     search   enumerate braid closures and report
 
 Exit codes: 0 success, 1 a verification failed (identity or bound), 2 usage
-or parse error, 3 an I/O error (cache, config or output file), 4 an internal
-error (an engine invariant broke; a bug, not a verdict on the input).
+or parse error (`ParseError`, `DiagramError`), 3 an I/O error (cache, config
+or output file), 4 an internal error (an engine invariant broke or an engine
+raised any other `ValueError`; a bug, not a verdict on the input).
 """
 
 from __future__ import annotations
@@ -211,13 +212,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.open_caches = []
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, DiagramError, ValueError) as exc:
+    except (ParseError, DiagramError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 3
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 4
     finally:

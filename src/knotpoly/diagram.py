@@ -313,10 +313,6 @@ def braid_closure(b: BraidWord) -> MorseDiagram:
     return MorseDiagram(events)
 
 
-def diagram_stats(d: MorseDiagram) -> tuple[int, int, int]:
-    return d.stats()
-
-
 # -- crossing surgery ---------------------------------------------------------
 
 

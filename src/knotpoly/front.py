@@ -156,22 +156,12 @@ class LegendrianInvariants:
         return f"LegendrianInvariants(tb={self.tb}, maslov={self.maslov})"
 
 
-def morsify(f: FrontWord) -> MorseDiagram:
-    """Module-level alias for FrontWord.morsify."""
-    return f.morsify()
-
-
 def classical_invariants(f: FrontWord) -> LegendrianInvariants:
     """tb = -w and maslov = -r of the morsification."""
     m = f.morsify()
     return LegendrianInvariants(tb=-m.writhe, maslov=-m.rotation,
                                 cusp_count=f.cusp_count(),
                                 crossing_count=f.crossing_count())
-
-
-def front_orient(f: FrontWord, flips: Sequence[bool]) -> FrontWord:
-    """The front with components flipped; cusp classes via cusp_classes()."""
-    return f.with_orientation(flips)
 
 
 def parse_front(text: str) -> FrontWord:

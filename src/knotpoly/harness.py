@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .diagram import BraidWord, braid_closure
+from .diagram import BraidWord, ParseError, braid_closure
 from .inequalities import BoundReport, CSV_HEADER, mfw_check
 from .skein import SkeinCache, full_invariants
 
@@ -46,38 +46,46 @@ class SearchConfig:
 
     def validate(self) -> None:
         if self.max_strands < 1 or self.max_letters < 0:
-            raise ValueError("max_strands >= 1 and max_letters >= 0 required")
+            raise ParseError("max_strands >= 1 and max_letters >= 0 required")
         if self.dedup not in DEDUPS:
-            raise ValueError(f"dedup must be one of {DEDUPS}")
+            raise ParseError(f"dedup must be one of {DEDUPS}")
         if self.predicate not in PREDICATES:
-            raise ValueError(f"predicate must be one of {PREDICATES}")
+            raise ParseError(f"predicate must be one of {PREDICATES}")
         if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
+            raise ParseError("format must be csv or json")
         if self.jobs < 1:
-            raise ValueError("jobs must be positive")
+            raise ParseError("jobs must be positive")
 
 
 def load_config(path: str, base: Optional[SearchConfig] = None) -> SearchConfig:
-    """Flat key=value file; unknown keys are rejected."""
+    """Flat key=value file; unknown keys and malformed values are rejected."""
     cfg = base or SearchConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key = key.strip()
-            value = value.strip()
-            if key in ("max_strands", "max_letters", "jobs"):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ParseError(f"{path}:{lineno}: expected key=value")
+        key = key.strip()
+        value = value.strip()
+        if key in ("max_strands", "max_letters", "jobs"):
+            try:
                 setattr(cfg, key, int(value))
-            elif key in ("dedup", "predicate", "out", "cache"):
-                setattr(cfg, key, value)
-            elif key == "format":
-                cfg.fmt = value
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: {key} must be an integer, "
+                                 f"got {value!r}") from None
+        elif key in ("dedup", "predicate", "out", "cache"):
+            setattr(cfg, key, value)
+        elif key == "format":
+            cfg.fmt = value
+        else:
+            raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
     cfg.validate()
     return cfg
 

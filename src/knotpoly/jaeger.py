@@ -28,6 +28,17 @@ Local patterns are encoded by thread directions (+1 east, -1 west):
                        dir of lower strand out of the cup)
   cusp pair           the same two slots; (-1, -1) means the new right cusp
                       is oriented downward and the new left cusp upward.
+
+One enumerator, `nonzero_states`, serves both sums; an `Alphabet` holds
+what differs (the event kinds, the seed dir, the splice labels of the
+weight keys and the front's (t a^-2)^V factor).  Each weight table gives a
+spliced site one oriented pattern, so a splice choice is dropped when a
+site has no entry, and the patterns pin the orientation flips of the
+components they touch; zero-weight states are never formed.  `splice`
+splices and scans a choice in one pass.  Both sums read the same two
+tallies of a state, left-up (cups whose lower thread runs west) and
+right-down (caps whose lower thread runs west); the diagram's rotation is
+#cups - left-up - right-down.
 """
 
 from __future__ import annotations
@@ -55,10 +66,25 @@ FRONT_WEIGHTS: dict[tuple[str, tuple[int, int]], int] = {
     ("c", (-1, -1)): 1,
 }
 
-# event alphabets: (birth, death, crossing) kinds and the canonical dir of
-# each component's first-born thread (MorseDiagram: +1, FrontWord: -1)
-DIAGRAM_ALPHABET = ("cup", "cap", "x", 1)
-FRONT_ALPHABET = ("L", "R", "X", -1)
+
+class Alphabet(NamedTuple):
+    """What differs between diagram and front states.
+
+    A spliced site's key in a weight table is the crossing event's fields
+    after its level (the sign in a diagram, none in a front), then the
+    label of its splice, then the oriented pattern.
+    """
+
+    birth: str            # event kinds
+    death: str
+    cross: str
+    seed: int             # dir of each component's first-born thread
+    labels: tuple         # splice labels of choices 1 and 2
+    wall_unit: tuple      # (t, a) exponents of the factor each choice 2 brings
+
+
+DIAGRAM_ALPHABET = Alphabet("cup", "cap", "x", 1, ("h", "v"), (0, 0))
+FRONT_ALPHABET = Alphabet("L", "R", "X", -1, ("h", "c"), (1, -2))
 
 
 @dataclass
@@ -67,15 +93,20 @@ class SpliceState:
 
     choices: tuple[int, ...]          # per crossing: 0 none, 1 horizontal, 2 wall/cusp pair
     flips: tuple[bool, ...]           # per component of the spliced object
-    weight: LaurentPoly               # product of local weights; may be zero
+    weight: LaurentPoly               # product of local weights
     v_count: int
     h_count: int
     spliced_events: tuple
     spliced_dirs: tuple
-    r_sigma: Optional[int] = None     # diagram states
-    left_up: Optional[int] = None     # front states
-    right_down: Optional[int] = None
-    sign: int = 0                     # weight / tau^(V+H), up to (t a^-2)^V on fronts
+    cups: int                         # cups (left cusps) of the spliced object
+    left_up: int                      # cups whose lower thread runs west
+    right_down: int                   # caps whose lower thread runs west
+    sign: int                         # weight / tau^(V+H), up to (t a^-2)^V on fronts
+
+    @property
+    def r_sigma(self) -> int:
+        """Rotation of the spliced, oriented object (as many caps as cups)."""
+        return self.cups - self.left_up - self.right_down
 
 
 class Splice(NamedTuple):
@@ -90,7 +121,8 @@ class Splice(NamedTuple):
     cap_lows: list        # lower thread of each cap (right cusp)
 
 
-def splice(events: Sequence, choices: Sequence[int], alphabet=DIAGRAM_ALPHABET) -> Splice:
+def splice(events: Sequence, choices: Sequence[int],
+           alphabet: Alphabet = DIAGRAM_ALPHABET) -> Splice:
     """Splice the crossings by `choices` and scan the result, in one pass.
 
     Choice 0 keeps a crossing, 1 opens it horizontally and 2 replaces it by a
@@ -100,7 +132,7 @@ def splice(events: Sequence, choices: Sequence[int], alphabet=DIAGRAM_ALPHABET) 
     first-born thread of each component gets the alphabet's dir and the rest
     alternate along the loop.
     """
-    birth, death, cross, seed = alphabet
+    birth, death, cross, seed = alphabet[:4]
     out: list = []
     probes: list = []
     active: list[int] = []
@@ -175,77 +207,70 @@ def splice(events: Sequence, choices: Sequence[int], alphabet=DIAGRAM_ALPHABET) 
                   cup_lows, cap_lows)
 
 
-def _west_counts(sp: Splice, lows: Sequence[int]) -> dict:
-    """Per component: [turns among `lows`, those whose lower thread runs west]."""
-    out = {c: [0, 0] for c in sp.components}
-    for lo in lows:
-        row = out[sp.component_of[lo]]
-        row[0] += 1
-        row[1] += sp.dirs[lo] == -1
-    return out
+def _pin(sp: Splice, patterns: list) -> Optional[dict]:
+    """Component -> flip bit that the spliced sites' patterns force.
 
-
-def _west(counts: dict, flip_of: dict) -> int:
-    """Turns whose lower thread runs west once the flipped components turn."""
-    return sum(n - w if flip_of[c] else w for c, (n, w) in counts.items())
-
-
-def _flipped_dirs(sp: Splice, flip_of: dict) -> tuple:
-    comp = sp.component_of
-    return tuple(-d if flip_of[comp[t]] else d for t, d in enumerate(sp.dirs))
-
-
-def enumerate_states(d: MorseDiagram,
-                     weights: Optional[dict] = None) -> Iterator[SpliceState]:
-    """All 3^crossings x 2^components(spliced) states of a diagram."""
-    if weights is None:
-        weights = DIAGRAM_WEIGHTS
-    signs = [ci[3] for ci in d.cross_info]
-    nx = len(signs)
-    for choices in itertools.product((0, 1, 2), repeat=nx):
-        sp = splice(d.events, choices)
-        turns = _west_counts(sp, sp.cup_lows + sp.cap_lows)
-        v_count = choices.count(2)
-        h_count = choices.count(1)
-        site_sign = [s for s, c in zip(signs, choices) if c != 0]
-        for flips in itertools.product((False, True), repeat=len(sp.components)):
-            flip_of = dict(zip(sp.components, flips))
-            dirs = _flipped_dirs(sp, flip_of)
-            sgn = 1
-            for (kind, ta, tb), s in zip(sp.probes, site_sign):
-                w = weights.get((s, "h" if kind == 1 else "v", (dirs[ta], dirs[tb])))
-                if w is None:
-                    sgn = 0
-                    break
-                sgn *= w
-            r2 = len(sp.cup_lows) + len(sp.cap_lows) - 2 * _west(turns, flip_of)
-            yield SpliceState(choices=choices, flips=flips,
-                              weight=tau_power(v_count + h_count) * sgn,
-                              v_count=v_count, h_count=h_count,
-                              spliced_events=sp.events, spliced_dirs=dirs,
-                              r_sigma=r2 // 2, sign=sgn)
-
-
-def _nonzero_orientations(skel_dirs, component_of, components, probes,
-                          requirements):
-    """Orientation flips with nonvanishing weight, by constraint pinning.
-
-    Each spliced site requires one oriented pattern, which pins the flip bit
-    of the components its two threads belong to.  Yields flip dicts; the
-    remaining components are free.
+    Each probe's two threads must run as its pattern says, which fixes the
+    flip bit of their components; None when two sites disagree.
     """
     pinned: dict[int, bool] = {}
-    for (_k, ta, tb), (pa, pb) in zip(probes, requirements):
+    for (_c, ta, tb), (pa, pb) in zip(sp.probes, patterns):
         for thread, want in ((ta, pa), (tb, pb)):
-            comp = component_of[thread]
-            need = skel_dirs[thread] != want
-            if pinned.setdefault(comp, need) != need:
-                return
-    free = [c for c in components if c not in pinned]
-    for bits in itertools.product((False, True), repeat=len(free)):
-        flips = dict(pinned)
-        flips.update(zip(free, bits))
-        yield flips
+            need = sp.dirs[thread] != want
+            if pinned.setdefault(sp.component_of[thread], need) != need:
+                return None
+    return pinned
+
+
+def nonzero_states(events: Sequence, alphabet: Alphabet,
+                   weights: dict) -> Iterator[SpliceState]:
+    """The states of nonzero weight, by splice choices, then by flips.
+
+    Choices run over (0, 1, 2)^crossings and flips over one bit per
+    component of the spliced object, both in `itertools.product` order.  A
+    table gives each site key one weighted pattern, so a choice whose sites
+    have no entry is skipped before splicing, the sites pin the flips of
+    their components (`_pin`), and only the unpinned components run over
+    both bits.
+    """
+    pattern_of = {key[:-1]: (key[-1], coeff)
+                  for key, coeff in weights.items() if coeff}
+    sites = [ev[2:] for ev in events if ev[0] == alphabet.cross]
+    ut, ua = alphabet.wall_unit
+    for choices in itertools.product((0, 1, 2), repeat=len(sites)):
+        patterns = []
+        sign = 1
+        for site, c in zip(sites, choices):
+            if c:
+                entry = pattern_of.get(site + (alphabet.labels[c - 1],))
+                if entry is None:
+                    break
+                patterns.append(entry[0])
+                sign *= entry[1]
+        else:
+            sp = splice(events, choices, alphabet)
+            pinned = _pin(sp, patterns)
+            if pinned is None:
+                continue
+            v_count = choices.count(2)
+            h_count = choices.count(1)
+            weight = tau_power(v_count + h_count).shift(ut * v_count,
+                                                        ua * v_count) * sign
+            free = [c for c in sp.components if c not in pinned]
+            for bits in itertools.product((False, True), repeat=len(free)):
+                flip_of = dict(pinned)
+                flip_of.update(zip(free, bits))
+                dirs = tuple(-d if flip_of[sp.component_of[t]] else d
+                             for t, d in enumerate(sp.dirs))
+                yield SpliceState(
+                    choices=choices,
+                    flips=tuple(flip_of[c] for c in sp.components),
+                    weight=weight, v_count=v_count, h_count=h_count,
+                    spliced_events=sp.events, spliced_dirs=dirs,
+                    cups=len(sp.cup_lows),
+                    left_up=sum(dirs[lo] < 0 for lo in sp.cup_lows),
+                    right_down=sum(dirs[lo] < 0 for lo in sp.cap_lows),
+                    sign=sign)
 
 
 @dataclass
@@ -263,49 +288,6 @@ class Certificate:
                            for c, f, t in self.contributions]}
 
 
-def _pinned_splices(events, site_keys, weights, alphabet):
-    """(choices, splice, requirements, coeff) per splice pattern whose sites
-    all carry a weight; site_keys[n] holds crossing n's table keys when
-    opened (choice 1) and when walled (choice 2)."""
-    req_of = {key[:-1]: (key[-1], coeff) for key, coeff in weights.items()}
-    for choices in itertools.product((0, 1, 2), repeat=len(site_keys)):
-        reqs = []
-        coeff = 1
-        for keys, c in zip(site_keys, choices):
-            if c:
-                entry = req_of.get(keys[c - 1])
-                if entry is None:
-                    coeff = 0
-                    break
-                reqs.append(entry[0])
-                coeff *= entry[1]
-        if coeff:
-            yield choices, splice(events, choices, alphabet), reqs, coeff
-
-
-def _diagram_states_fast(d: MorseDiagram,
-                         weights: Optional[dict] = None) -> Iterator[SpliceState]:
-    """Only the nonvanishing states, via orientation pinning."""
-    site_keys = [((s, "h"), (s, "v")) for _i, _lo, _hi, s in d.cross_info]
-    table = DIAGRAM_WEIGHTS if weights is None else weights
-    for choices, sp, reqs, coeff in _pinned_splices(d.events, site_keys, table,
-                                                    DIAGRAM_ALPHABET):
-        v_count = choices.count(2)
-        h_count = choices.count(1)
-        weight = tau_power(v_count + h_count) * coeff
-        turns = _west_counts(sp, sp.cup_lows + sp.cap_lows)
-        nturns = len(sp.cup_lows) + len(sp.cap_lows)
-        for flips in _nonzero_orientations(sp.dirs, sp.component_of,
-                                           sp.components, sp.probes, reqs):
-            yield SpliceState(choices=choices,
-                              flips=tuple(flips[c] for c in sp.components),
-                              weight=weight, v_count=v_count, h_count=h_count,
-                              spliced_events=sp.events,
-                              spliced_dirs=_flipped_dirs(sp, flips),
-                              r_sigma=(nturns - 2 * _west(turns, flips)) // 2,
-                              sign=coeff)
-
-
 def jaeger_both_sides(d: MorseDiagram, cache: Optional[SkeinCache] = None,
                       weights: Optional[dict] = None) -> Certificate:
     """Evaluate both sides of the state-sum identity for a diagram."""
@@ -313,7 +295,8 @@ def jaeger_both_sides(d: MorseDiagram, cache: Optional[SkeinCache] = None,
         cache = SkeinCache.from_env()
     lhs = substitute_jaeger(kauffman_D(d, cache), "kauffman_lhs")
     contributions = []
-    for st in _diagram_states_fast(d, weights):
+    table = DIAGRAM_WEIGHTS if weights is None else weights
+    for st in nonzero_states(d.events, DIAGRAM_ALPHABET, table):
         kd = MorseDiagram(st.spliced_events, st.spliced_dirs)
         rsub = substitute_jaeger(homfly_R(kd, cache), "homfly_rhs")
         # [K, state] (t a^-1)^r = sign (t a^-1)^r tau^(V+H)
@@ -326,69 +309,6 @@ def jaeger_both_sides(d: MorseDiagram, cache: Optional[SkeinCache] = None,
 
 
 # -- front states --------------------------------------------------------------
-
-
-def enumerate_front_states(f: FrontWord,
-                           weights: Optional[dict] = None) -> Iterator[SpliceState]:
-    """All states of a front: splices to horizontal openings or cusp pairs."""
-    if weights is None:
-        weights = FRONT_WEIGHTS
-    nu = sum(1 for ev in f.events if ev[0] == "L")
-    for choices in itertools.product((0, 1, 2), repeat=f.crossing_count()):
-        sp = splice(f.events, choices, FRONT_ALPHABET)
-        rounded = diagram_events_of(sp.events)
-        v_count = choices.count(2)
-        h_count = choices.count(1)
-        lefts = _west_counts(sp, sp.cup_lows)
-        rights = _west_counts(sp, sp.cap_lows)
-        nu_sigma = len(sp.cup_lows)
-        base = tau_power(v_count + h_count).shift(v_count, -2 * v_count)
-        # structural state invariants
-        if nu != nu_sigma - v_count:
-            raise AssertionError("cusp count bookkeeping broke")
-        for flips in itertools.product((False, True), repeat=len(sp.components)):
-            flip_of = dict(zip(sp.components, flips))
-            dirs = _flipped_dirs(sp, flip_of)
-            coeff = 1
-            for kind, ta, tb in sp.probes:
-                w = weights.get(("h" if kind == 1 else "c", (dirs[ta], dirs[tb])))
-                if w is None:
-                    coeff = 0
-                    break
-                coeff *= w
-            gp = _west(lefts, flip_of)
-            dn = _west(rights, flip_of)
-            r_rounded = MorseDiagram(rounded, dirs).rotation
-            if nu_sigma - r_rounded != gp + dn:
-                raise AssertionError("cusp-class / rotation relation broke")
-            yield SpliceState(choices=choices, flips=flips, weight=base * coeff,
-                              v_count=v_count, h_count=h_count,
-                              spliced_events=sp.events, spliced_dirs=dirs,
-                              left_up=gp, right_down=dn, sign=coeff)
-
-
-def _front_states_fast(f: FrontWord,
-                       weights: Optional[dict] = None) -> Iterator[SpliceState]:
-    """Only the nonvanishing front states, via orientation pinning."""
-    site_keys = [(("h",), ("c",))] * f.crossing_count()
-    table = FRONT_WEIGHTS if weights is None else weights
-    for choices, sp, reqs, coeff in _pinned_splices(f.events, site_keys, table,
-                                                    FRONT_ALPHABET):
-        v_count = choices.count(2)
-        h_count = choices.count(1)
-        # (t a^-2 tau)^V tau^H
-        weight = tau_power(v_count + h_count).shift(v_count, -2 * v_count) * coeff
-        lefts = _west_counts(sp, sp.cup_lows)
-        rights = _west_counts(sp, sp.cap_lows)
-        for flips in _nonzero_orientations(sp.dirs, sp.component_of,
-                                           sp.components, sp.probes, reqs):
-            yield SpliceState(choices=choices,
-                              flips=tuple(flips[c] for c in sp.components),
-                              weight=weight, v_count=v_count, h_count=h_count,
-                              spliced_events=sp.events,
-                              spliced_dirs=_flipped_dirs(sp, flips),
-                              left_up=_west(lefts, flips),
-                              right_down=_west(rights, flips), sign=coeff)
 
 
 def _front_term(st: SpliceState, cache: SkeinCache) -> DeltaFraction:
@@ -409,8 +329,9 @@ def lj_both_sides(f: FrontWord, cache: Optional[SkeinCache] = None,
     if cache is None:
         cache = SkeinCache.from_env()
     lhs = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
+    table = FRONT_WEIGHTS if weights is None else weights
     contributions = [(st.choices, st.flips, _front_term(st, cache))
-                     for st in _front_states_fast(f, weights)]
+                     for st in nonzero_states(f.events, FRONT_ALPHABET, table)]
     rhs = DeltaFraction.sum(t for _c, _f, t in contributions)
     return Certificate(lhs=lhs, rhs=rhs, equal=lhs == rhs,
                        contributions=contributions)
@@ -435,7 +356,7 @@ def lemma_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> list[LemmaR
     if cache is None:
         cache = SkeinCache.from_env()
     rows = []
-    for st in _front_states_fast(f):
+    for st in nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS):
         term = _front_term(st, cache)
         if term.is_zero():
             continue
@@ -462,7 +383,7 @@ def proof_chain_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> dict:
     nu = f.cusp_count() // 2
     out = {"states": 0, "weight_ok": True, "nu_ok": True, "rot_ok": True,
            "r_factor_ok": True, "master_ok": None}
-    for st in _front_states_fast(f):
+    for st in nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS):
         out["states"] += 1
         lsig = FrontWord(st.spliced_events, st.spliced_dirs)
         ksig = lsig.rounded()

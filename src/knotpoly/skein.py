@@ -68,23 +68,25 @@ class SkeinCache:
 
     def __init__(self, path: Optional[str] = None):
         self.mem: dict[bytes, LaurentPoly] = {}
-        self.hits = 0
-        self.misses = 0
         self.path = path
         self._fh = None
         if path:
             if os.path.exists(path):
-                with open(path, "r", encoding="ascii") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        keyhex, _, payload = line.partition("\t")
-                        try:
-                            self.mem[bytes.fromhex(keyhex)] = \
-                                LaurentPoly.from_json(json.loads(payload))
-                        except (ValueError, json.JSONDecodeError):
-                            continue  # torn write; ignore the record
+                try:
+                    with open(path, "r", encoding="ascii") as fh:
+                        for line in fh:
+                            line = line.strip()
+                            if not line:
+                                continue
+                            keyhex, _, payload = line.partition("\t")
+                            try:
+                                self.mem[bytes.fromhex(keyhex)] = \
+                                    LaurentPoly.from_json(json.loads(payload))
+                            except (ValueError, json.JSONDecodeError):
+                                continue  # torn write; ignore the record
+                except UnicodeDecodeError as exc:
+                    raise OSError(f"cache file {path} is not ASCII "
+                                  f"({exc.reason})") from None
             self._fh = open(path, "a", encoding="ascii")
 
     @staticmethod
@@ -104,22 +106,13 @@ class SkeinCache:
         return cache
 
     def get(self, key: bytes) -> Optional[LaurentPoly]:
-        val = self.mem.get(key)
-        if val is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return val
+        return self.mem.get(key)
 
     def put(self, key: bytes, value: LaurentPoly) -> None:
         self.mem[key] = value
         if self._fh is not None:
             self._fh.write(f"{key.hex()}\t{json.dumps(value.to_json())}\n")
             self._fh.flush()
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def close(self) -> None:
         if self._fh is not None:

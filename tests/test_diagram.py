@@ -4,9 +4,9 @@ import random
 import pytest
 
 from knotpoly.diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
-                              parse_braid, braid_closure, diagram_stats,
-                              crossing_surgery, connected_sum, canonical_code,
-                              reduce_diagram, _swap_adjacent)
+                              parse_braid, braid_closure, crossing_surgery,
+                              connected_sum, canonical_code, reduce_diagram,
+                              _swap_adjacent)
 
 from conftest import (INVALID_EVENTS, random_braid, random_front,
                       random_surgered_closure)
@@ -33,7 +33,7 @@ def test_parse_braid_errors(bad):
 
 
 def test_closure_examples():
-    assert diagram_stats(braid_closure(parse_braid("braid 1:"))) == (0, 1, 1)
+    assert braid_closure(parse_braid("braid 1:")).stats() == (0, 1, 1)
 
     tref = braid_closure(parse_braid("braid 2: 1 1 1"))
     assert tref.writhe == 3 and abs(tref.rotation) == 2
@@ -45,7 +45,7 @@ def test_closure_examples():
 
 def test_stats_examples():
     inf = MorseDiagram([("cup", 0), ("x", 0, -1), ("cap", 0)])
-    assert diagram_stats(inf) == (1, 0, 1)
+    assert inf.stats() == (1, 0, 1)
 
     unlink = MorseDiagram([("cup", 0), ("cap", 0), ("cup", 0), ("cap", 0)])
     assert unlink.writhe == 0 and len(unlink.components) == 2

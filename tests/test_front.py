@@ -5,8 +5,8 @@ import pytest
 
 from knotpoly.laurent import LaurentPoly
 from knotpoly.diagram import ParseError, DiagramError
-from knotpoly.front import (FrontWord, parse_front, morsify, classical_invariants,
-                            front_orient, saucer_front, crossed_saucer_front)
+from knotpoly.front import (FrontWord, parse_front, classical_invariants,
+                            saucer_front, crossed_saucer_front)
 from knotpoly.skein import homfly_R, kauffman_D, full_invariants
 
 from conftest import A, random_front
@@ -34,7 +34,7 @@ def test_parse_front_errors(bad):
 
 
 def test_morsify_saucer(cache):
-    m = morsify(saucer_front())
+    m = saucer_front().morsify()
     assert m.events == (("cup", 0), ("x", 0, -1), ("cap", 0))
     assert (m.writhe, m.rotation) == (1, 0)
     assert homfly_R(m, cache) == (A * A - ONE).shift(-1, 0)
@@ -104,12 +104,12 @@ def test_zigzag_stabilization_drops_tb():
 def test_cusp_class_counts_examples():
     exps = set()
     for flips in ([False], [True]):
-        cc = front_orient(saucer_front(), flips).cusp_classes()
+        cc = saucer_front().with_orientation(flips).cusp_classes()
         exps.add(cc["left_up"] + cc["right_down"])
     assert exps == {0, 2}
 
     for flips in ([False], [True]):
-        cc = front_orient(crossed_saucer_front(), flips).cusp_classes()
+        cc = crossed_saucer_front().with_orientation(flips).cusp_classes()
         assert cc["left_up"] + cc["right_down"] == 1
 
 

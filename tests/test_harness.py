@@ -176,6 +176,40 @@ def test_cli_io_error_has_own_code(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, where", [
+    (b"max_strands=2\nmax_letters=two\n", ":2: max_letters must be an integer"),
+    (b"max_strands=\xff\n", ": not UTF-8 text"),
+])
+def test_cli_bad_config_is_usage_error(tmp_path, capsys, content, where):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_bytes(content)
+    assert main(["search", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfgfile}{where}")
+
+
+def test_cli_invalid_search_setting_is_usage_error(capsys):
+    assert main(["search", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "error: jobs must be positive\n"
+
+
+def test_cli_non_ascii_cache_file_is_io_error(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    assert main(["poly", "--braid", "braid 2: 1 1 1", "--cache", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"io error: cache file {path}")
+
+
+def test_cli_engine_value_error_is_internal_error(monkeypatch, capsys):
+    import knotpoly.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("undefined degree: zero polynomial")
+    monkeypatch.setattr(cli, "full_invariants", broken)
+    assert main(["poly", "--braid", "braid 2: 1 1 1"]) == 4
+    assert (capsys.readouterr().err
+            == "internal error: undefined degree: zero polynomial\n")
+
+
 def test_cli_internal_error_has_own_code(monkeypatch, capsys):
     import knotpoly.cli as cli
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -9,11 +10,11 @@ from knotpoly.laurent import LaurentPoly, DeltaFraction, TAU, substitute_jaeger
 from knotpoly.diagram import DiagramError, MorseDiagram, parse_braid, braid_closure
 from knotpoly.front import FrontWord, saucer_front, crossed_saucer_front
 from knotpoly.skein import CACHE_ENV_VAR, SkeinCache, kauffman_D
-from knotpoly.jaeger import (enumerate_states, enumerate_front_states,
-                             jaeger_both_sides, lj_both_sides, lemma_check,
-                             proof_chain_check, selection_sweep, splice,
-                             DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, FRONT_ALPHABET,
-                             FRONT_WEIGHTS, _main as jaeger_main)
+from knotpoly.jaeger import (SpliceState, nonzero_states, jaeger_both_sides,
+                             lj_both_sides, lemma_check, proof_chain_check,
+                             selection_sweep, splice, DIAGRAM_ALPHABET,
+                             DIAGRAM_WEIGHTS, FRONT_ALPHABET, FRONT_WEIGHTS,
+                             _main as jaeger_main)
 
 from conftest import A, INVALID_EVENTS, random_braid, random_front
 
@@ -21,9 +22,52 @@ ONE = LaurentPoly.one()
 INF_NEG = (("cup", 0), ("x", 0, -1), ("cap", 0))
 
 
+def all_states(events, alphabet):
+    """Every state, zero-weight ones included, by brute force.
+
+    The reference for `nonzero_states`: all splice choices times all flips,
+    each weight looked up in the frozen table, and the orientation and the
+    cusp tallies read from `MorseDiagram` / `FrontWord` rather than from
+    the splice scan.
+    """
+    front = alphabet is FRONT_ALPHABET
+    weights, labels = (FRONT_WEIGHTS, "hc") if front else (DIAGRAM_WEIGHTS, "hv")
+    cups = sum(1 for ev in events if ev[0] == alphabet.birth)
+    crossings = [ev for ev in events if ev[0] == alphabet.cross]
+    for choices in itertools.product((0, 1, 2), repeat=len(crossings)):
+        sp = splice(events, choices, alphabet)
+        skeleton = FrontWord(sp.events) if front else MorseDiagram(sp.events)
+        keys = [(labels[c - 1],) if front else (ev[2], labels[c - 1])
+                for ev, c in zip(crossings, choices) if c]
+        v_count, h_count = choices.count(2), choices.count(1)
+        base = TAU ** (v_count + h_count)
+        if front:
+            base = base * LaurentPoly.monomial(1, v_count, -2 * v_count)
+        for flips in itertools.product((False, True),
+                                       repeat=len(skeleton.components)):
+            oriented = skeleton.with_orientation(flips)
+            rounded = oriented.rounded() if front else oriented
+            dirs = oriented.dirs
+            sign = 1
+            for key, (_c, ta, tb) in zip(keys, sp.probes):
+                sign *= weights.get(key + ((dirs[ta], dirs[tb]),), 0)
+            left_up = sum(1 for _i, lo, _hi in rounded._cup_events if dirs[lo] == -1)
+            right_down = sum(1 for _i, lo, _hi in rounded._cap_events if dirs[lo] == -1)
+            cups_sigma = len(rounded._cup_events)
+            # structural state invariants
+            assert cups == cups_sigma - v_count, "cusp count bookkeeping broke"
+            assert cups_sigma - rounded.rotation == left_up + right_down, \
+                "cusp-class / rotation relation broke"
+            yield SpliceState(choices=choices, flips=flips, weight=base * sign,
+                              v_count=v_count, h_count=h_count,
+                              spliced_events=sp.events, spliced_dirs=dirs,
+                              cups=cups_sigma, left_up=left_up,
+                              right_down=right_down, sign=sign)
+
+
 def test_zero_crossing_unknot_states():
     unknot = braid_closure(parse_braid("braid 1:"))
-    states = list(enumerate_states(unknot))
+    states = list(all_states(unknot.events, DIAGRAM_ALPHABET))
     assert len(states) == 2
     assert all(st.weight == ONE for st in states)
     assert {st.r_sigma for st in states} == {1, -1}
@@ -31,7 +75,8 @@ def test_zero_crossing_unknot_states():
 
 def test_one_curl_state_census():
     inf = MorseDiagram(INF_NEG)
-    states = [st for st in enumerate_states(inf) if not st.weight.is_zero()]
+    states = [st for st in all_states(inf.events, DIAGRAM_ALPHABET)
+              if not st.weight.is_zero()]
     census = sorted((st.choices[0], st.r_sigma, st.weight.format(("t", "a")))
                     for st in states)
     assert census == [
@@ -39,9 +84,31 @@ def test_one_curl_state_census():
         (1, -1, "t^-1 - t"),
         (2, -2, "-t^-1 + t"),
     ]
-    total = len(list(enumerate_states(inf)))
+    total = len(list(all_states(inf.events, DIAGRAM_ALPHABET)))
     # 3 splices; unspliced and parallel-opened have 1 component, wall has 2
     assert total == 2 + 2 + 4
+
+
+def test_states_match_brute_force():
+    """nonzero_states is the reference's nonzero states, in order, field by field.
+
+    150 closures and 100 fronts of at most five components (the reference
+    visits 3^crossings * 2^components states per front).
+    """
+    rng = random.Random(309)
+    cases = [(braid_closure(random_braid(rng, max_strands=4, max_letters=5)).events,
+              DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS) for _ in range(150)]
+    while len(cases) < 250:
+        f = random_front(rng, max_crossings=4)
+        if f.component_count() <= 5:
+            cases.append((f.events, FRONT_ALPHABET, FRONT_WEIGHTS))
+    counts = {DIAGRAM_ALPHABET: 0, FRONT_ALPHABET: 0}
+    for events, alphabet, weights in cases:
+        want = [st for st in all_states(events, alphabet) if st.sign]
+        got = list(nonzero_states(events, alphabet, weights))
+        assert got == want, events
+        counts[alphabet] += len(got)
+    assert all(counts.values())
 
 
 def test_jaeger_identity_examples(cache):
@@ -134,9 +201,7 @@ def test_v_count_bounded_by_left_up(cache):
     rng = random.Random(305)
     for _ in range(40):
         f = random_front(rng, max_crossings=4)
-        for st in enumerate_front_states(f):
-            if st.weight.is_zero():
-                continue
+        for st in nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS):
             assert st.v_count <= st.left_up, (f.events, st.choices, st.flips)
 
 
