@@ -4,7 +4,7 @@ from .laurent import (LaurentPoly, DeltaFraction, TAU, exact_divide,
                       exact_divide_delta, substitute_jaeger)
 from .diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
                       parse_braid, braid_closure, crossing_surgery,
-                      connected_sum, canonical_code, reduce_diagram)
+                      connected_sum, reduce_diagram)
 from .front import (FrontWord, LegendrianInvariants, parse_front,
                     classical_invariants, saucer_front, crossed_saucer_front)
 from .skein import (SkeinCache, SkeinResult, SkeinStats, homfly_R,
@@ -12,8 +12,8 @@ from .skein import (SkeinCache, SkeinResult, SkeinStats, homfly_R,
                     CACHE_ENV_VAR)
 from .jaeger import (SpliceState, Certificate, nonzero_states,
                      jaeger_both_sides, lj_both_sides, lemma_check,
-                     proof_chain_check, selection_sweep, DIAGRAM_ALPHABET,
-                     FRONT_ALPHABET, DIAGRAM_WEIGHTS, FRONT_WEIGHTS)
+                     proof_chain_check, DIAGRAM_ALPHABET, FRONT_ALPHABET,
+                     DIAGRAM_WEIGHTS, FRONT_WEIGHTS)
 from .inequalities import (BoundReport, check_front_bounds, mfw_check,
                            additivity_audit, ep_ey_compare)
 from .harness import SearchConfig, enumerate_braids, search, load_config

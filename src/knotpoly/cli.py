@@ -52,7 +52,7 @@ def _emit(args, payload: dict, csv_lines: Optional[list[str]] = None) -> None:
         sys.stdout.write(text)
 
 
-def _input_diagram(args, cache):
+def _input_diagram(args):
     if getattr(args, "braid", None):
         return braid_closure(parse_braid(args.braid))
     if getattr(args, "front", None):
@@ -62,7 +62,7 @@ def _input_diagram(args, cache):
 
 def _cmd_poly(args) -> int:
     cache = _make_cache(args)
-    d = _input_diagram(args, cache)
+    d = _input_diagram(args)
     res = full_invariants(d, cache)
     _emit(args, res.to_json())
     return 0
@@ -78,7 +78,7 @@ def _cmd_front(args) -> int:
 
 def _cmd_jaeger(args) -> int:
     cache = _make_cache(args)
-    d = _input_diagram(args, cache)
+    d = _input_diagram(args)
     cert = jaeger_both_sides(d, cache)
     _emit(args, cert.to_json())
     return 0 if cert.equal else 1

@@ -12,9 +12,10 @@ crossing of the braid generator, so braid closures satisfy writhe = exponent
 sum.
 
 Threads are the maximal strand runs from a cup endpoint to a cap endpoint;
-they are numbered 2*k and 2*k+1 (lower, upper) for the k-th cup.  A thread is
-monotone in the time direction, so its orientation is a single bit: dir = +1
-when oriented left-to-right, -1 otherwise.
+they are numbered 2*k and 2*k+1 (lower, upper) for the k-th cup, so a
+thread's birth mate is t ^ 1.  A thread is monotone in the time direction,
+so its orientation is a single bit: dir = +1 when oriented left-to-right,
+-1 otherwise.
 
 Derived quantities:
     writhe    = sum over crossings of s * dir(bottom thread) * dir(top thread)
@@ -22,11 +23,21 @@ Derived quantities:
 
 Rotation counts the turning of the underlying plane curve (the Whitney
 index); crossings contribute nothing to it.
+
+`scan` is the one walk of the strand stack, for diagrams and fronts alike
+(a kinds tuple names the birth, death and crossing kinds and the seed dir).
+It can splice crossings on the way, validates the events (levels, crossing
+signs, closedness, kinds) and orients the threads: given dirs are checked,
+else each component's first-born thread gets the seed dir and the rest
+alternate along the loop.  Its `Scan` holds the spliced events, the dirs,
+each thread's cap mate, the components (named by their first-born threads)
+and each thread's component, the lower threads of the births and deaths,
+the kept crossings, each thread's passes and the splice probes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Event = tuple  # ("cup", i) | ("cap", i) | ("x", i, s)
 
@@ -35,16 +46,135 @@ class DiagramError(ValueError):
     """Raised for structurally invalid event sequences."""
 
 
-def cup(i: int) -> Event:
-    return ("cup", i)
+# birth, death and crossing kinds, and the dir of each component's
+# first-born thread
+DIAGRAM_KINDS = ("cup", "cap", "x", 1)
 
 
-def cap(i: int) -> Event:
-    return ("cap", i)
+class Scan(NamedTuple):
+    """What one walk of the strand stack finds."""
+
+    events: tuple         # the spliced events (the input if none is spliced)
+    dirs: tuple           # per thread, +-1
+    cap_mate: list        # per thread, the thread it dies with
+    components: list      # each component's first-born thread, in birth order
+    component_of: list    # per thread, its component
+    cup_lows: range       # the lower thread of each birth: 2k for the k-th
+    cap_lows: list        # the lower thread of each death, in event order
+    crossings: list       # kept: (ev_idx in events, lo, hi, sign or 0 unsigned)
+    passes: list          # per thread, the numbers of the crossings it passes
+    probes: list          # per spliced crossing, (choice, a, b): the threads its weight reads
 
 
-def crossing(i: int, sign: int) -> Event:
-    return ("x", i, sign)
+def scan(events: Iterable[Event], alphabet: tuple,
+         dirs: Optional[Sequence[int]] = None,
+         choices: Optional[Sequence[int]] = None) -> Scan:
+    """Walk the strand stack once: splice, validate and orient.
+
+    `alphabet` is a kinds tuple, or any tuple that starts with one.
+    With `choices` (one per crossing), choice 0 keeps a crossing, 1 opens it
+    horizontally and 2 replaces it by a death-birth wall; the wall's birth
+    mints the next two threads.
+    """
+    birth, death, cross, seed = alphabet[:4]
+    events = tuple(events)
+    out: Optional[list] = [] if choices else None  # built only when splicing
+    probes: list = []
+    active: list[int] = []
+    cap_mate: list[int] = []
+    passes: list[list[int]] = []
+    crossings: list = []
+    cap_lows: list[int] = []
+    for idx, ev in enumerate(events):
+        kind = ev[0]
+        i = ev[1]
+        k = len(active)
+        if kind != birth:
+            if kind != death and kind != cross:
+                raise DiagramError(f"event {idx}: unknown kind {kind!r}")
+            if k < 2 or not 0 <= i <= k - 2:
+                raise DiagramError(f"event {idx}: {kind} level {i} out of range")
+            lo, hi = active[i], active[i + 1]
+            if kind == cross:
+                s = ev[2] if len(ev) > 2 else 0  # front crossings carry no sign
+                if s != 1 and s != -1 and (len(ev) > 2 or kind == "x"):
+                    raise DiagramError(f"event {idx}: crossing sign must be +-1")
+                c = choices[len(crossings) + len(probes)] if choices else 0
+                if not c:
+                    cn = len(crossings)
+                    crossings.append((idx if out is None else len(out), lo, hi, s))
+                    passes[lo].append(cn)
+                    passes[hi].append(cn)
+                    active[i] = hi
+                    active[i + 1] = lo
+                    if out is not None:
+                        out.append(ev)
+                    continue
+                if c == 1:
+                    probes.append((1, lo, hi))
+                    continue
+                probes.append((2, lo, len(cap_mate)))
+            cap_mate[lo] = hi
+            cap_mate[hi] = lo
+            cap_lows.append(lo)
+            del active[i:i + 2]
+            if kind == death:
+                if out is not None:
+                    out.append(ev)
+                continue
+            # the wall: a death, then a birth at the same level
+            out.append((death, i))
+            ev = (birth, i)
+        elif not 0 <= i <= k:
+            raise DiagramError(f"event {idx}: {kind} level {i} out of range 0..{k}")
+        t = len(cap_mate)
+        active[i:i] = (t, t + 1)
+        cap_mate += (-1, -1)
+        passes += ([], [])
+        if out is not None:
+            out.append(ev)
+    if active:
+        raise DiagramError("diagram is not closed: strands remain")
+
+    n = len(cap_mate)
+    if dirs is None:
+        d = [0] * n
+    else:
+        d = tuple(dirs)
+        if len(d) != n or any(x != 1 and x != -1 for x in d):
+            raise DiagramError("orientation vector has wrong shape")
+    component_of = [-1] * n
+    components = []
+    for start in range(n):
+        if component_of[start] >= 0:
+            continue
+        components.append(start)
+        t = start
+        while True:  # cap mate, then birth mate, back to start
+            m = cap_mate[t]
+            component_of[t] = component_of[m] = start
+            if dirs is None:
+                d[t] = seed
+                d[m] = -seed
+            elif d[m] == d[t] or d[m ^ 1] == d[m]:
+                raise DiagramError("inconsistent orientation assignment")
+            t = m ^ 1
+            if t == start:
+                break
+    return Scan(events if out is None else tuple(out), tuple(d), cap_mate,
+                components, component_of, range(0, n, 2), cap_lows, crossings,
+                passes, probes)
+
+
+def flipped_dirs(sc, flips: Sequence[bool]) -> tuple:
+    """`sc.dirs` with the components whose flip bit is set reversed.
+
+    `sc` has a Scan's dirs, components and component_of; one flip per component.
+    """
+    if len(flips) != len(sc.components):
+        raise DiagramError("one flip bit per component required")
+    flip_of = dict(zip(sc.components, flips))
+    return tuple(-d if flip_of[c] else d for d, c in zip(sc.dirs, sc.component_of))
 
 
 class MorseDiagram:
@@ -52,169 +182,36 @@ class MorseDiagram:
 
     Orientation is stored as one bit per thread.  If none is supplied, the
     first-born thread of each component is oriented left-to-right and the
-    rest follow by propagation.
+    rest follow along the loop.
     """
 
-    __slots__ = ("events", "dirs", "n_threads", "cup_pair", "cap_pair",
-                 "cross_info", "thread_passes", "component_of", "components",
-                 "writhe", "rotation", "_cup_events", "_cap_events")
+    __slots__ = ("events", "dirs", "cross_info", "component_of", "components",
+                 "cup_lows", "cap_lows", "writhe", "rotation")
 
     def __init__(self, events: Iterable[Event],
                  dirs: Optional[Sequence[int]] = None):
-        self.events = tuple(events)
-        active: list[int] = []
-        next_tid = 0
-        cup_pair: dict[int, int] = {}
-        cap_pair: dict[int, int] = {}
-        cross_info: list[tuple[int, int, int, int]] = []  # ev_idx, lo_tid, hi_tid, sign
-        passes: dict[int, list[tuple[int, bool]]] = {}
-        cup_events: list[tuple[int, int, int]] = []  # ev_idx, lo, hi
-        cap_events: list[tuple[int, int, int]] = []
-        parent: list[int] = []
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                if rx < ry:
-                    parent[ry] = rx
-                else:
-                    parent[rx] = ry
-
-        for idx, ev in enumerate(self.events):
-            kind = ev[0]
-            i = ev[1]
-            k = len(active)
-            if kind == "cup":
-                if not 0 <= i <= k:
-                    raise DiagramError(f"event {idx}: cup level {i} out of range 0..{k}")
-                lo, hi = next_tid, next_tid + 1
-                next_tid += 2
-                parent.extend((lo, hi))
-                union(lo, hi)
-                cup_pair[lo] = hi
-                cup_pair[hi] = lo
-                passes[lo] = []
-                passes[hi] = []
-                active[i:i] = [lo, hi]
-                cup_events.append((idx, lo, hi))
-            elif kind == "cap":
-                if k < 2 or not 0 <= i <= k - 2:
-                    raise DiagramError(f"event {idx}: cap level {i} out of range")
-                lo, hi = active[i], active[i + 1]
-                cap_pair[lo] = hi
-                cap_pair[hi] = lo
-                union(lo, hi)
-                del active[i:i + 2]
-                cap_events.append((idx, lo, hi))
-            elif kind == "x":
-                s = ev[2]
-                if s not in (1, -1):
-                    raise DiagramError(f"event {idx}: crossing sign must be +-1")
-                if k < 2 or not 0 <= i <= k - 2:
-                    raise DiagramError(f"event {idx}: crossing level {i} out of range")
-                lo, hi = active[i], active[i + 1]
-                cross_info.append((idx, lo, hi, s))
-                passes[lo].append((idx, True))
-                passes[hi].append((idx, False))
-                active[i], active[i + 1] = hi, lo
-            else:
-                raise DiagramError(f"event {idx}: unknown kind {kind!r}")
-        if active:
-            raise DiagramError("diagram is not closed: strands remain")
-
-        self.n_threads = next_tid
-        self.cup_pair = cup_pair
-        self.cap_pair = cap_pair
-        self.cross_info = tuple(cross_info)
-        self.thread_passes = {t: tuple(p) for t, p in passes.items()}
-        self._cup_events = tuple(cup_events)
-        self._cap_events = tuple(cap_events)
-
-        comp_of = [find(t) for t in range(next_tid)]
-        self.component_of = tuple(comp_of)
-        self.components = tuple(sorted(set(comp_of)))
-
-        if dirs is None:
-            self.dirs = self._propagate({c: 1 for c in self.components})
-        else:
-            dirs = tuple(dirs)
-            if len(dirs) != next_tid or any(d not in (1, -1) for d in dirs):
-                raise DiagramError("orientation vector has wrong shape")
-            self._check_dirs(dirs)
-            self.dirs = dirs
-
-        w = 0
-        d = self.dirs
-        for _, lo, hi, s in self.cross_info:
-            w += s * d[lo] * d[hi]
-        self.writhe = w
-        rot2 = 0
-        for _, lo, _hi in self._cup_events:
-            rot2 += d[lo]
-        for _, lo, _hi in self._cap_events:
-            rot2 += d[lo]
-        if rot2 % 2:
-            raise DiagramError("odd rotation sum; invalid diagram")
-        self.rotation = rot2 // 2
-
-    # -- orientation machinery ---------------------------------------------
-
-    def _propagate(self, seed_by_comp: dict[int, int]) -> tuple[int, ...]:
-        dirs = [0] * self.n_threads
-        for comp, seed in seed_by_comp.items():
-            dirs[comp] = seed
-        stack = [c for c in seed_by_comp]
-        while stack:
-            t = stack.pop()
-            for mate_map in (self.cup_pair, self.cap_pair):
-                m = mate_map.get(t)
-                if m is not None and dirs[m] == 0:
-                    dirs[m] = -dirs[t]
-                    stack.append(m)
-        if any(d == 0 for d in dirs):
-            raise DiagramError("orientation propagation failed")
-        return tuple(dirs)
-
-    def _check_dirs(self, dirs: Sequence[int]) -> None:
-        for mate_map in (self.cup_pair, self.cap_pair):
-            for t, m in mate_map.items():
-                if dirs[t] != -dirs[m]:
-                    raise DiagramError("inconsistent orientation assignment")
+        sc = scan(events, DIAGRAM_KINDS, dirs)
+        self.events = sc.events
+        d = self.dirs = sc.dirs
+        self.cross_info = tuple(sc.crossings)  # ev_idx, lo_tid, hi_tid, sign
+        self.component_of = tuple(sc.component_of)
+        self.components = tuple(sc.components)
+        self.cup_lows = tuple(sc.cup_lows)
+        self.cap_lows = tuple(sc.cap_lows)
+        self.writhe = sum(s * d[lo] * d[hi] for _, lo, hi, s in sc.crossings)
+        self.rotation = sum(d[lo] for lo in self.cup_lows + self.cap_lows) // 2
 
     def with_orientation(self, flips: Sequence[bool]) -> "MorseDiagram":
         """Same diagram with components flipped; flips follows self.components order."""
-        if len(flips) != len(self.components):
-            raise DiagramError("one flip bit per component required")
-        flip_of = dict(zip(self.components, flips))
-        new_dirs = tuple(-d if flip_of[self.component_of[t]] else d
-                         for t, d in enumerate(self.dirs))
-        return MorseDiagram(self.events, new_dirs)
+        return MorseDiagram(self.events, flipped_dirs(self, flips))
 
     def reversed(self) -> "MorseDiagram":
         return MorseDiagram(self.events, tuple(-d for d in self.dirs))
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def crossings(self) -> tuple[int, ...]:
-        """Event indices of the crossings, in event order."""
-        return tuple(ci[0] for ci in self.cross_info)
-
-    def component_count(self) -> int:
-        return len(self.components)
-
     def stats(self) -> tuple[int, int, int]:
         return (self.writhe, self.rotation, len(self.components))
-
-    def oriented_sign(self, cross_number: int) -> int:
-        _, lo, hi, s = self.cross_info[cross_number]
-        return s * self.dirs[lo] * self.dirs[hi]
 
     def to_json(self) -> dict:
         return {"events": [list(ev) for ev in self.events]}
@@ -332,17 +329,6 @@ def _smooth_v_events(events: tuple, ev_idx: int) -> tuple:
 
 def _cups_before(events: tuple, ev_idx: int) -> int:
     return sum(1 for ev in events[:ev_idx] if ev[0] == "cup")
-
-
-def smooth_vertical_dirs(d: MorseDiagram, cross_number: int) -> tuple[tuple, tuple]:
-    """Vertical smoothing with inherited orientation (antiparallel crossings)."""
-    ev_idx, lo, hi, _s = d.cross_info[cross_number]
-    if d.dirs[lo] * d.dirs[hi] != -1:
-        raise DiagramError("vertical smoothing does not respect parallel orientations")
-    events = _smooth_v_events(d.events, ev_idx)
-    pos = 2 * (_cups_before(d.events, ev_idx))
-    new_dirs = d.dirs[:pos] + (d.dirs[hi], d.dirs[lo]) + d.dirs[pos:]
-    return events, new_dirs
 
 
 def crossing_surgery(d: MorseDiagram, cross_number: int, action: str) -> MorseDiagram:
@@ -538,15 +524,14 @@ def _normalize(events: list, dirs: Optional[list]) -> tuple[Optional[list], bool
     return dirs, changed
 
 
-def reduce_diagram(events: Sequence[Event],
-                   dirs: Optional[Sequence[int]] = None,
-                   normalize: bool = True) -> tuple[tuple, Optional[tuple], int, int]:
+def reduce_diagram(events: Sequence[Event], dirs: Optional[Sequence[int]] = None
+                   ) -> tuple[tuple, Optional[tuple], int, int]:
     """Planar reduction: kill zigzags, curls, R2 pairs, and free circles.
 
     Returns (events, dirs, a_power, circles): the diagram equals the reduced
     one times a**a_power with `circles` split unknot components removed.
     Orientation data, when given, is carried through (removed circles drop
-    their two threads).
+    their two threads).  The result is level-normalized.
     """
     ev = list(events)
     dd = list(dirs) if dirs is not None else None
@@ -556,9 +541,7 @@ def reduce_diagram(events: Sequence[Event],
         p, c, changed1 = _reduce_pass(ev, dd)
         a_pow += p
         circles += c
-        changed2 = False
-        if normalize:
-            dd, changed2 = _normalize(ev, dd)
+        dd, changed2 = _normalize(ev, dd)
         if not changed1 and not changed2:
             break
     return tuple(ev), (tuple(dd) if dd is not None else None), a_pow, circles
@@ -593,18 +576,6 @@ def find_split(events: Sequence[Event]) -> Optional[tuple[int, int]]:
         if prof[i] == 2 and 0 < xs < total_x:
             return i + 1, 2
     return None
-
-
-def canonical_code(d: "MorseDiagram | Sequence[Event]",
-                   dirs: Optional[Sequence[int]] = None) -> bytes:
-    """Deterministic byte encoding of the level-normalized event sequence.
-
-    Equal event sequences yield equal codes; no canonical form up to isotopy
-    is attempted.  Orientation bits are appended when supplied.
-    """
-    ev = list(d.events if isinstance(d, MorseDiagram) else d)
-    dd, _ = _normalize(ev, list(dirs) if dirs is not None else None)
-    return encode_events(ev, dd)
 
 
 _KIND_BYTE = {"cup": 0, "cap": 1, "x": 2}

@@ -29,18 +29,24 @@ for a left cusp this means the lower branch points into the cusp, for a
 right cusp that the lower branch points into the cusp from the left.  In
 terms of thread directions: left cusp up iff dir(lower) = -1, right cusp up
 iff dir(lower) = +1.
+
+A FrontWord is one `diagram.scan` of its events: each component's
+first-born thread runs right to left by default, and the cusp classes are
+read from the scan's lower threads.  The rounding and the morsification are
+built on demand with the front's dirs.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .diagram import MorseDiagram, DiagramError, ParseError
+from .diagram import MorseDiagram, DiagramError, ParseError, flipped_dirs, scan
 
 FrontEvent = tuple
 
 FRONT_CROSS_SIGN = -1
 CURL_SIGN = -1
+FRONT_KINDS = ("L", "R", "X", -1)  # as diagram.DIAGRAM_KINDS
 
 
 def diagram_events_of(events: Sequence[FrontEvent], morsified: bool = False) -> list:
@@ -65,27 +71,22 @@ def diagram_events_of(events: Sequence[FrontEvent], morsified: bool = False) -> 
 class FrontWord:
     """A validated closed front with a chosen orientation."""
 
-    __slots__ = ("events", "dirs", "_rounded")
+    __slots__ = ("events", "dirs", "_scan")
 
     def __init__(self, events: Iterable[FrontEvent],
                  dirs: Optional[Sequence[int]] = None):
         self.events = tuple(events)
         for idx, ev in enumerate(self.events):
-            if ev[0] not in ("L", "R", "X") or len(ev) != 2:
+            if len(ev) != 2:
                 raise DiagramError(f"event {idx}: bad front event {ev!r}")
-        rounded_events = diagram_events_of(self.events)
-        if dirs is None:
-            skeleton = MorseDiagram(rounded_events)
-            seed = {c: -1 for c in skeleton.components}
-            dirs = skeleton._propagate(seed)
-        self._rounded = MorseDiagram(rounded_events, dirs)
-        self.dirs = self._rounded.dirs
+        self._scan = scan(self.events, FRONT_KINDS, dirs)
+        self.dirs = self._scan.dirs
 
     # -- resolutions ---------------------------------------------------------
 
     def rounded(self) -> MorseDiagram:
         """Plane-curve diagram with cusps rounded to plain turns."""
-        return self._rounded
+        return MorseDiagram(diagram_events_of(self.events), self.dirs)
 
     def morsify(self) -> MorseDiagram:
         """Regular diagram with curled right cusps; same threads, same dirs."""
@@ -95,22 +96,20 @@ class FrontWord:
 
     @property
     def components(self) -> tuple[int, ...]:
-        return self._rounded.components
+        return tuple(self._scan.components)
 
     def component_count(self) -> int:
-        return len(self._rounded.components)
+        return len(self._scan.components)
 
     def cusp_count(self) -> int:
-        return 2 * sum(1 for ev in self.events if ev[0] == "L")
+        return 2 * len(self._scan.cup_lows)
 
     def crossing_count(self) -> int:
-        return sum(1 for ev in self.events if ev[0] == "X")
+        return len(self._scan.crossings)
 
     def with_orientation(self, flips: Sequence[bool]) -> "FrontWord":
-        flip_of = dict(zip(self.components, flips))
-        new_dirs = tuple(-d if flip_of[self._rounded.component_of[t]] else d
-                         for t, d in enumerate(self.dirs))
-        return FrontWord(self.events, new_dirs)
+        """Same front with components flipped; flips follows self.components order."""
+        return FrontWord(self.events, flipped_dirs(self._scan, flips))
 
     def reversed(self) -> "FrontWord":
         return FrontWord(self.events, tuple(-d for d in self.dirs))
@@ -120,12 +119,11 @@ class FrontWord:
     def cusp_classes(self) -> dict[str, int]:
         """Counts of the four oriented cusp classes under the current dirs."""
         d = self.dirs
-        lu = sum(1 for _i, lo, _hi in self._rounded._cup_events if d[lo] == -1)
-        rd = sum(1 for _i, lo, _hi in self._rounded._cap_events if d[lo] == -1)
-        nl = len(self._rounded._cup_events)
-        nr = len(self._rounded._cap_events)
-        return {"left_up": lu, "left_down": nl - lu,
-                "right_down": rd, "right_up": nr - rd}
+        sc = self._scan
+        lu = sum(1 for lo in sc.cup_lows if d[lo] == -1)
+        rd = sum(1 for lo in sc.cap_lows if d[lo] == -1)
+        return {"left_up": lu, "left_down": len(sc.cup_lows) - lu,
+                "right_down": rd, "right_up": len(sc.cap_lows) - rd}
 
     def to_json(self) -> dict:
         return {"events": [list(ev) for ev in self.events]}

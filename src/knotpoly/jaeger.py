@@ -13,7 +13,7 @@ weighs 1 for every orientation; a spliced crossing weighs +-tau for exactly
 one oriented local picture per splice type and 0 otherwise.  The weight
 table below is pinned computationally: it is the unique assignment (among
 all candidate pattern tables) under which the identity holds on a corpus of
-small diagrams; see selection_sweep().
+small diagrams; see `knotpoly.selection`.
 
 The Legendrian version replaces diagrams by fronts.  Front crossings splice
 to the horizontal opening (weight t^-1 - t) or to a right-left cusp pair
@@ -34,11 +34,12 @@ what differs (the event kinds, the seed dir, the splice labels of the
 weight keys and the front's (t a^-2)^V factor).  Each weight table gives a
 spliced site one oriented pattern, so a splice choice is dropped when a
 site has no entry, and the patterns pin the orientation flips of the
-components they touch; zero-weight states are never formed.  `splice`
-splices and scans a choice in one pass.  Both sums read the same two
-tallies of a state, left-up (cups whose lower thread runs west) and
-right-down (caps whose lower thread runs west); the diagram's rotation is
-#cups - left-up - right-down.
+components they touch; zero-weight states are never formed.  One
+`diagram.scan` per choice splices and orients (each component's first-born
+thread at the alphabet's seed dir); its probes name the threads each site's
+pattern reads.  Both sums read the same two tallies of a state, left-up
+(cups whose lower thread runs west) and right-down (caps whose lower thread
+runs west); the diagram's rotation is #cups - left-up - right-down.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, DeltaFraction, TAU, tau_power, substitute_jaeger
-from .diagram import DiagramError, MorseDiagram
-from .front import FrontWord, diagram_events_of
+from .diagram import DIAGRAM_KINDS, MorseDiagram, Scan, flipped_dirs, scan
+from .front import FRONT_KINDS, FrontWord, diagram_events_of
 from .skein import SkeinCache, homfly_R, kauffman_D
 
 # weight = coeff * tau at the listed oriented pattern; all others vanish
@@ -83,8 +84,8 @@ class Alphabet(NamedTuple):
     wall_unit: tuple      # (t, a) exponents of the factor each choice 2 brings
 
 
-DIAGRAM_ALPHABET = Alphabet("cup", "cap", "x", 1, ("h", "v"), (0, 0))
-FRONT_ALPHABET = Alphabet("L", "R", "X", -1, ("h", "c"), (1, -2))
+DIAGRAM_ALPHABET = Alphabet(*DIAGRAM_KINDS, ("h", "v"), (0, 0))
+FRONT_ALPHABET = Alphabet(*FRONT_KINDS, ("h", "c"), (1, -2))
 
 
 @dataclass
@@ -109,105 +110,7 @@ class SpliceState:
         return self.cups - self.left_up - self.right_down
 
 
-class Splice(NamedTuple):
-    """A spliced diagram or front and its threads under canonical dirs."""
-
-    events: tuple
-    probes: list          # (choice, thread a, thread b) per spliced crossing
-    dirs: tuple
-    component_of: list    # thread -> its component's first-born thread
-    components: list
-    cup_lows: list        # lower thread of each cup (left cusp)
-    cap_lows: list        # lower thread of each cap (right cusp)
-
-
-def splice(events: Sequence, choices: Sequence[int],
-           alphabet: Alphabet = DIAGRAM_ALPHABET) -> Splice:
-    """Splice the crossings by `choices` and scan the result, in one pass.
-
-    Choice 0 keeps a crossing, 1 opens it horizontally and 2 replaces it by a
-    death-birth wall; a probe records the two threads whose directions the
-    splice weight reads.  Validates the events like MorseDiagram (levels,
-    crossing signs, closedness, kinds).  Threads are numbered by birth; the
-    first-born thread of each component gets the alphabet's dir and the rest
-    alternate along the loop.
-    """
-    birth, death, cross, seed = alphabet[:4]
-    out: list = []
-    probes: list = []
-    active: list[int] = []
-    cap_mate: list[int] = []
-    cup_lows: list[int] = []
-    cap_lows: list[int] = []
-    xn = 0
-    for idx, ev in enumerate(events):
-        kind = ev[0]
-        i = ev[1]
-        k = len(active)
-        if kind == birth:
-            if not 0 <= i <= k:
-                raise DiagramError(f"event {idx}: cup level {i} out of range 0..{k}")
-            t = len(cap_mate)
-            active[i:i] = (t, t + 1)
-            cap_mate += (-1, -1)
-            cup_lows.append(t)
-            out.append(ev)
-            continue
-        if kind not in (death, cross):
-            raise DiagramError(f"event {idx}: unknown kind {kind!r}")
-        if k < 2 or not 0 <= i <= k - 2:
-            raise DiagramError(f"event {idx}: {kind} level {i} out of range")
-        lo, hi = active[i], active[i + 1]
-        c = 2
-        if kind == cross:
-            if kind == "x" and ev[2] not in (1, -1):
-                raise DiagramError(f"event {idx}: crossing sign must be +-1")
-            c = choices[xn]
-            xn += 1
-            if c == 0:
-                active[i], active[i + 1] = hi, lo
-                out.append(ev)
-                continue
-            if c == 1:
-                probes.append((1, lo, hi))
-                continue
-            probes.append((2, lo, len(cap_mate)))
-        cap_mate[lo] = hi
-        cap_mate[hi] = lo
-        cap_lows.append(lo)
-        del active[i:i + 2]
-        if kind == death:
-            out.append(ev)
-            continue
-        # the wall: a death, then a birth at the same level
-        t = len(cap_mate)
-        active[i:i] = (t, t + 1)
-        cap_mate += (-1, -1)
-        cup_lows.append(t)
-        out += ((death, i), (birth, i))
-    if active:
-        raise DiagramError("diagram is not closed: strands remain")
-    n = len(cap_mate)
-    dirs = [0] * n
-    component_of = [0] * n
-    components = []
-    for start in range(n):
-        if dirs[start]:
-            continue
-        components.append(start)
-        t = start
-        while True:  # cap mate, then cup mate, back to start
-            m = cap_mate[t]
-            dirs[t], dirs[m] = seed, -seed
-            component_of[t] = component_of[m] = start
-            t = m ^ 1
-            if t == start:
-                break
-    return Splice(tuple(out), probes, tuple(dirs), component_of, components,
-                  cup_lows, cap_lows)
-
-
-def _pin(sp: Splice, patterns: list) -> Optional[dict]:
+def _pin(sp: Scan, patterns: list) -> Optional[dict]:
     """Component -> flip bit that the spliced sites' patterns force.
 
     Each probe's two threads must run as its pattern says, which fixes the
@@ -248,7 +151,7 @@ def nonzero_states(events: Sequence, alphabet: Alphabet,
                 patterns.append(entry[0])
                 sign *= entry[1]
         else:
-            sp = splice(events, choices, alphabet)
+            sp = scan(events, alphabet, choices=choices)
             pinned = _pin(sp, patterns)
             if pinned is None:
                 continue
@@ -260,11 +163,10 @@ def nonzero_states(events: Sequence, alphabet: Alphabet,
             for bits in itertools.product((False, True), repeat=len(free)):
                 flip_of = dict(pinned)
                 flip_of.update(zip(free, bits))
-                dirs = tuple(-d if flip_of[sp.component_of[t]] else d
-                             for t, d in enumerate(sp.dirs))
+                flips = tuple(flip_of[c] for c in sp.components)
+                dirs = flipped_dirs(sp, flips)
                 yield SpliceState(
-                    choices=choices,
-                    flips=tuple(flip_of[c] for c in sp.components),
+                    choices=choices, flips=flips,
                     weight=weight, v_count=v_count, h_count=h_count,
                     spliced_events=sp.events, spliced_dirs=dirs,
                     cups=len(sp.cup_lows),
@@ -406,96 +308,3 @@ def proof_chain_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> dict:
     pre = LaurentPoly.monomial(1, -nu, 2 * nu)  # (a^2 t^-1)^nu
     out["master_ok"] = d_l == d_k * pre
     return out
-
-
-# -- weight-table selection -----------------------------------------------------
-
-
-def _candidate_diagram_tables() -> Iterator[dict]:
-    pats = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    for vp_pos, hp_pos, vp_neg, hp_neg, wpos, wneg in itertools.product(
-            pats, pats, pats, pats, (1, -1), (1, -1)):
-        yield {(1, "v", vp_pos): wpos, (1, "h", hp_pos): -wpos,
-               (-1, "v", vp_neg): wneg, (-1, "h", hp_neg): -wneg}
-
-
-def _candidate_front_tables() -> Iterator[dict]:
-    pats = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    for hp, cp in itertools.product(pats, pats):
-        yield {("h", hp): -1, ("c", cp): 1}
-
-
-def selection_sweep(diagrams: Sequence[MorseDiagram],
-                    fronts: Sequence[FrontWord],
-                    cache: Optional[SkeinCache] = None) -> dict:
-    """Filter all candidate weight tables against the identities.
-
-    Returns the survivors and whether each matches the frozen tables.  The
-    corpus should contain crossings of both signs and both parallel and
-    antiparallel splice sites, otherwise several tables may survive.
-    """
-    if cache is None:
-        cache = SkeinCache.from_env()
-    diagram_survivors = []
-    for table in _candidate_diagram_tables():
-        if all(jaeger_both_sides(d, cache, weights=table).equal for d in diagrams):
-            diagram_survivors.append(table)
-    front_survivors = []
-    for table in _candidate_front_tables():
-        if all(lj_both_sides(f, cache, weights=table).equal for f in fronts):
-            front_survivors.append(table)
-    return {
-        "diagram_candidates": 1024,
-        "diagram_survivors": [sorted(str(k) for k in t) for t in diagram_survivors],
-        "diagram_unique": len(diagram_survivors) == 1,
-        "diagram_matches_frozen": diagram_survivors == [DIAGRAM_WEIGHTS],
-        "front_candidates": 16,
-        "front_survivors": [sorted(str(k) for k in t) for t in front_survivors],
-        "front_unique": len(front_survivors) == 1,
-        "front_matches_frozen": front_survivors == [FRONT_WEIGHTS],
-    }
-
-
-def standard_selection_corpus():
-    """Small diagrams and fronts that pin the weight tables uniquely."""
-    from .diagram import parse_braid, braid_closure
-    from .front import saucer_front, crossed_saucer_front
-    diagrams = [
-        MorseDiagram([("cup", 0), ("x", 0, -1), ("cap", 0)]),
-        MorseDiagram([("cup", 0), ("x", 0, 1), ("cap", 0)]),
-        braid_closure(parse_braid("braid 2: 1 1")),
-        braid_closure(parse_braid("braid 2: -1 -1")),
-        MorseDiagram([("cup", 0), ("x", 0, -1), ("x", 0, -1), ("cap", 0)]),
-        MorseDiagram([("cup", 0), ("x", 0, 1), ("x", 0, 1), ("cap", 0)]),
-        braid_closure(parse_braid("braid 2: 1 1 1")),
-        braid_closure(parse_braid("braid 3: 1 -2 1")),
-    ]
-    fronts = [saucer_front(), crossed_saucer_front(),
-              FrontWord([("L", 0), ("X", 0), ("X", 0), ("R", 0)]),
-              FrontWord([("L", 0), ("L", 1), ("X", 1), ("R", 1), ("R", 0)]),
-              FrontWord([("L", 0), ("L", 0), ("X", 1), ("R", 0), ("R", 0)])]
-    return diagrams, fronts
-
-
-def _main() -> int:
-    """Regenerate the weight-table selection report (JSON on stdout)."""
-    import json
-    import sys
-    diagrams, fronts = standard_selection_corpus()
-    rep = selection_sweep(diagrams, fronts)
-    rep["corpus"] = {
-        "diagrams": [d.to_json() for d in diagrams],
-        "fronts": [f.to_json() for f in fronts],
-    }
-    rep["frozen_diagram_table"] = sorted(str(k) + f" -> {v}*tau"
-                                         for k, v in DIAGRAM_WEIGHTS.items())
-    rep["frozen_front_table"] = sorted(
-        str(k) + (" -> t^-1 - t" if v == -1 else " -> t a^-2 (t - t^-1)")
-        for k, v in FRONT_WEIGHTS.items())
-    json.dump(rep, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0 if rep["diagram_matches_frozen"] and rep["front_matches_frozen"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(_main())

@@ -84,12 +84,6 @@ class LaurentPoly:
         idx = _var_index(var)
         return min(e[idx] for e in self.terms)
 
-    def max_degree(self, var: str) -> int:
-        if not self.terms:
-            raise ValueError("undefined degree: zero polynomial")
-        idx = _var_index(var)
-        return max(e[idx] for e in self.terms)
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
@@ -368,10 +362,6 @@ class DeltaFraction:
         for power in range(top + 1):  # Horner: rows[p] gets tau^(top - p)
             num = num * TAU + LaurentPoly(rows.get(power))
         return DeltaFraction(num, top)
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "DeltaFraction":
-        return DeltaFraction(p, 0)
 
     @staticmethod
     def zero() -> "DeltaFraction":

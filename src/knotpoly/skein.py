@@ -20,11 +20,11 @@ smoothed remainders recurse with one crossing fewer.  A descending diagram
 with writhe w and k components is an unlink with curls and evaluates to
 a^w * delta^k (delta the unknot value).
 
-Each memo miss makes one scan of the events (`_scan`), which validates the
-diagram and yields its component count, orientation, writhe and violations.
-The descending diagram is not built: switching keeps the components, and
-each switched crossing of oriented sign eps lowers the writhe by 2 eps, so
-its value follows from that ledger.
+Each memo miss makes one `diagram.scan` of the events, which validates the
+diagram and orients it, and one walk of its threads (`_scan`), which yields
+the writhe and the violations.  The descending diagram is not built:
+switching keeps the components, and each switched crossing of oriented sign
+eps lowers the writhe by 2 eps, so its value follows from that ledger.
 
 Diagrams are planar-reduced and level-normalized before memoization.
 Disjoint-union and connected-sum slices are split off and recombined
@@ -45,9 +45,9 @@ from functools import lru_cache
 from typing import Optional
 
 from .laurent import LaurentPoly, exact_divide
-from .diagram import (DiagramError, MorseDiagram, reduce_diagram, encode_events,
-                      find_split, _switch_events, _smooth_h_events,
-                      _smooth_v_events, _cups_before)
+from .diagram import (DIAGRAM_KINDS, MorseDiagram, reduce_diagram,
+                      encode_events, find_split, scan, _switch_events,
+                      _smooth_h_events, _smooth_v_events, _cups_before)
 
 # unknot values
 DELTA = LaurentPoly({(-1, 1): 1, (-1, -1): -1})            # (a - a^-1)/z
@@ -134,101 +134,41 @@ def _unknot_power(kauffman: bool, k: int) -> LaurentPoly:
 
 def _scan(events: tuple,
           dirs: Optional[tuple]) -> tuple[int, tuple, int, list]:
-    """One pass over a closed diagram: (components, dirs, writhe, violations).
+    """Scan a closed diagram: (components, dirs, writhe, violations).
 
-    Validates like `MorseDiagram` (levels, crossing signs, closedness,
-    orientation shape and consistency).  Without `dirs`, the first-born
-    thread of each component runs left-to-right and orientation alternates
-    along the loop.  Violations are the crossings first met on the under
-    strand, as (ev_idx, lo_thread, hi_thread, sign, oriented_sign), along the
-    traversal that takes components in birth order, starts each at its
-    first-born thread and follows the flow.
+    `diagram.scan` validates the events and the orientation, or orients the
+    diagram when `dirs` is None.  Violations are the crossings first met on
+    the under strand, as (ev_idx, lo_thread, hi_thread, sign,
+    oriented_sign), along the traversal that takes components in birth
+    order, starts each at its first-born thread and follows the flow.
     """
-    active: list[int] = []
-    cup_mate: list[int] = []
-    cap_mate: list[int] = []
-    passes: list[list[tuple[int, bool]]] = []   # per thread: (crossing, under)
-    cross: list[tuple[int, int, int, int]] = []  # ev_idx, lo, hi, sign
-    for idx, ev in enumerate(events):
-        kind = ev[0]
-        i = ev[1]
-        k = len(active)
-        if kind == "cup":
-            if not 0 <= i <= k:
-                raise DiagramError(f"event {idx}: cup level {i} out of range 0..{k}")
-            t = len(cup_mate)
-            active[i:i] = (t, t + 1)
-            cup_mate += (t + 1, t)
-            cap_mate += (-1, -1)
-            passes += ([], [])
-        elif kind == "cap":
-            if k < 2 or not 0 <= i <= k - 2:
-                raise DiagramError(f"event {idx}: cap level {i} out of range")
-            lo, hi = active[i], active[i + 1]
-            cap_mate[lo] = hi
-            cap_mate[hi] = lo
-            del active[i:i + 2]
-        elif kind == "x":
-            s = ev[2]
-            if s not in (1, -1):
-                raise DiagramError(f"event {idx}: crossing sign must be +-1")
-            if k < 2 or not 0 <= i <= k - 2:
-                raise DiagramError(f"event {idx}: crossing level {i} out of range")
-            lo, hi = active[i], active[i + 1]
-            cn = len(cross)
-            cross.append((idx, lo, hi, s))
-            # s = +1: the strand entering at the lower level passes over
-            passes[lo].append((cn, s == -1))
-            passes[hi].append((cn, s == 1))
-            active[i], active[i + 1] = hi, lo
-        else:
-            raise DiagramError(f"event {idx}: unknown kind {kind!r}")
-    if active:
-        raise DiagramError("diagram is not closed: strands remain")
-
-    n = len(cup_mate)
-    if dirs is None:
-        d = [0] * n
-    else:
-        if len(dirs) != n or any(x not in (1, -1) for x in dirs):
-            raise DiagramError("orientation vector has wrong shape")
-        d = list(dirs)
-    visited = bytearray(n)
+    sc = scan(events, DIAGRAM_KINDS, dirs)
+    d = sc.dirs
+    cross = sc.crossings
+    passes = sc.passes
+    cap_mate = sc.cap_mate
     seen = bytearray(len(cross))
-    order: list[int] = []
-    ncomp = 0
-    for start in range(n):
-        if visited[start]:
-            continue
-        ncomp += 1
-        if dirs is None:
-            d[start] = 1
+    writhe = 0
+    viols = []
+    for start in sc.components:
         t = start
         while True:
-            visited[t] = 1
             east = d[t] == 1
             plist = passes[t]
-            for cn, under in (plist if east else reversed(plist)):
-                if not seen[cn]:
-                    seen[cn] = 1
-                    if under:
-                        order.append(cn)
-            m = cap_mate[t] if east else cup_mate[t]
-            if dirs is None:
-                d[m] = -d[t]
-            elif d[m] != -d[t]:
-                raise DiagramError("inconsistent orientation assignment")
-            t = m
+            for cn in (plist if east else reversed(plist)):
+                if seen[cn]:
+                    continue
+                seen[cn] = 1
+                ev_idx, lo, hi, s = cross[cn]
+                eps = s * d[lo] * d[hi]
+                writhe += eps
+                # s = +1: the strand entering at the lower level passes over
+                if (t == lo) == (s == -1):
+                    viols.append((ev_idx, lo, hi, s, eps))
+            t = cap_mate[t] if east else t ^ 1
             if t == start:
                 break
-    writhe = 0
-    for _, lo, hi, s in cross:
-        writhe += s * d[lo] * d[hi]
-    viols = []
-    for cn in order:
-        ev_idx, lo, hi, s = cross[cn]
-        viols.append((ev_idx, lo, hi, s, s * d[lo] * d[hi]))
-    return ncomp, tuple(d), writhe, viols
+    return len(sc.components), d, writhe, viols
 
 
 @dataclass
@@ -253,19 +193,10 @@ def _split_dirs(events: tuple, dirs: tuple, pos: int, kind: int):
     e2 = (("cup", 0),) + events[pos:]
     if dirs is None:
         return e1, None, e2, None
-    active: list[int] = []
-    tid = 0
-    for e in events[:pos]:
-        if e[0] == "cup":
-            active[e[1]:e[1]] = [tid, tid + 1]
-            tid += 2
-        elif e[0] == "cap":
-            del active[e[1]:e[1] + 2]
-        else:
-            i = e[1]
-            active[i], active[i + 1] = active[i + 1], active[i]
-    lo, hi = active
-    d2 = (dirs[lo], dirs[hi]) + dirs[2 * ncups1:]
+    # the closing cap takes the two threads at the slice
+    prefix = scan(e1, DIAGRAM_KINDS)
+    lo = prefix.cap_lows[-1]
+    d2 = (dirs[lo], dirs[prefix.cap_mate[lo]]) + dirs[2 * ncups1:]
     return e1, dirs[:2 * ncups1], e2, d2
 
 

@@ -1,10 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from knotpoly.laurent import LaurentPoly
-from knotpoly.diagram import (MorseDiagram, parse_braid, braid_closure,
-                              crossing_surgery)
+from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
+                              braid_closure, crossing_surgery, scan)
 from knotpoly.front import FrontWord
 from knotpoly.skein import SkeinCache, full_invariants, DELTA, DELTA_D
 
@@ -108,3 +109,162 @@ def random_front(rng: random.Random, max_crossings=6, knot_only=False):
         f = FrontWord(events)
         if not knot_only or f.component_count() == 1:
             return f
+
+
+DIAGRAM_KINDS = ("cup", "cap", "x", 1)
+FRONT_KINDS = ("L", "R", "X", -1)
+
+
+def reference_walk(events, kinds=DIAGRAM_KINDS, dirs=None):
+    """A reference for `diagram.scan` that shares none of its code.
+
+    Dict mates, union-find components (each named by its least thread) and
+    orientation by propagation from each component's seed thread, or a
+    check of the given dirs.  `before[p]` is the strand stack just before
+    event p; `thread_passes[t]` lists (ev_idx, entered at the lower level).
+    Crossings without a sign (front ones) get sign 0.
+    """
+    birth, death, cross, seed = kinds
+    events = tuple(events)
+    active, before, parent = [], [], []
+    cup_pair, cap_pair, passes = {}, {}, {}
+    cross_info, cup_events, cap_events = [], [], []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for idx, ev in enumerate(events):
+        before.append(list(active))
+        kind, i = ev[0], ev[1]
+        k = len(active)
+        if kind == birth:
+            if not 0 <= i <= k:
+                raise DiagramError("birth level out of range")
+            lo, hi = len(parent), len(parent) + 1
+            parent.extend((lo, hi))
+            union(lo, hi)
+            cup_pair[lo], cup_pair[hi] = hi, lo
+            passes[lo], passes[hi] = [], []
+            active[i:i] = [lo, hi]
+            cup_events.append((idx, lo, hi))
+        elif kind in (death, cross):
+            if k < 2 or not 0 <= i <= k - 2:
+                raise DiagramError("level out of range")
+            lo, hi = active[i], active[i + 1]
+            if kind == death:
+                cap_pair[lo], cap_pair[hi] = hi, lo
+                union(lo, hi)
+                del active[i:i + 2]
+                cap_events.append((idx, lo, hi))
+                continue
+            s = ev[2] if len(ev) > 2 else 0
+            if len(ev) > 2 and s not in (1, -1):
+                raise DiagramError("crossing sign must be +-1")
+            cross_info.append((idx, lo, hi, s))
+            passes[lo].append((idx, True))
+            passes[hi].append((idx, False))
+            active[i], active[i + 1] = hi, lo
+        else:
+            raise DiagramError("unknown kind")
+    if active:
+        raise DiagramError("not closed")
+
+    n = len(parent)
+    component_of = tuple(find(t) for t in range(n))
+    components = tuple(sorted(set(component_of)))
+    if dirs is None:
+        d = [0] * n
+        stack = list(components)
+        for c in components:
+            d[c] = seed
+        while stack:
+            t = stack.pop()
+            for mates in (cup_pair, cap_pair):
+                m = mates.get(t)
+                if m is not None and d[m] == 0:
+                    d[m] = -d[t]
+                    stack.append(m)
+        dirs = tuple(d)
+    else:
+        dirs = tuple(dirs)
+        if len(dirs) != n or any(x not in (1, -1) for x in dirs):
+            raise DiagramError("orientation vector has wrong shape")
+        for mates in (cup_pair, cap_pair):
+            if any(dirs[t] != -dirs[m] for t, m in mates.items()):
+                raise DiagramError("inconsistent orientation assignment")
+    rot2 = sum(dirs[lo] for _i, lo, _hi in cup_events + cap_events)
+    return SimpleNamespace(
+        events=events, dirs=dirs, before=before, cup_pair=cup_pair,
+        cap_pair=cap_pair, cross_info=tuple(cross_info),
+        thread_passes=passes, cup_events=cup_events, cap_events=cap_events,
+        component_of=component_of, components=components,
+        writhe=sum(s * dirs[lo] * dirs[hi] for _i, lo, hi, s in cross_info),
+        rotation=rot2 // 2)
+
+
+def reference_flip(ref, flips):
+    """`ref.dirs` with the components whose flip bit is set reversed."""
+    flip_of = dict(zip(ref.components, flips))
+    return tuple(-d if flip_of[c] else d
+                 for d, c in zip(ref.dirs, ref.component_of))
+
+
+def reference_splice(events, choices, kinds=DIAGRAM_KINDS):
+    """Splice by `choices`, then walk: (spliced events, probes, walk).
+
+    Choice 1 drops a crossing and probes the two threads at its levels;
+    choice 2 puts a death and a birth in its place and probes the thread
+    into the death and the lower thread out of the birth.
+    """
+    birth, death, cross, _seed = kinds
+    out, sites = [], []
+    per_crossing = iter(choices)
+    for ev in events:
+        c = next(per_crossing) if ev[0] == cross else 0
+        if not c:
+            out.append(ev)
+            continue
+        sites.append((c, len(out), ev[1]))
+        if c == 2:
+            out += [(death, ev[1]), (birth, ev[1])]
+    ref = reference_walk(out, kinds)
+    born = {idx: lo for idx, lo, _hi in ref.cup_events}
+    probes = []
+    for c, pos, i in sites:
+        stack = ref.before[pos]
+        probes.append((c, stack[i], stack[i + 1] if c == 1 else born[pos + 1]))
+    return tuple(out), probes, ref
+
+
+def front_twin(events):
+    """A diagram's events as front events: cup -> L, cap -> R, x -> X.
+
+    A crossing whose sign is not +-1 and an unknown kind stay as they are,
+    so they are unknown kinds to a front.
+    """
+    twin = {"cup": "L", "cap": "R"}
+    out = []
+    for ev in events:
+        if ev[0] in twin:
+            out.append((twin[ev[0]], ev[1]))
+        elif ev[0] == "x" and ev[2:] in ((1,), (-1,)):
+            out.append(("X", ev[1]))
+        else:
+            out.append(ev)
+    return out
+
+
+def assert_scan_rejects(events, kinds):
+    """`scan` raises DiagramError with every crossing kept, opened or walled."""
+    nx = sum(1 for ev in events if ev[0] == kinds[2])
+    for c in (0, 1, 2):
+        with pytest.raises(DiagramError):
+            scan(events, kinds, choices=(c,) * nx)

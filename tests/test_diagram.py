@@ -5,8 +5,9 @@ import pytest
 
 from knotpoly.diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
                               parse_braid, braid_closure, crossing_surgery,
-                              connected_sum, canonical_code, reduce_diagram,
-                              _swap_adjacent)
+                              connected_sum, encode_events, reduce_diagram,
+                              _normalize, _swap_adjacent)
+from knotpoly.front import FrontWord
 
 from conftest import (INVALID_EVENTS, random_braid, random_front,
                       random_surgered_closure)
@@ -52,6 +53,18 @@ def test_stats_examples():
     rotations = {unlink.with_orientation(f).rotation
                  for f in itertools.product((False, True), repeat=2)}
     assert rotations == {-2, 0, 2}
+
+
+@pytest.mark.parametrize("flip_count", [1, 3], ids=["too_few", "too_many"])
+@pytest.mark.parametrize("two_component", [
+    lambda: braid_closure(parse_braid("braid 2: 1 1")),
+    lambda: FrontWord([("L", 0), ("R", 0), ("L", 0), ("R", 0)]),
+], ids=["diagram", "front"])
+def test_with_orientation_needs_one_flip_per_component(two_component, flip_count):
+    obj = two_component()
+    assert len(obj.components) == 2
+    with pytest.raises(DiagramError):
+        obj.with_orientation([True] * flip_count)
 
 
 def test_closure_invariants_random():
@@ -123,14 +136,21 @@ def test_connected_sum_writhe_additive_random():
         assert connected_sum(d1, d2).writhe == d1.writhe + d2.writhe
 
 
+def _code(d, dirs=None):
+    """Byte code of the level-normalized events, as the memo keys encode them."""
+    ev = list(d.events)
+    dd, _ = _normalize(ev, list(dirs) if dirs is not None else None)
+    return encode_events(ev, dd)
+
+
 def test_canonical_code_examples():
     tref = braid_closure(parse_braid("braid 2: 1 1 1"))
     again = braid_closure(parse_braid("braid 2: 1 1 1"))
     other = braid_closure(parse_braid("braid 2: 1 1 -1"))
-    assert canonical_code(tref) == canonical_code(again)
-    assert canonical_code(tref) != canonical_code(other)
+    assert _code(tref) == _code(again)
+    assert _code(tref) != _code(other)
     # determinism across calls, including orientation bits
-    assert canonical_code(tref, tref.dirs) == canonical_code(again, again.dirs)
+    assert _code(tref, tref.dirs) == _code(again, again.dirs)
 
 
 def test_validation_errors():

@@ -33,6 +33,16 @@ def test_parse_front_errors(bad):
         parse_front(bad)
 
 
+@pytest.mark.parametrize("events", [
+    [("L", 0), ("X", 0, 1), ("R", 0)],      # a front crossing has no sign
+    [("L", 0), ("Q", 0), ("R", 0)],         # unknown kind
+    [("L", 0), ("R", 0), ("L", 0)],         # not closed
+])
+def test_front_word_rejects_bad_events(events):
+    with pytest.raises(DiagramError):
+        FrontWord(events)
+
+
 def test_morsify_saucer(cache):
     m = saucer_front().morsify()
     assert m.events == (("cup", 0), ("x", 0, -1), ("cap", 0))

@@ -3,20 +3,25 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import knotpoly
 from knotpoly.laurent import LaurentPoly, DeltaFraction, TAU, substitute_jaeger
-from knotpoly.diagram import DiagramError, MorseDiagram, parse_braid, braid_closure
+from knotpoly.diagram import MorseDiagram, parse_braid, braid_closure, scan
 from knotpoly.front import FrontWord, saucer_front, crossed_saucer_front
 from knotpoly.skein import CACHE_ENV_VAR, SkeinCache, kauffman_D
 from knotpoly.jaeger import (SpliceState, nonzero_states, jaeger_both_sides,
                              lj_both_sides, lemma_check, proof_chain_check,
-                             selection_sweep, splice, DIAGRAM_ALPHABET,
-                             DIAGRAM_WEIGHTS, FRONT_ALPHABET, FRONT_WEIGHTS,
-                             _main as jaeger_main)
+                             DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, FRONT_ALPHABET,
+                             FRONT_WEIGHTS)
+from knotpoly.selection import selection_sweep
 
-from conftest import A, INVALID_EVENTS, random_braid, random_front
+from conftest import (A, INVALID_EVENTS, assert_scan_rejects, random_braid,
+                      random_front, reference_flip, reference_splice,
+                      reference_walk)
 
 ONE = LaurentPoly.one()
 INF_NEG = (("cup", 0), ("x", 0, -1), ("cap", 0))
@@ -26,17 +31,17 @@ def all_states(events, alphabet):
     """Every state, zero-weight ones included, by brute force.
 
     The reference for `nonzero_states`: all splice choices times all flips,
-    each weight looked up in the frozen table, and the orientation and the
-    cusp tallies read from `MorseDiagram` / `FrontWord` rather than from
-    the splice scan.
+    each weight looked up in the frozen table, and the splicing, the
+    orientation and the cusp tallies taken from the tests' reference walk
+    rather than from `diagram.scan`.
     """
     front = alphabet is FRONT_ALPHABET
     weights, labels = (FRONT_WEIGHTS, "hc") if front else (DIAGRAM_WEIGHTS, "hv")
+    kinds = tuple(alphabet[:4])
     cups = sum(1 for ev in events if ev[0] == alphabet.birth)
     crossings = [ev for ev in events if ev[0] == alphabet.cross]
     for choices in itertools.product((0, 1, 2), repeat=len(crossings)):
-        sp = splice(events, choices, alphabet)
-        skeleton = FrontWord(sp.events) if front else MorseDiagram(sp.events)
+        spliced, probes, skeleton = reference_splice(events, choices, kinds)
         keys = [(labels[c - 1],) if front else (ev[2], labels[c - 1])
                 for ev, c in zip(crossings, choices) if c]
         v_count, h_count = choices.count(2), choices.count(1)
@@ -45,22 +50,22 @@ def all_states(events, alphabet):
             base = base * LaurentPoly.monomial(1, v_count, -2 * v_count)
         for flips in itertools.product((False, True),
                                        repeat=len(skeleton.components)):
-            oriented = skeleton.with_orientation(flips)
-            rounded = oriented.rounded() if front else oriented
+            oriented = reference_walk(spliced, kinds,
+                                      reference_flip(skeleton, flips))
             dirs = oriented.dirs
             sign = 1
-            for key, (_c, ta, tb) in zip(keys, sp.probes):
+            for key, (_c, ta, tb) in zip(keys, probes):
                 sign *= weights.get(key + ((dirs[ta], dirs[tb]),), 0)
-            left_up = sum(1 for _i, lo, _hi in rounded._cup_events if dirs[lo] == -1)
-            right_down = sum(1 for _i, lo, _hi in rounded._cap_events if dirs[lo] == -1)
-            cups_sigma = len(rounded._cup_events)
+            left_up = sum(1 for _i, lo, _hi in oriented.cup_events if dirs[lo] == -1)
+            right_down = sum(1 for _i, lo, _hi in oriented.cap_events if dirs[lo] == -1)
+            cups_sigma = len(oriented.cup_events)
             # structural state invariants
             assert cups == cups_sigma - v_count, "cusp count bookkeeping broke"
-            assert cups_sigma - rounded.rotation == left_up + right_down, \
+            assert cups_sigma - oriented.rotation == left_up + right_down, \
                 "cusp-class / rotation relation broke"
             yield SpliceState(choices=choices, flips=flips, weight=base * sign,
                               v_count=v_count, h_count=h_count,
-                              spliced_events=sp.events, spliced_dirs=dirs,
+                              spliced_events=spliced, spliced_dirs=dirs,
                               cups=cups_sigma, left_up=left_up,
                               right_down=right_down, sign=sign)
 
@@ -292,8 +297,8 @@ def test_certificates_golden():
     assert certs_sha256(fcerts) == FRONT_CERTS_SHA256
 
 
-def test_splice_scan_matches_morse_diagram_and_front_word():
-    """splice() against MorseDiagram and FrontWord(...).rounded()."""
+def test_splice_scan_matches_reference_walk():
+    """scan() with splice choices, and with given dirs, against the reference."""
     rng = random.Random(308)
     cases = []
     for _ in range(150):
@@ -303,24 +308,24 @@ def test_splice_scan_matches_morse_diagram_and_front_word():
         cases.append((f.events, f.crossing_count(), FRONT_ALPHABET))
     for events, nx, alphabet in cases:
         choices = tuple(rng.randint(0, 2) for _ in range(nx))
-        sp = splice(events, choices, alphabet)
-        if alphabet is DIAGRAM_ALPHABET:
-            ref = MorseDiagram(sp.events)
-        else:
-            ref = FrontWord(sp.events).rounded()
-        assert sp.dirs == ref.dirs
-        assert tuple(sp.component_of) == ref.component_of
-        assert tuple(sp.components) == ref.components
-        assert sp.cup_lows == [lo for _i, lo, _hi in ref._cup_events]
-        assert sp.cap_lows == [lo for _i, lo, _hi in ref._cap_events]
-        assert len(sp.probes) == sum(1 for c in choices if c)
-        # per-component rotation tallies, as the diagram states read them
-        for c in ref.components:
-            turns = [lo for _i, lo, _hi in ref._cup_events + ref._cap_events
-                     if ref.component_of[lo] == c]
-            assert (sum(sp.dirs[t] for t in sp.cup_lows + sp.cap_lows
-                        if sp.component_of[t] == c)
-                    == sum(ref.dirs[t] for t in turns))
+        sp = scan(events, alphabet, choices=choices)
+        spliced, probes, ref = reference_splice(events, choices, alphabet[:4])
+        flips = [rng.random() < 0.5 for _ in ref.components]
+        oriented = reference_walk(spliced, alphabet[:4], reference_flip(ref, flips))
+        for got, want in ((sp, ref),
+                          (scan(spliced, alphabet, oriented.dirs), oriented)):
+            assert got.events == want.events
+            assert got.dirs == want.dirs
+            assert tuple(got.component_of) == want.component_of
+            assert tuple(got.components) == want.components
+            assert list(got.cup_lows) == [lo for _i, lo, _hi in want.cup_events]
+            assert got.cap_lows == [lo for _i, lo, _hi in want.cap_events]
+            assert all(got.cap_mate[t] == m for t, m in want.cap_pair.items())
+            assert tuple(got.crossings) == want.cross_info
+            assert [[got.crossings[cn][0] for cn in p] for p in got.passes] == \
+                [[ev_idx for ev_idx, _lower in want.thread_passes[t]]
+                 for t in range(len(got.dirs))]
+        assert sp.probes == probes
 
 
 @pytest.mark.parametrize("events", INVALID_EVENTS + (
@@ -330,8 +335,7 @@ def test_splice_scan_matches_morse_diagram_and_front_word():
     [("cup", 0), ("X", 0), ("cap", 0)],       # a front event in a diagram
 ))
 def test_splice_scan_rejects_invalid_events(events):
-    with pytest.raises(DiagramError):
-        splice(events, (0,) * sum(1 for ev in events if ev[0] == "x"))
+    assert_scan_rejects(events, DIAGRAM_ALPHABET)
 
 
 @pytest.mark.parametrize("events", (
@@ -344,16 +348,22 @@ def test_splice_scan_rejects_invalid_events(events):
     [("L", 0), ("cap", 0)],                   # a diagram event in a front
 ))
 def test_splice_scan_rejects_invalid_fronts(events):
-    with pytest.raises(DiagramError):
-        splice(events, (0,) * sum(1 for ev in events if ev[0] == "X"),
-               FRONT_ALPHABET)
+    assert_scan_rejects(events, FRONT_ALPHABET)
 
 
-def test_selection_report_matches_committed_file(monkeypatch, capsys):
-    """`python -m knotpoly.jaeger` reproduces docs/jaeger-table-selection.json."""
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    assert jaeger_main() == 0
+def test_selection_report_matches_committed_file():
+    """`python -m knotpoly.selection` reproduces docs/jaeger-table-selection.json.
+
+    Anything on stderr fails the test, warnings included.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knotpoly.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-m", "knotpoly.selection"], env=env,
+                          capture_output=True, timeout=600)
+    assert proc.stderr == b""
+    assert proc.returncode == 0
     path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                         "jaeger-table-selection.json")
-    with open(path, encoding="utf-8") as fh:
-        assert capsys.readouterr().out == fh.read()
+    with open(path, "rb") as fh:
+        assert proc.stdout == fh.read()

@@ -10,13 +10,15 @@ from knotpoly.laurent import LaurentPoly
 from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               braid_closure, connected_sum, reduce_diagram,
                               _switch_events, _smooth_h_events,
-                              _smooth_v_events, smooth_vertical_dirs)
+                              _smooth_v_events, _cups_before)
 from knotpoly.skein import (SkeinCache, SkeinStats, homfly_R, kauffman_D,
                             full_invariants, DELTA, DELTA_D, CACHE_ENV_VAR,
                             _scan)
 
 from conftest import (A, AINV, ZVAR, P_TREFOIL, Y_TREFOIL, INVALID_EVENTS,
-                      random_braid, random_surgered_closure)
+                      FRONT_KINDS, DIAGRAM_KINDS, assert_scan_rejects,
+                      front_twin, random_braid, random_surgered_closure,
+                      reference_walk)
 
 ONE = LaurentPoly.one()
 
@@ -50,12 +52,16 @@ def test_skein_relations_hold_everywhere(cache):
         d = braid_closure(random_braid(rng, max_strands=4, max_letters=6))
         for cn in range(len(d.cross_info)):
             ev_idx, lo, hi, s = d.cross_info[cn]
-            eps = d.oriented_sign(cn)
+            eps = s * d.dirs[lo] * d.dirs[hi]
             switched = MorseDiagram(_switch_events(d.events, ev_idx), d.dirs)
             if d.dirs[lo] * d.dirs[hi] == 1:
                 smoothed = MorseDiagram(_smooth_h_events(d.events, ev_idx), d.dirs)
             else:
-                smoothed = MorseDiagram(*smooth_vertical_dirs(d, cn))
+                # vertical smoothing; the new cup's threads inherit the dirs
+                pos = 2 * _cups_before(d.events, ev_idx)
+                smoothed = MorseDiagram(
+                    _smooth_v_events(d.events, ev_idx),
+                    d.dirs[:pos] + (d.dirs[hi], d.dirs[lo]) + d.dirs[pos:])
             assert homfly_R(d, cache) - homfly_R(switched, cache) == \
                 (homfly_R(smoothed, cache) * eps).shift(1, 0)
             par = MorseDiagram(_smooth_h_events(d.events, ev_idx))
@@ -192,32 +198,31 @@ def test_cache_env_var_file_opened_once_and_closed(tmp_path):
 
 
 def _reference_scan(events, dirs):
-    """`_scan` recomputed from a MorseDiagram and a thread-by-thread walk."""
-    d = MorseDiagram(events, dirs)
-    ev_to_cn = {ci[0]: n for n, ci in enumerate(d.cross_info)}
+    """`_scan` recomputed from the reference walk, thread by thread."""
+    ref = reference_walk(events, dirs=dirs)
+    cross_at = {ci[0]: ci for ci in ref.cross_info}
     seen = set()
     viols = []
-    for start in d.components:  # a component's id is its first-born thread
+    for start in ref.components:  # a component's id is its first-born thread
         t = start
         while True:
-            east = d.dirs[t] == 1
-            plist = d.thread_passes[t]
+            east = ref.dirs[t] == 1
+            plist = ref.thread_passes[t]
             for ev_idx, entered_lower in (plist if east else reversed(plist)):
                 if ev_idx in seen:
                     continue
                 seen.add(ev_idx)
-                cn = ev_to_cn[ev_idx]
-                _, lo, hi, s = d.cross_info[cn]
+                _, lo, hi, s = cross_at[ev_idx]
                 over = (s == 1) if entered_lower else (s == -1)
                 if not over:
-                    viols.append((ev_idx, lo, hi, s, d.oriented_sign(cn)))
-            t = d.cap_pair[t] if east else d.cup_pair[t]
+                    viols.append((ev_idx, lo, hi, s, s * ref.dirs[lo] * ref.dirs[hi]))
+            t = ref.cap_pair[t] if east else ref.cup_pair[t]
             if t == start:
                 break
-    return len(d.components), d.dirs, d.writhe, viols
+    return len(ref.components), ref.dirs, ref.writhe, viols
 
 
-def test_scan_matches_morse_diagram_random():
+def test_scan_matches_reference_walk_random():
     rng = random.Random(17)
     scanned = 0
     for _ in range(400):
@@ -240,12 +245,15 @@ def test_scan_matches_morse_diagram_random():
     [("cup", 0), ("cap", 1)],
     [("cup", 0), ("x", 1, 1), ("cap", 0)],
     [("cup", 0), ("y", 0), ("cap", 0)],       # unknown kind
+    [("cup", 0), ("x", 0), ("cap", 0)],       # a crossing without a sign
 ))
 def test_scan_rejects_invalid_events(events):
     with pytest.raises(DiagramError):
         MorseDiagram(events)
     with pytest.raises(DiagramError):
         _scan(tuple(events), None)
+    assert_scan_rejects(events, DIAGRAM_KINDS)
+    assert_scan_rejects(front_twin(events), FRONT_KINDS)
 
 
 def test_scan_rejects_bad_orientation():
@@ -256,6 +264,15 @@ def test_scan_rejects_bad_orientation():
         _scan(d.events, (1, 1, 1, 1))                 # cup mates agree
     with pytest.raises(DiagramError):
         MorseDiagram(d.events, (1, 1, 1, 1))
+    # the trefoil's cups pair threads (0, 1), (2, 3) and its caps (0, 3), (1, 2)
+    tref = braid_closure(parse_braid("braid 2: 1 1 1"))
+    for dirs in ((1, 1, -1, -1),                      # only cup mates agree
+                 (1, -1, -1, 1)):                     # only cap mates agree
+        for check in (lambda: reference_walk(tref.events, dirs=dirs),
+                      lambda: MorseDiagram(tref.events, dirs),
+                      lambda: _scan(tref.events, dirs)):
+            with pytest.raises(DiagramError):
+                check()
 
 
 # sha256 of the sorted memo keys (hex, one per line) and of the cache file
