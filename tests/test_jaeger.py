@@ -297,6 +297,38 @@ def test_certificates_golden():
     assert certs_sha256(fcerts) == FRONT_CERTS_SHA256
 
 
+def test_splice_scan_matches_morse_diagram_and_front_word():
+    """scan() with splice choices against MorseDiagram and
+    FrontWord(...).rounded() of the spliced events."""
+    rng = random.Random(308)
+    cases = []
+    for _ in range(150):
+        d = braid_closure(random_braid(rng, max_strands=4, max_letters=6))
+        cases.append((d.events, len(d.cross_info), DIAGRAM_ALPHABET))
+        f = random_front(rng, max_crossings=5)
+        cases.append((f.events, f.crossing_count(), FRONT_ALPHABET))
+    for events, nx, alphabet in cases:
+        choices = tuple(rng.randint(0, 2) for _ in range(nx))
+        sp = scan(events, alphabet, choices=choices)
+        if alphabet is DIAGRAM_ALPHABET:
+            ref = MorseDiagram(sp.events)
+        else:
+            ref = FrontWord(sp.events).rounded()
+        assert sp.dirs == ref.dirs
+        assert tuple(sp.component_of) == ref.component_of
+        assert tuple(sp.components) == ref.components
+        assert tuple(sp.cup_lows) == ref.cup_lows
+        assert tuple(sp.cap_lows) == ref.cap_lows
+        assert [c[:3] for c in sp.crossings] == [c[:3] for c in ref.cross_info]
+        assert len(sp.probes) == sum(1 for c in choices if c)
+        # per-component rotation tallies, as the diagram states read them
+        for c in ref.components:
+            assert (sum(sp.dirs[t] for t in list(sp.cup_lows) + sp.cap_lows
+                        if sp.component_of[t] == c)
+                    == sum(ref.dirs[t] for t in ref.cup_lows + ref.cap_lows
+                           if ref.component_of[t] == c))
+
+
 def test_splice_scan_matches_reference_walk():
     """scan() with splice choices, and with given dirs, against the reference."""
     rng = random.Random(308)

@@ -240,6 +240,32 @@ def test_scan_matches_reference_walk_random():
     assert scanned >= 3 * 400
 
 
+def test_scan_matches_morse_diagram_random():
+    """`_scan` agrees with the MorseDiagram of the same events and dirs."""
+    rng = random.Random(17)
+    scanned = 0
+    for _ in range(400):
+        d = random_surgered_closure(rng)
+        flips = [rng.random() < 0.5 for _ in d.components]
+        flipped = d.with_orientation(flips)
+        ev, dd, _a, _c = reduce_diagram(d.events, d.dirs)
+        cases = [(d.events, None), (d.events, d.dirs),
+                 (flipped.events, flipped.dirs)]
+        if ev:
+            cases += [(ev, None), (ev, dd)]
+        for events, dirs in cases:
+            ref = MorseDiagram(events, dirs)
+            ncomp, got_dirs, writhe, viols = _scan(events, dirs)
+            assert (ncomp, got_dirs, writhe) == \
+                (len(ref.components), ref.dirs, ref.writhe)
+            assert len({v[0] for v in viols}) == len(viols)
+            for ev_idx, lo, hi, s, eps in viols:
+                assert (ev_idx, lo, hi, s) in ref.cross_info
+                assert eps == s * ref.dirs[lo] * ref.dirs[hi]
+            scanned += 1
+    assert scanned >= 3 * 400
+
+
 @pytest.mark.parametrize("events", INVALID_EVENTS + (
     [("cup", 1), ("cap", 0)],                 # levels one past the end
     [("cup", 0), ("cap", 1)],
