@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from .diagram import ParseError, DiagramError, parse_braid, braid_closure, connected_sum
@@ -28,7 +29,7 @@ from .front import parse_front, classical_invariants
 from .skein import SkeinCache, full_invariants, CACHE_ENV_VAR
 from .jaeger import jaeger_both_sides, lj_both_sides
 from .inequalities import check_front_bounds, mfw_check, CSV_HEADER
-from .harness import SearchConfig, load_config, search
+from .harness import SearchConfig, load_config, search, _flag
 
 
 def _make_cache(args) -> SkeinCache:
@@ -130,25 +131,12 @@ def _cmd_search(args) -> int:
     cfg = SearchConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
-    if args.max_strands is not None:
-        cfg.max_strands = args.max_strands
-    if args.max_letters is not None:
-        cfg.max_letters = args.max_letters
-    if args.dedup is not None:
-        cfg.dedup = args.dedup
-    if args.predicate is not None:
-        cfg.predicate = args.predicate
-    if args.out is not None:
-        cfg.out = args.out
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.format is not None:
-        cfg.fmt = args.format
-    if args.cache is not None:
-        cfg.cache = args.cache
+    for field in fields(cfg):  # each flag's dest is its field's name
+        value = getattr(args, field.name)
+        if value is not None:
+            setattr(cfg, field.name, value)
     cfg.validate()
     reports = search(cfg)
-    from .harness import _flag
     flagged = sum(1 for r in reports if _flag(cfg.predicate, r))
     sys.stdout.write(f"rows={len(reports)} flagged={flagged}\n")
     return 0
@@ -190,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--predicate", choices=("ep_lt_ey", "bound_violation", "all"))
     p_se.add_argument("--out")
     p_se.add_argument("--jobs", type=int)
-    p_se.add_argument("--format", choices=("json", "csv"))
+    p_se.add_argument("--format", dest="fmt", choices=("json", "csv"))
     p_se.add_argument("--cache")
     return top
 

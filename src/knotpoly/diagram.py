@@ -46,6 +46,18 @@ class DiagramError(ValueError):
     """Raised for structurally invalid event sequences."""
 
 
+class LevelError(DiagramError):
+    """An event level outside 0..top; args are (index, kind, level, top)."""
+
+    def describe(self, name: str = "event", base: int = 0) -> str:
+        """The message, naming the event `name` and counting levels from `base`."""
+        idx, kind, level, top = self.args
+        span = f" {base}..{top + base}" if top >= 0 else ""
+        return f"{name} {idx}: {kind} level {level + base} out of range{span}"
+
+    __str__ = describe
+
+
 # birth, death and crossing kinds, and the dir of each component's
 # first-born thread
 DIAGRAM_KINDS = ("cup", "cap", "x", 1)
@@ -92,8 +104,8 @@ def scan(events: Iterable[Event], alphabet: tuple,
         if kind != birth:
             if kind != death and kind != cross:
                 raise DiagramError(f"event {idx}: unknown kind {kind!r}")
-            if k < 2 or not 0 <= i <= k - 2:
-                raise DiagramError(f"event {idx}: {kind} level {i} out of range")
+            if not 0 <= i <= k - 2:
+                raise LevelError(idx, kind, i, k - 2)
             lo, hi = active[i], active[i + 1]
             if kind == cross:
                 s = ev[2] if len(ev) > 2 else 0  # front crossings carry no sign
@@ -126,7 +138,7 @@ def scan(events: Iterable[Event], alphabet: tuple,
             out.append((death, i))
             ev = (birth, i)
         elif not 0 <= i <= k:
-            raise DiagramError(f"event {idx}: {kind} level {i} out of range 0..{k}")
+            raise LevelError(idx, kind, i, k)
         t = len(cap_mate)
         active[i:i] = (t, t + 1)
         cap_mate += (-1, -1)
@@ -362,8 +374,12 @@ def connected_sum(d1: MorseDiagram, d2: MorseDiagram) -> MorseDiagram:
 # -- reduction ---------------------------------------------------------------
 
 
-def _reduce_pass(events: list, dirs: Optional[list]) -> tuple[int, int, bool]:
-    """One scan of adjacent-pair reductions. Returns (a_power, circles, changed)."""
+def _reduce_pass(events: list, pairs: list) -> tuple[int, int, bool]:
+    """One scan of adjacent-pair reductions. Returns (a_power, circles, changed).
+
+    pairs runs parallel to events (see `_normalize_pass`); a removed event
+    takes its entry along.
+    """
     a_pow = 0
     circles = 0
     changed = False
@@ -372,55 +388,36 @@ def _reduce_pass(events: list, dirs: Optional[list]) -> tuple[int, int, bool]:
         e1, e2 = events[i], events[i + 1]
         k1, l1 = e1[0], e1[1]
         k2, l2 = e2[0], e2[1]
-        if k1 == "cup" and k2 == "cap" and l2 == l1:
-            circles += 1
-            if dirs is not None:
-                pos = 2 * sum(1 for ev in events[:i] if ev[0] == "cup")
-                del dirs[pos:pos + 2]
-            del events[i:i + 2]
-            changed = True
-            i = max(i - 1, 0)
-            continue
-        if k1 == "cup" and k2 == "cap" and l2 in (l1 - 1, l1 + 1):
-            if dirs is not None:
-                pos = 2 * sum(1 for ev in events[:i] if ev[0] == "cup")
-                del dirs[pos:pos + 2]
-            del events[i:i + 2]
-            changed = True
-            i = max(i - 1, 0)
-            continue
-        if k1 == "x" and k2 == "cap" and l2 == l1:
-            a_pow += -e1[2]
-            del events[i]
-            changed = True
-            i = max(i - 1, 0)
-            continue
-        if k1 == "cup" and k2 == "x" and l2 == l1:
-            a_pow += -e2[2]
-            if dirs is not None:
+        start = stop = i  # the events to remove
+        if k1 == "cup":
+            if k2 == "cap" and -1 <= l2 - l1 <= 1:
+                # a free circle at the same level, else a zigzag
+                circles += l2 == l1
+                stop = i + 2
+            elif k2 == "x" and l2 == l1:
+                a_pow -= e2[2]
                 # unwinding the curl swaps the cup's thread roles downstream
-                pos = 2 * sum(1 for ev in events[:i] if ev[0] == "cup")
-                dirs[pos], dirs[pos + 1] = dirs[pos + 1], dirs[pos]
-            del events[i + 1]
-            changed = True
-            continue
-        if k1 == "x" and k2 == "x" and l1 == l2 and e1[2] == -e2[2]:
-            del events[i:i + 2]
+                if pairs[i] is not None:
+                    pairs[i] = pairs[i][::-1]
+                start, stop = i + 1, i + 2
+            elif (k2 == "x" and (l2 == l1 - 1 or l2 == l1 + 1)
+                    and i + 2 < len(events) and events[i + 2] == ("cap", l1)):
+                # a strand threads through a loop: kink of writhe +s
+                a_pow += e2[2]
+                stop = i + 3
+        elif k1 == "x" and l2 == l1:
+            if k2 == "cap":
+                a_pow -= e1[2]
+                stop = i + 1
+            elif k2 == "x" and e1[2] == -e2[2]:
+                stop = i + 2
+        if stop > start:
+            # stepping back past a curl's kept cup is safe: no rule ends in a cup
+            del events[start:stop], pairs[start:stop]
             changed = True
             i = max(i - 1, 0)
-            continue
-        if (k1 == "cup" and k2 == "x" and l2 in (l1 - 1, l1 + 1)
-                and i + 2 < len(events) and events[i + 2] == ("cap", l1)):
-            # a strand threads through a loop: kink of writhe +s
-            a_pow += e2[2]
-            if dirs is not None:
-                pos = 2 * sum(1 for ev in events[:i] if ev[0] == "cup")
-                del dirs[pos:pos + 2]
-            del events[i:i + 3]
-            changed = True
-            i = max(i - 1, 0)
-            continue
-        i += 1
+        else:
+            i += 1
     return a_pow, circles, changed
 
 
@@ -428,44 +425,22 @@ _SHIFT = {"cup": 2, "cap": -2, "x": 0}
 
 
 def _swap_adjacent(e1: Event, e2: Event) -> Optional[tuple[Event, Event]]:
-    """If e1 then e2 equals e2' then e1' on disjoint strands, return (e2', e1')."""
+    """If e1 then e2 equals e2' then e1' on disjoint strands, return (e2', e1').
+
+    Levels count in half-steps: strand j sits at 2j+1 and the gap below it at
+    2j.  A cap's output and a cup's input is its gap; every other footprint
+    covers two strands.  The pair commutes when e2's input footprint lies
+    wholly below or wholly above e1's output footprint.  The lower event keeps
+    its level; the upper one moves by the other's strand change.
+    """
     k1, l1 = e1[0], e1[1]
     k2, l2 = e2[0], e2[1]
-    if k1 == "cup":
-        if k2 == "cup":
-            if l2 <= l1:
-                return e2, ("cup", l1 + 2)
-            if l2 >= l1 + 2:
-                return ("cup", l2 - 2), e1
-            return None
-        if l2 + 1 < l1:
-            return e2, ("cup", l1 + _SHIFT[k2])
-        if l2 > l1 + 1:
-            return (k2, l2 - 2) + e2[2:], e1
-        return None
-    if k1 == "cap":
-        if k2 == "cup":
-            if l2 < l1:
-                return e2, ("cap", l1 + 2)
-            if l2 > l1:
-                return ("cup", l2 + 2), e1
-            return None
-        if l2 + 1 < l1:
-            return e2, ("cap", l1 + _SHIFT[k2])
-        if l2 >= l1:
-            return (k2, l2 + 2) + e2[2:], e1
-        return None
-    # k1 == "x": no level shift
-    if k2 == "cup":
-        if l2 <= l1:
-            return e2, ("x", l1 + 2, e1[2])
-        if l2 >= l1 + 2:
-            return e2, e1
-        return None
-    if l2 + 1 < l1:
-        return e2, ("x", l1 + _SHIFT[k2], e1[2])
-    if l2 > l1 + 1:
-        return e2, e1
+    lo1, hi1 = (2 * l1, 2 * l1) if k1 == "cap" else (2 * l1 + 1, 2 * l1 + 3)
+    lo2, hi2 = (2 * l2, 2 * l2) if k2 == "cup" else (2 * l2 + 1, 2 * l2 + 3)
+    if hi2 < lo1:
+        return e2, (k1, l1 + _SHIFT[k2]) + e1[2:]
+    if lo2 > hi1:
+        return (k2, l2 - _SHIFT[k1]) + e2[2:], e1
     return None
 
 
@@ -474,18 +449,12 @@ def _swap_adjacent(e1: Event, e2: Event) -> Optional[tuple[Event, Event]]:
 _SWAP_TABLE: dict[tuple[Event, Event], Optional[tuple[Event, Event]]] = {}
 
 
-def _ordered_swap(e1: Event, e2: Event) -> Optional[tuple[Event, Event]]:
-    swapped = _swap_adjacent(e1, e2)
-    if swapped is None or not swapped[0] < e1:
-        return None
-    return swapped
-
-
-def _normalize_pass(events: list, pairs: Optional[list]) -> bool:
+def _normalize_pass(events: list, pairs: list) -> bool:
     """Bubble adjacent independent events toward lexicographic order.
 
-    pairs, when given, runs parallel to events and holds each cup's dir pair
-    (None elsewhere); a pair travels with its cup.
+    pairs runs parallel to events and holds each cup's dir pair (None
+    elsewhere, and for every event when the diagram has no dirs); a pair
+    travels with its cup.
     """
     changed = False
     table = _SWAP_TABLE
@@ -494,34 +463,16 @@ def _normalize_pass(events: list, pairs: Optional[list]) -> bool:
         try:
             swapped = table[key]
         except KeyError:
-            swapped = table[key] = _ordered_swap(*key)
+            swapped = _swap_adjacent(*key)
+            if swapped is not None and not swapped[0] < key[0]:
+                swapped = None
+            table[key] = swapped
         if swapped is None:
             continue
         events[i], events[i + 1] = swapped
-        if pairs is not None:
-            pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+        pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
         changed = True
     return changed
-
-
-def _normalize(events: list, dirs: Optional[list]) -> tuple[Optional[list], bool]:
-    """Level-normalize events in place; returns (dirs, changed)."""
-    pairs = None
-    if dirs is not None:
-        pairs = []
-        di = 0
-        for e in events:
-            if e[0] == "cup":
-                pairs.append((dirs[di], dirs[di + 1]))
-                di += 2
-            else:
-                pairs.append(None)
-    changed = False
-    while _normalize_pass(events, pairs):
-        changed = True
-    if changed and pairs is not None:
-        dirs = [x for pair in pairs if pair is not None for x in pair]
-    return dirs, changed
 
 
 def reduce_diagram(events: Sequence[Event], dirs: Optional[Sequence[int]] = None
@@ -534,27 +485,21 @@ def reduce_diagram(events: Sequence[Event], dirs: Optional[Sequence[int]] = None
     their two threads).  The result is level-normalized.
     """
     ev = list(events)
-    dd = list(dirs) if dirs is not None else None
+    cup_pairs = iter(()) if dirs is None else zip(dirs[::2], dirs[1::2])
+    pairs = [next(cup_pairs, None) if e[0] == "cup" else None for e in ev]
     a_pow = 0
     circles = 0
     while True:
-        p, c, changed1 = _reduce_pass(ev, dd)
+        p, c, changed = _reduce_pass(ev, pairs)
         a_pow += p
         circles += c
-        dd, changed2 = _normalize(ev, dd)
-        if not changed1 and not changed2:
+        while _normalize_pass(ev, pairs):
+            changed = True
+        if not changed:
             break
-    return tuple(ev), (tuple(dd) if dd is not None else None), a_pow, circles
-
-
-def strand_profile(events: Sequence[Event]) -> list[int]:
-    """Strand count after each event."""
-    out = []
-    k = 0
-    for e in events:
-        k += _SHIFT[e[0]]
-        out.append(k)
-    return out
+    if dirs is not None:
+        dirs = tuple(d for pair in pairs if pair is not None for d in pair)
+    return tuple(ev), dirs, a_pow, circles
 
 
 def find_split(events: Sequence[Event]) -> Optional[tuple[int, int]]:
@@ -565,15 +510,16 @@ def find_split(events: Sequence[Event]) -> Optional[tuple[int, int]]:
     connected-sum slice must leave crossings on both sides, otherwise the
     factorization makes no progress.
     """
-    prof = strand_profile(events)
     total_x = sum(1 for e in events if e[0] == "x")
+    strands = 0
     xs = 0
     for i in range(len(events) - 1):
-        if events[i][0] == "x":
-            xs += 1
-        if prof[i] == 0:
+        kind = events[i][0]
+        strands += _SHIFT[kind]
+        xs += kind == "x"
+        if strands == 0:
             return i + 1, 0
-        if prof[i] == 2 and 0 < xs < total_x:
+        if strands == 2 and 0 < xs < total_x:
             return i + 1, 2
     return None
 

@@ -38,9 +38,11 @@ built on demand with the front's dirs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .diagram import MorseDiagram, DiagramError, ParseError, flipped_dirs, scan
+from .diagram import (MorseDiagram, DiagramError, LevelError, ParseError,
+                      flipped_dirs, scan)
 
 FrontEvent = tuple
 
@@ -135,23 +137,18 @@ class FrontWord:
         return f"FrontWord({self.cusp_count()} cusps, {self.crossing_count()} crossings)"
 
 
+@dataclass
 class LegendrianInvariants:
     """tb, maslov and the basic front counts."""
 
-    __slots__ = ("tb", "maslov", "cusp_count", "crossing_count")
-
-    def __init__(self, tb: int, maslov: int, cusp_count: int, crossing_count: int):
-        self.tb = tb
-        self.maslov = maslov
-        self.cusp_count = cusp_count
-        self.crossing_count = crossing_count
+    tb: int
+    maslov: int
+    cusp_count: int
+    crossing_count: int
 
     def to_json(self) -> dict:
         return {"tb": self.tb, "maslov": self.maslov,
                 "cusps": self.cusp_count, "crossings": self.crossing_count}
-
-    def __repr__(self) -> str:
-        return f"LegendrianInvariants(tb={self.tb}, maslov={self.maslov})"
 
 
 def classical_invariants(f: FrontWord) -> LegendrianInvariants:
@@ -183,6 +180,8 @@ def parse_front(text: str) -> FrontWord:
         events.append((parts[0], level - 1))
     try:
         return FrontWord(events)
+    except LevelError as exc:  # its event index is the item index
+        raise ParseError(f"invalid front: {exc.describe('item', 1)}") from exc
     except DiagramError as exc:
         raise ParseError(f"invalid front: {exc}") from exc
 

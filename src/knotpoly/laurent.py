@@ -43,10 +43,6 @@ class LaurentPoly:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
     def one() -> "LaurentPoly":
         return LaurentPoly({(0, 0): 1})
 
@@ -366,10 +362,6 @@ class DeltaFraction:
     @staticmethod
     def zero() -> "DeltaFraction":
         return DeltaFraction(LaurentPoly(), 0)
-
-    @staticmethod
-    def one() -> "DeltaFraction":
-        return DeltaFraction(LaurentPoly.one(), 0)
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()

@@ -5,8 +5,8 @@ import pytest
 
 from knotpoly.diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
                               parse_braid, braid_closure, crossing_surgery,
-                              connected_sum, encode_events, reduce_diagram,
-                              _normalize, _swap_adjacent)
+                              connected_sum, encode_events, find_split,
+                              reduce_diagram, _normalize_pass, _swap_adjacent)
 from knotpoly.front import FrontWord
 
 from conftest import (INVALID_EVENTS, random_braid, random_front,
@@ -139,8 +139,11 @@ def test_connected_sum_writhe_additive_random():
 def _code(d, dirs=None):
     """Byte code of the level-normalized events, as the memo keys encode them."""
     ev = list(d.events)
-    dd, _ = _normalize(ev, list(dirs) if dirs is not None else None)
-    return encode_events(ev, dd)
+    it = iter(dirs or ())
+    pairs = [(next(it), next(it)) if dirs and e[0] == "cup" else None for e in ev]
+    while _normalize_pass(ev, pairs):
+        pass
+    return encode_events(ev, None if dirs is None else [x for p in pairs if p for x in p])
 
 
 def test_canonical_code_examples():
@@ -174,6 +177,38 @@ def test_reduction_ledger_random():
             assert a_pow == d.writhe
 
 
+def _split_reference(events):
+    """Leftmost interior slice with no strands, or with two strands and
+    crossings on both sides; by counting each prefix afresh."""
+    for pos in range(1, len(events)):
+        left, right = events[:pos], events[pos:]
+        strands = 2 * (sum(e[0] == "cup" for e in left) - sum(e[0] == "cap" for e in left))
+        if strands == 0:
+            return pos, 0
+        crossed = [any(e[0] == "x" for e in side) for side in (left, right)]
+        if strands == 2 and all(crossed):
+            return pos, 2
+    return None
+
+
+def test_find_split_matches_reference():
+    """Seeded closures, their reductions, disjoint unions and connected sums."""
+    rng = random.Random(29)
+    inputs = []
+    for _ in range(150):
+        d1 = braid_closure(random_braid(rng, knot_only=True))
+        d2 = braid_closure(random_braid(rng, knot_only=True))
+        inputs += [d1.events, reduce_diagram(d1.events)[0], d1.events + d2.events,
+                   connected_sum(d1, d2).events,
+                   reduce_diagram(connected_sum(d1, d2).events)[0]]
+    kinds = set()
+    for events in inputs:
+        got = find_split(events)
+        assert got == _split_reference(events), events
+        kinds.add(got and got[1])
+    assert kinds == {None, 0, 2}
+
+
 def _simulate(events):
     """Oracle semantics: events on named strands, or None when invalid."""
     active, fresh, sem = [], [0], []
@@ -201,17 +236,11 @@ def _simulate(events):
 
 
 def test_commutation_rules_against_simulation():
-    rng = random.Random(70)
-    kinds = ["cup", "cap", "x"]
+    """Every event pair with levels 0-6, after 0-6 prefix cups."""
+    events = [(k, l) + s for k, s in (("cup", ()), ("cap", ()), ("x", (1,)), ("x", (-1,)))
+              for l in range(7)]
     swaps = 0
-    for _ in range(4000):
-        k0 = rng.randint(0, 6)
-        evs = []
-        for _ in range(2):
-            kk = rng.choice(kinds)
-            evs.append((kk, rng.randint(0, 6)) +
-                       ((rng.choice([1, -1]),) if kk == "x" else ()))
-        e1, e2 = evs
+    for k0, e1, e2 in itertools.product(range(7), events, events):
         prefix = [("cup", 0)] * k0
         base = _simulate(prefix + [e1, e2])
         if base is None:

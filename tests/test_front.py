@@ -78,7 +78,6 @@ def test_classical_invariants_examples():
 
 def _zigzag_variants(f):
     """Fronts with one zigzag inserted on some strand, at event boundaries."""
-    from knotpoly.diagram import strand_profile
     out = []
     k = 0
     for pos in range(len(f.events) + 1):

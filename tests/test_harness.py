@@ -159,6 +159,15 @@ def test_cli_parse_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("front: L 1; X 2; R 1", "item 1: X level 2 out of range 1..1"),
+    ("front: L 3; R 1", "item 0: L level 3 out of range 1..1"),
+])
+def test_cli_front_level_error_names_item_and_written_level(capsys, text, message):
+    assert main(["front", "--front", text]) == 2
+    assert capsys.readouterr().err == f"error: invalid front: {message}\n"
+
+
 def test_cli_missing_input(capsys):
     assert main(["poly"]) == 2
 

@@ -25,7 +25,7 @@ def test_additive_identity():
     rng = random.Random(0)
     for _ in range(20):
         p = rand_poly(rng)
-        assert p + LaurentPoly.zero() == p
+        assert p + LaurentPoly() == p
 
 
 def test_trefoil_expansion_product():
@@ -39,14 +39,14 @@ def test_min_degree_examples():
     assert ONE.min_degree("second") == 0
     assert ONE.min_degree("first") == 0
     with pytest.raises(ValueError):
-        LaurentPoly.zero().min_degree("second")
+        LaurentPoly().min_degree("second")
 
 
 def test_exact_divide_delta_examples():
     assert exact_divide_delta(T * T - TINV * TINV) == T + TINV
     assert exact_divide_delta(A - AINV) is None
     assert exact_divide_delta(TAU * TAU) == TAU
-    assert exact_divide_delta(LaurentPoly.zero()) == LaurentPoly.zero()
+    assert exact_divide_delta(LaurentPoly()) == LaurentPoly()
 
 
 def test_exact_divide_random_roundtrip():
@@ -84,7 +84,7 @@ def test_frac_ops_examples():
     x = DeltaFraction(A * A - ONE, 1)
     zero = x + DeltaFraction(-(A * A - ONE), 1)
     assert zero.is_zero() and zero.denom_power == 0
-    assert x * DeltaFraction.one() == x
+    assert x * DeltaFraction(ONE, 0) == x
 
     # the two-term sum from the first printed state expansion
     aa1 = A * A - ONE
@@ -155,7 +155,7 @@ def test_json_round_trip_and_sorting():
 def test_exact_divide_delta_matches_generic_division():
     """The synthetic t - t^-1 kernel against the generic long division."""
     rng = random.Random(3)
-    inputs = [LaurentPoly.zero()]
+    inputs = [LaurentPoly()]
     for _ in range(300):
         row = rng.randint(-3, 3)
         inputs.append(LaurentPoly({(rng.randint(-6, 6), row): rng.randint(-9, 9)
