@@ -29,24 +29,27 @@ from .front import parse_front, classical_invariants
 from .skein import SkeinCache, full_invariants, CACHE_ENV_VAR
 from .jaeger import jaeger_both_sides, lj_both_sides
 from .inequalities import check_front_bounds, mfw_check, CSV_HEADER
-from .harness import SearchConfig, load_config, search, _flag
+from .harness import (DEDUPS, FORMATS, PREDICATES, SearchConfig, load_config,
+                      search, _flag)
+
+
+def _cache_path(path: Optional[str]) -> Optional[str]:
+    """The cache file: the one given, else `KNOTPOLY_CACHE`, else none."""
+    return path or os.environ.get(CACHE_ENV_VAR) or None
 
 
 def _make_cache(args) -> SkeinCache:
     """The command's cache; main() closes it on every exit path."""
-    path = getattr(args, "cache", None) or os.environ.get(CACHE_ENV_VAR) or None
-    cache = SkeinCache(path)
-    args.open_caches.append(cache)
-    return cache
+    args.skein_cache = SkeinCache(_cache_path(args.cache))
+    return args.skein_cache
 
 
-def _emit(args, payload: dict, csv_lines: Optional[list[str]] = None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and csv_lines is not None:
-        text = "\n".join(csv_lines) + "\n"
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(args, text: str) -> None:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -54,26 +57,30 @@ def _emit(args, payload: dict, csv_lines: Optional[list[str]] = None) -> None:
 
 
 def _input_diagram(args):
-    if getattr(args, "braid", None):
+    if args.braid:
         return braid_closure(parse_braid(args.braid))
-    if getattr(args, "front", None):
+    if args.front:
         return parse_front(args.front).morsify()
     raise ParseError("provide --braid or --front")
+
+
+def _input_front(args):
+    if not args.front:
+        raise ParseError("provide --front")
+    return parse_front(args.front)
 
 
 def _cmd_poly(args) -> int:
     cache = _make_cache(args)
     d = _input_diagram(args)
     res = full_invariants(d, cache)
-    _emit(args, res.to_json())
+    _emit(args, _json(res.to_json()))
     return 0
 
 
 def _cmd_front(args) -> int:
-    if not args.front:
-        raise ParseError("provide --front")
-    f = parse_front(args.front)
-    _emit(args, classical_invariants(f).to_json())
+    f = _input_front(args)
+    _emit(args, _json(classical_invariants(f).to_json()))
     return 0
 
 
@@ -81,16 +88,14 @@ def _cmd_jaeger(args) -> int:
     cache = _make_cache(args)
     d = _input_diagram(args)
     cert = jaeger_both_sides(d, cache)
-    _emit(args, cert.to_json())
+    _emit(args, _json(cert.to_json()))
     return 0 if cert.equal else 1
 
 
 def _cmd_lj(args) -> int:
-    if not args.front:
-        raise ParseError("provide --front")
     cache = _make_cache(args)
-    cert = lj_both_sides(parse_front(args.front), cache)
-    _emit(args, cert.to_json())
+    cert = lj_both_sides(_input_front(args), cache)
+    _emit(args, _json(cert.to_json()))
     return 0 if cert.equal else 1
 
 
@@ -102,7 +107,10 @@ def _cmd_check(args) -> int:
         rep = mfw_check(parse_braid(args.braid), cache)
     else:
         raise ParseError("provide --braid or --front")
-    _emit(args, rep.to_json(), csv_lines=[CSV_HEADER, rep.csv_row()])
+    if args.format == "csv":
+        _emit(args, f"{CSV_HEADER}\n{rep.csv_row()}\n")
+    else:
+        _emit(args, _json(rep.to_json()))
     return 0 if rep.ok() else 1
 
 
@@ -113,33 +121,39 @@ def _cmd_sum(args) -> int:
         raise ParseError("provide at least one --braid")
     if args.copies < 1:
         raise ParseError("--copies must be at least 1")
-    diagrams = [braid_closure(parse_braid(w)) for w in words]
+    if args.copies > 1 and len(words) > 1:
+        raise ParseError("--copies > 1 needs exactly one --braid")
+    diagrams = [braid_closure(parse_braid(w)) for w in words] * args.copies
     total = diagrams[0]
     for d in diagrams[1:]:
         total = connected_sum(total, d)
-    for _ in range(args.copies - 1):
-        base = diagrams[0] if len(diagrams) == 1 else None
-        if base is None:
-            raise ParseError("--copies > 1 needs exactly one --braid")
-        total = connected_sum(total, base)
     res = full_invariants(total, cache)
-    _emit(args, res.to_json())
+    _emit(args, _json(res.to_json()))
     return 0
 
 
 def _cmd_search(args) -> int:
     cfg = SearchConfig()
     if args.config:
-        cfg = load_config(args.config, cfg)
+        cfg = load_config(args.config)
     for field in fields(cfg):  # each flag's dest is its field's name
         value = getattr(args, field.name)
         if value is not None:
             setattr(cfg, field.name, value)
+    cfg.cache = _cache_path(cfg.cache)
     cfg.validate()
     reports = search(cfg)
     flagged = sum(1 for r in reports if _flag(cfg.predicate, r))
     sys.stdout.write(f"rows={len(reports)} flagged={flagged}\n")
     return 0
+
+
+_FLAGS = {
+    "braid": {"help": "braid word, e.g. 'braid 2: 1 1 1'"},
+    "front": {"help": "front word, e.g. 'front: L 1; R 1'"},
+    "cache": {"help": f"persistent cache file (default: ${CACHE_ENV_VAR})"},
+    "out": {"help": "write output to this path"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,38 +162,32 @@ def build_parser() -> argparse.ArgumentParser:
                                               "braid closures and fronts")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, fronts=True, braids=True):
-        if braids:
-            p.add_argument("--braid", help="braid word, e.g. 'braid 2: 1 1 1'")
-        if fronts:
-            p.add_argument("--front", help="front word, e.g. 'front: L 1; R 1'")
-        p.add_argument("--cache", help="persistent cache file")
-        p.add_argument("--out", help="write output to this path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name, summary, flags):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        return p
 
-    common(sub.add_parser("poly", help="skein invariants"))
-    common(sub.add_parser("front", help="front invariants"), braids=False)
-    common(sub.add_parser("jaeger", help="diagram state-sum certificate"))
-    common(sub.add_parser("lj", help="front state-sum certificate"), braids=False)
-    common(sub.add_parser("check", help="bound report"))
+    command("poly", "skein invariants", ("braid", "front", "cache", "out"))
+    command("front", "front invariants", ("front", "out"))
+    command("jaeger", "diagram state-sum certificate", ("braid", "front", "cache", "out"))
+    command("lj", "front state-sum certificate", ("front", "cache", "out"))
+    p_check = command("check", "bound report", ("braid", "front", "cache", "out"))
+    p_check.add_argument("--format", choices=FORMATS, default="json")
 
-    p_sum = sub.add_parser("sum", help="connected-sum invariants")
+    p_sum = command("sum", "connected-sum invariants", ("cache", "out"))
     p_sum.add_argument("--braid", action="append", help="repeatable")
     p_sum.add_argument("--copies", type=int, default=1)
-    p_sum.add_argument("--cache")
-    p_sum.add_argument("--out")
-    p_sum.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p_se = sub.add_parser("search", help="enumerate closures and report")
+    # every flag defaults to None, so that it overrides only what it names
+    p_se = command("search", "enumerate closures and report", ("cache", "out"))
     p_se.add_argument("--config", help="key=value config file")
     p_se.add_argument("--max-strands", dest="max_strands", type=int)
     p_se.add_argument("--max-letters", dest="max_letters", type=int)
-    p_se.add_argument("--dedup", choices=("none", "cyclic+inverse"))
-    p_se.add_argument("--predicate", choices=("ep_lt_ey", "bound_violation", "all"))
-    p_se.add_argument("--out")
+    p_se.add_argument("--dedup", choices=DEDUPS)
+    p_se.add_argument("--predicate", choices=PREDICATES)
     p_se.add_argument("--jobs", type=int)
-    p_se.add_argument("--format", dest="fmt", choices=("json", "csv"))
-    p_se.add_argument("--cache")
+    p_se.add_argument("--format", choices=FORMATS)
     return top
 
 
@@ -197,7 +205,7 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.open_caches = []
+    args.skein_cache = None
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, DiagramError) as exc:
@@ -210,8 +218,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(f"internal error: {exc}\n")
         return 4
     finally:
-        for cache in args.open_caches:
-            cache.close()
+        if args.skein_cache is not None:
+            args.skein_cache.close()
 
 
 if __name__ == "__main__":

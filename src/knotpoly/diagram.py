@@ -50,10 +50,10 @@ class LevelError(DiagramError):
     """An event level outside 0..top; args are (index, kind, level, top)."""
 
     def describe(self, name: str = "event", base: int = 0) -> str:
-        """The message, naming the event `name` and counting levels from `base`."""
+        """The message, naming the event `name`; positions and levels count from `base`."""
         idx, kind, level, top = self.args
         span = f" {base}..{top + base}" if top >= 0 else ""
-        return f"{name} {idx}: {kind} level {level + base} out of range{span}"
+        return f"{name} {idx + base}: {kind} level {level + base} out of range{span}"
 
     __str__ = describe
 
@@ -299,7 +299,7 @@ def parse_braid(text: str) -> BraidWord:
     if n < 1:
         raise ParseError("strand count must be positive")
     letters = []
-    for pos, tok in enumerate(rest.split()):
+    for pos, tok in enumerate(rest.split(), 1):
         try:
             l = int(tok)
         except ValueError:

@@ -167,7 +167,7 @@ def parse_front(text: str) -> FrontWord:
     events = []
     rest = rest.strip()
     chunks = [c for c in (piece.strip() for piece in rest.split(";")) if c] if rest else []
-    for pos, chunk in enumerate(chunks):
+    for pos, chunk in enumerate(chunks, 1):
         parts = chunk.split()
         if len(parts) != 2 or parts[0] not in ("L", "R", "X"):
             raise ParseError(f"item {pos}: expected 'L|R|X <level>', got {chunk!r}")
@@ -180,7 +180,7 @@ def parse_front(text: str) -> FrontWord:
         events.append((parts[0], level - 1))
     try:
         return FrontWord(events)
-    except LevelError as exc:  # its event index is the item index
+    except LevelError as exc:  # its event index is the item's, less 1
         raise ParseError(f"invalid front: {exc.describe('item', 1)}") from exc
     except DiagramError as exc:
         raise ParseError(f"invalid front: {exc}") from exc

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 from .diagram import BraidWord, ParseError, braid_closure
@@ -31,6 +31,7 @@ from .skein import SkeinCache, full_invariants
 
 PREDICATES = ("ep_lt_ey", "bound_violation", "all")
 DEDUPS = ("none", "cyclic+inverse")
+FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -41,25 +42,24 @@ class SearchConfig:
     predicate: str = "ep_lt_ey"
     out: Optional[str] = None
     jobs: int = 1
-    fmt: str = "csv"
+    format: str = "csv"
     cache: Optional[str] = None
 
     def validate(self) -> None:
         if self.max_strands < 1 or self.max_letters < 0:
             raise ParseError("max_strands >= 1 and max_letters >= 0 required")
-        if self.dedup not in DEDUPS:
-            raise ParseError(f"dedup must be one of {DEDUPS}")
-        if self.predicate not in PREDICATES:
-            raise ParseError(f"predicate must be one of {PREDICATES}")
-        if self.fmt not in ("csv", "json"):
-            raise ParseError("format must be csv or json")
+        for name, allowed in (("dedup", DEDUPS), ("predicate", PREDICATES),
+                              ("format", FORMATS)):
+            if getattr(self, name) not in allowed:
+                raise ParseError(f"{name} must be one of {allowed}")
         if self.jobs < 1:
             raise ParseError("jobs must be positive")
 
 
-def load_config(path: str, base: Optional[SearchConfig] = None) -> SearchConfig:
-    """Flat key=value file; unknown keys and malformed values are rejected."""
-    cfg = base or SearchConfig()
+def load_config(path: str) -> SearchConfig:
+    """Flat key=value file of SearchConfig fields; bad keys and values are rejected."""
+    cfg = SearchConfig()
+    defaults = {f.name: f.default for f in fields(SearchConfig)}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -74,18 +74,15 @@ def load_config(path: str, base: Optional[SearchConfig] = None) -> SearchConfig:
             raise ParseError(f"{path}:{lineno}: expected key=value")
         key = key.strip()
         value = value.strip()
-        if key in ("max_strands", "max_letters", "jobs"):
+        if key not in defaults:
+            raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+        if isinstance(defaults[key], int):
             try:
-                setattr(cfg, key, int(value))
+                value = int(value)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: {key} must be an integer, "
                                  f"got {value!r}") from None
-        elif key in ("dedup", "predicate", "out", "cache"):
-            setattr(cfg, key, value)
-        elif key == "format":
-            cfg.fmt = value
-        else:
-            raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+        setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -158,7 +155,7 @@ def _row_for_word(n: int, letters: tuple[int, ...],
 def _worker(payload: tuple[int, list[tuple[int, ...]], Optional[str]]
             ) -> list[Optional[BoundReport]]:
     n, words, cache_path = payload
-    cache = SkeinCache(cache_path) if cache_path else SkeinCache()
+    cache = SkeinCache(cache_path)
     try:
         return [_row_for_word(n, letters, cache) for letters in words]
     finally:
@@ -200,7 +197,7 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
 
     reports = [rep for _, rep in knots]
     if cfg.out:
-        write_report(reports, cfg.out, cfg.fmt, cfg.predicate)
+        write_report(reports, cfg.out, cfg.format, cfg.predicate)
     return reports
 
 

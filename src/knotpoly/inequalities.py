@@ -25,7 +25,12 @@ from .diagram import MorseDiagram, BraidWord, braid_closure, connected_sum, Diag
 from .front import FrontWord, classical_invariants
 from .skein import SkeinCache, full_invariants
 
-CSV_HEADER = "id,kind,tb,mu,eP,eY,slack_b,slack_c,slack_mfw,witness"
+# report column -> BoundReport field, in report order
+COLUMNS = (("id", "subject"), ("kind", "kind"), ("tb", "tb"), ("mu", "maslov"),
+           ("eP", "e_P"), ("eY", "e_Y"), ("slack_b", "bound_b_slack"),
+           ("slack_c", "bound_c_slack"), ("slack_mfw", "mfw_slack"),
+           ("witness", "witness"))
+CSV_HEADER = ",".join(column for column, _ in COLUMNS)
 
 
 @dataclass
@@ -47,19 +52,13 @@ class BoundReport:
                    for s in (self.bound_b_slack, self.bound_c_slack, self.mfw_slack))
 
     def csv_row(self) -> str:
-        def fmt(x):
-            return "" if x is None else str(x)
-        return ",".join([self.subject.replace(",", " "), self.kind,
-                         fmt(self.tb), fmt(self.maslov), fmt(self.e_P),
-                         fmt(self.e_Y), fmt(self.bound_b_slack),
-                         fmt(self.bound_c_slack), fmt(self.mfw_slack),
-                         "1" if self.witness else "0"])
+        cells = self.to_json()
+        cells["id"] = self.subject.replace(",", " ")
+        cells["witness"] = int(self.witness)
+        return ",".join("" if v is None else str(v) for v in cells.values())
 
     def to_json(self) -> dict:
-        return {"id": self.subject, "kind": self.kind, "tb": self.tb,
-                "mu": self.maslov, "eP": self.e_P, "eY": self.e_Y,
-                "slack_b": self.bound_b_slack, "slack_c": self.bound_c_slack,
-                "slack_mfw": self.mfw_slack, "witness": self.witness}
+        return {column: getattr(self, field) for column, field in COLUMNS}
 
 
 def check_front_bounds(f: FrontWord, cache: Optional[SkeinCache] = None,

@@ -59,8 +59,6 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.terms == other.terms
@@ -82,9 +80,7 @@ class LaurentPoly:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(other)
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
@@ -96,20 +92,13 @@ class LaurentPoly:
         p.terms = out
         return p
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPoly":
         p = LaurentPoly.__new__(LaurentPoly)
         p.terms = {e: -c for e, c in self.terms.items()}
         return p
 
-    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(other)
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
-
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly.monomial(other) - self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
@@ -134,12 +123,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            if len(self.terms) == 1:
-                ((e1, e2), c), = self.terms.items()
-                if c in (1, -1):
-                    return LaurentPoly.monomial(c if n % 2 else 1, e1 * n, e2 * n)
-            raise ValueError("negative power of a non-unit Laurent polynomial")
+        if n < 0:  # the loop below would not end
+            raise ValueError("negative power of a Laurent polynomial")
         result = LaurentPoly.one()
         base = self
         while n:

@@ -235,43 +235,57 @@ def _simulate(events):
     return sem, tuple(active)
 
 
+def _same_up_to_window_names(base, other, k0):
+    """Equal simulations, up to the order in which the two window events
+    minted their fresh cup names."""
+    lo = 2 * k0
+    swap = {("n", lo): ("n", lo + 2), ("n", lo + 1): ("n", lo + 3),
+            ("n", lo + 2): ("n", lo), ("n", lo + 3): ("n", lo + 1)}
+
+    def apply(sim, m):
+        sem, act = sim
+        sub = lambda x: m.get(x, x)
+        out = [(op[0],) + tuple(sub(x) for x in op[1:3]) + tuple(op[3:])
+               for op in sem]
+        return sorted(out), tuple(sub(x) for x in act)
+    return any(apply(base, {}) == apply(other, m) for m in ({}, swap))
+
+
 def test_commutation_rules_against_simulation():
-    """Every event pair with levels 0-6, after 0-6 prefix cups."""
+    """Every event pair with levels 0-6, after 0-6 prefix cups.
+
+    A swap that `_swap_adjacent` returns must simulate equal (sound).  Where
+    normalization takes no swap (none returned, or not lexicographically
+    decreasing), no reorder (e2', e1') with levels within 2 of the originals
+    and e2' < e1 may simulate equal (complete), so that a swap the
+    normalization would take cannot be missing.
+    """
     events = [(k, l) + s for k, s in (("cup", ()), ("cap", ()), ("x", (1,)), ("x", (-1,)))
               for l in range(7)]
-    swaps = 0
+    swaps = reorders = 0
     for k0, e1, e2 in itertools.product(range(7), events, events):
         prefix = [("cup", 0)] * k0
         base = _simulate(prefix + [e1, e2])
         if base is None:
             continue
         res = _swap_adjacent(e1, e2)
-        if res is None:
-            continue
-        swaps += 1
-        e2n, e1n = res
-        other = _simulate(prefix + [e2n, e1n])
-        assert other is not None, (e1, e2, res)
-
-        # the two window events may have minted their fresh names in either
-        # order; equality up to swapping those anonymous cup pairs
-        lo = 2 * k0
-
-        def renamings():
-            yield {}
-            yield {("n", lo): ("n", lo + 2), ("n", lo + 1): ("n", lo + 3),
-                   ("n", lo + 2): ("n", lo), ("n", lo + 3): ("n", lo + 1)}
-
-        def apply(sim, m):
-            sem, act = sim
-            sub = lambda x: m.get(x, x)
-            out = [(op[0],) + tuple(sub(x) for x in op[1:3]) + tuple(op[3:])
-                   for op in sem]
-            return sorted(out), tuple(sub(x) for x in act)
-
-        ok = any(apply(base, {}) == apply(other, m) for m in renamings())
-        assert ok, (e1, e2, res)
-    assert swaps > 500
+        if res is not None:
+            swaps += 1
+            other = _simulate(prefix + list(res))
+            assert other is not None, (e1, e2, res)
+            assert _same_up_to_window_names(base, other, k0), (e1, e2, res)
+            if res[0] < e1:
+                continue
+        for d1, d2 in itertools.product(range(-2, 3), repeat=2):
+            e1n = (e1[0], e1[1] + d1) + e1[2:]
+            e2n = (e2[0], e2[1] + d2) + e2[2:]
+            if e1n[1] < 0 or e2n[1] < 0 or not e2n < e1:
+                continue
+            other = _simulate(prefix + [e2n, e1n])
+            reorders += 1
+            assert other is None or not _same_up_to_window_names(base, other, k0), \
+                (e1, e2, e2n, e1n)
+    assert swaps > 500 and reorders > 5000
 
 
 def test_json_dump_shape():

@@ -1,6 +1,9 @@
 import itertools
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -86,7 +89,7 @@ def test_search_parallel_matches_serial(tmp_path):
 
 def test_search_bound_violation_predicate_empty(tmp_path):
     cfg = SearchConfig(max_strands=2, max_letters=4, predicate="bound_violation",
-                       out=str(tmp_path / "v.json"), fmt="json")
+                       out=str(tmp_path / "v.json"), format="json")
     rows = search(cfg)
     payload = json.loads((tmp_path / "v.json").read_text())
     assert payload["predicate"] == "bound_violation"
@@ -160,12 +163,22 @@ def test_cli_parse_error(capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("front: L 1; X 2; R 1", "item 1: X level 2 out of range 1..1"),
-    ("front: L 3; R 1", "item 0: L level 3 out of range 1..1"),
+    ("front: L 1; X 2; R 1", "item 2: X level 2 out of range 1..1"),
+    ("front: L 3; R 1", "item 1: L level 3 out of range 1..1"),
 ])
 def test_cli_front_level_error_names_item_and_written_level(capsys, text, message):
     assert main(["front", "--front", text]) == 2
     assert capsys.readouterr().err == f"error: invalid front: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("braid 2: 0", "token 1: generator index must be nonzero"),
+    ("braid 2: 1 x", "token 2: 'x' is not an integer"),
+    ("braid 2: 1 1 -2", "token 3: generator -2 out of range for 2 strands"),
+])
+def test_cli_braid_parse_error_counts_tokens_from_one(capsys, text, message):
+    assert main(["poly", "--braid", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_missing_input(capsys):
@@ -284,6 +297,141 @@ def test_cli_search(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "rows=" in capsys.readouterr().out
+
+
+# the exact bytes `check` prints, pinning the column order and cell format
+CHECK_OUTPUT = {
+    ("--braid", "braid 2: 1 1 1", "csv"):
+        "id,kind,tb,mu,eP,eY,slack_b,slack_c,slack_mfw,witness\n"
+        "braid 2: 1 1 1,braid,,,-5,-6,,,0,0\n",
+    ("--braid", "braid 2: 1 1 1", "json"):
+        '{\n  "eP": -5,\n  "eY": -6,\n  "id": "braid 2: 1 1 1",\n  "kind": "braid",\n'
+        '  "mu": null,\n  "slack_b": null,\n  "slack_c": null,\n  "slack_mfw": 0,\n'
+        '  "tb": null,\n  "witness": false\n}\n',
+    ("--front", "front: L 1; X 1; R 1", "csv"):
+        "id,kind,tb,mu,eP,eY,slack_b,slack_c,slack_mfw,witness\n"
+        "front,front,-2,1,-1,-1,0,1,,0\n",
+    ("--front", "front: L 1; X 1; R 1", "json"):
+        '{\n  "eP": -1,\n  "eY": -1,\n  "id": "front",\n  "kind": "front",\n'
+        '  "mu": 1,\n  "slack_b": 0,\n  "slack_c": 1,\n  "slack_mfw": null,\n'
+        '  "tb": -2,\n  "witness": false\n}\n',
+}
+
+
+@pytest.mark.parametrize("flag, text, fmt", sorted(CHECK_OUTPUT))
+def test_cli_check_output_bytes(capsys, flag, text, fmt):
+    assert main(["check", flag, text, "--format", fmt]) == 0
+    assert capsys.readouterr().out == CHECK_OUTPUT[flag, text, fmt]
+
+
+COMMAND_FLAGS = {
+    "poly": {"braid", "front", "cache", "out"},
+    "front": {"front", "out"},
+    "jaeger": {"braid", "front", "cache", "out"},
+    "lj": {"front", "cache", "out"},
+    "check": {"braid", "front", "cache", "out", "format"},
+    "sum": {"braid", "copies", "cache", "out"},
+    "search": {"config", "max-strands", "max-letters", "dedup", "predicate",
+               "out", "jobs", "format", "cache"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_cli_help_lists_exactly_the_command_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = re.findall(r"^  (?:-h, )?--([a-z-]+)", capsys.readouterr().out, re.M)
+    assert sorted(flags) == sorted(COMMAND_FLAGS[command] | {"help"})
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--braid", "braid 2: 1 1 1", "--format", "csv"],
+    ["front", "--front", "front: L 1; R 1", "--cache", "x"],
+])
+def test_cli_flag_the_command_lacks_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _records(path) -> int:
+    return len(path.read_text().splitlines()) if path.exists() else 0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_search_fills_env_cache(tmp_path, monkeypatch, capsys, jobs):
+    env_file = tmp_path / "env.txt"
+    monkeypatch.setenv("KNOTPOLY_CACHE", str(env_file))
+    assert main(["search", "--max-strands", "2", "--max-letters", "3",
+                 "--jobs", jobs, "--out", str(tmp_path / "r.csv")]) == 0
+    assert _records(env_file) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--braid", "braid 2: 1 1 1"],
+    ["search", "--max-strands", "2", "--max-letters", "3"],
+])
+def test_cli_cache_flag_beats_env(tmp_path, monkeypatch, capsys, argv):
+    env_file, flag_file = tmp_path / "env.txt", tmp_path / "flag.txt"
+    monkeypatch.setenv("KNOTPOLY_CACHE", str(env_file))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--cache", str(flag_file)]) == 0
+    assert _records(flag_file) > 0 and not env_file.exists()
+
+
+def test_cli_search_config_cache_between_flag_and_env(tmp_path, monkeypatch,
+                                                      capsys):
+    env_file, cfg_file = tmp_path / "env.txt", tmp_path / "cfg.txt"
+    cfgfile = tmp_path / "search.cfg"
+    cfgfile.write_text(f"max_letters=3\ncache={cfg_file}\n")
+    monkeypatch.setenv("KNOTPOLY_CACHE", str(env_file))
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "--config", str(cfgfile)]) == 0
+    assert _records(cfg_file) > 0 and not env_file.exists()
+
+
+def test_cli_poly_front(capsys):
+    assert main(["poly", "--front", "front: L 1; X 1; R 1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["e_P"], out["e_Y"], out["w"]) == (-1, -1, 2)  # w = -tb
+
+
+def test_cli_out_writes_stdout_bytes(tmp_path, capsys):
+    argv = ["jaeger", "--braid", "braid 2: 1 1"]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / "cert.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == shown
+
+
+def test_cli_sum_of_two_braids(capsys):
+    assert main(["sum", "--braid", "braid 2: 1 1 1", "--copies", "2"]) == 0
+    copies = capsys.readouterr().out
+    assert main(["sum", "--braid", "braid 2: 1 1 1", "--braid", "braid 2: 1 1 1"]) == 0
+    assert capsys.readouterr().out == copies
+    assert main(["sum", "--braid", "braid 2: 1 1 1", "--braid", "braid 2: 1 1 1",
+                 "--copies", "2"]) == 2
+    assert "--copies > 1" in capsys.readouterr().err
+
+
+def _readme_cli_lines() -> list[str]:
+    """The `knotpoly` lines of the sh block under README's `## CLI`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("knotpoly ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.delenv("KNOTPOLY_CACHE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line, comments=True)[1:]) == 0
 
 
 def test_cli_fixture_braids(capsys):

@@ -120,3 +120,12 @@ def test_csv_row_shape():
     row = rep.csv_row()
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
     assert row.endswith(",0")
+
+
+def test_witness_row_cells():
+    rep = BoundReport(subject="braid 3: 1,2", kind="braid", e_P=-9, e_Y=-8,
+                      mfw_slack=0, witness=True)
+    assert rep.csv_row() == "braid 3: 1 2,braid,,,-9,-8,,,0,1"
+    assert rep.to_json() == {"id": "braid 3: 1,2", "kind": "braid", "tb": None,
+                             "mu": None, "eP": -9, "eY": -8, "slack_b": None,
+                             "slack_c": None, "slack_mfw": 0, "witness": True}

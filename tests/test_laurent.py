@@ -21,6 +21,18 @@ def test_difference_of_squares():
     assert (A - AINV) * (A + AINV) == A * A - AINV * AINV
 
 
+def test_power_matches_repeated_product_and_rejects_negative_exponents():
+    rng = random.Random(3)
+    for _ in range(10):
+        p, prod = rand_poly(rng, terms=3), ONE
+        for n in range(5):
+            assert p ** n == prod
+            prod = prod * p
+    for p in (A, -AINV, TAU, LaurentPoly()):
+        with pytest.raises(ValueError):
+            p ** -1
+
+
 def test_additive_identity():
     rng = random.Random(0)
     for _ in range(20):

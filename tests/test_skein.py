@@ -8,8 +8,8 @@ import pytest
 
 from knotpoly.laurent import LaurentPoly
 from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
-                              braid_closure, connected_sum, reduce_diagram,
-                              _switch_events, _smooth_h_events,
+                              braid_closure, connected_sum, find_split,
+                              reduce_diagram, _switch_events, _smooth_h_events,
                               _smooth_v_events, _cups_before)
 from knotpoly.skein import (SkeinCache, SkeinStats, homfly_R, kauffman_D,
                             full_invariants, DELTA, DELTA_D, CACHE_ENV_VAR,
@@ -128,6 +128,39 @@ def test_split_optimization_matches_plain_recursion(cache):
         fast = full_invariants(d, cache)
         slow = full_invariants(d, SkeinCache(), allow_split=False)
         assert fast.R == slow.R and fast.D == slow.D
+
+
+def test_disjoint_union_splits_into_its_parts(monkeypatch):
+    """Two knot closures as consecutive event blocks, split at the junction.
+
+    find_split offers the connected-sum slice before the first block's last
+    cap, which comes before the zero-strand junction, so the engines only
+    meet a disjoint-union slice next to a crossingless block, and reduction
+    removes those.  The test offers the junction to run the disjoint-union
+    rule R(A u B) = R(A) R(B) with dirs (R) and without (D).
+    """
+    import knotpoly.skein as skein
+    d1 = braid_closure(parse_braid("braid 2: 1 1 1"))
+    d2 = braid_closure(parse_braid("braid 3: 1 -2 1 -2")).reversed()
+    union = MorseDiagram(d1.events + d2.events, d1.dirs + d2.dirs)
+    junction = len(d1.events)
+    assert find_split(union.events) == (junction - 1, 2)
+    assert find_split((("cup", 0), ("cap", 0)) + d2.events) == (2, 0)
+    assert reduce_diagram(union.events, union.dirs) == (union.events, union.dirs, 0, 0)
+    offered = []
+
+    def junction_first(events):
+        if events == union.events:
+            offered.append(events)
+            return junction, 0
+        return find_split(events)
+    monkeypatch.setattr(skein, "find_split", junction_first)
+    for engine in (homfly_R, kauffman_D):
+        offered.clear()
+        value = engine(union, SkeinCache())
+        assert len(offered) == 1
+        assert value == engine(union, SkeinCache(), allow_split=False)
+        assert value == engine(d1, SkeinCache()) * engine(d2, SkeinCache())
 
 
 def test_cache_consistency_and_stats(cache):
