@@ -246,7 +246,7 @@ class BraidWord:
             raise DiagramError("braid needs at least one strand")
         self.strands = strands
         self.letters = tuple(letters)
-        for pos, l in enumerate(self.letters):
+        for pos, l in enumerate(self.letters, 1):
             if l == 0 or abs(l) > strands - 1:
                 raise DiagramError(f"letter {pos}: generator {l} out of range")
 
@@ -502,13 +502,13 @@ def reduce_diagram(events: Sequence[Event], dirs: Optional[Sequence[int]] = None
     return tuple(ev), dirs, a_pow, circles
 
 
-def find_split(events: Sequence[Event]) -> Optional[tuple[int, int]]:
-    """Leftmost interior slice where the diagram splits.
+def find_split(events: Sequence[Event]) -> Optional[int]:
+    """Leftmost interior connected-sum slice, or None.
 
-    Returns (index, kind) with kind 0 for a disjoint union slice (no strands)
-    or 2 for a connected-sum slice (exactly two strands), or None.  A
-    connected-sum slice must leave crossings on both sides, otherwise the
-    factorization makes no progress.
+    A connected-sum slice has exactly two strands and crossings on both
+    sides, so that the factorization makes progress.  Zero-strand slices
+    are not split: in a reduced diagram every closed block has a crossing,
+    so the two-strand slice before its last cap comes first.
     """
     total_x = sum(1 for e in events if e[0] == "x")
     strands = 0
@@ -517,10 +517,8 @@ def find_split(events: Sequence[Event]) -> Optional[tuple[int, int]]:
         kind = events[i][0]
         strands += _SHIFT[kind]
         xs += kind == "x"
-        if strands == 0:
-            return i + 1, 0
         if strands == 2 and 0 < xs < total_x:
-            return i + 1, 2
+            return i + 1
     return None
 
 

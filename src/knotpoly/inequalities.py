@@ -61,8 +61,8 @@ class BoundReport:
         return {column: getattr(self, field) for column, field in COLUMNS}
 
 
-def check_front_bounds(f: FrontWord, cache: Optional[SkeinCache] = None,
-                       subject: str = "front") -> BoundReport:
+def check_front_bounds(f: FrontWord,
+                       cache: Optional[SkeinCache] = None) -> BoundReport:
     """Bounds b and c for a knot front."""
     if f.component_count() != 1:
         raise DiagramError("bound report requires a knot front")
@@ -76,21 +76,20 @@ def check_front_bounds(f: FrontWord, cache: Optional[SkeinCache] = None,
     alt = res.R.shift(0, -abs(inv.maslov)).min_degree("second")
     if alt != slack_b:
         raise AssertionError("bound-b reformulation mismatch")
-    return BoundReport(subject=subject, kind="front", tb=inv.tb,
+    return BoundReport(subject="front", kind="front", tb=inv.tb,
                        maslov=inv.maslov, e_P=res.e_P, e_Y=res.e_Y,
                        bound_b_slack=slack_b, bound_c_slack=slack_c,
                        witness=res.e_P < res.e_Y)
 
 
-def mfw_check(b: BraidWord, cache: Optional[SkeinCache] = None,
-              subject: Optional[str] = None) -> BoundReport:
+def mfw_check(b: BraidWord, cache: Optional[SkeinCache] = None) -> BoundReport:
     """Braid bound for a closure (knot or link)."""
     if cache is None:
         cache = SkeinCache.from_env()
     d = braid_closure(b)
     res = full_invariants(d, cache)
     slack = res.e_P + b.exponent_sum() + b.strands
-    return BoundReport(subject=subject or b.text(), kind="braid",
+    return BoundReport(subject=b.text(), kind="braid",
                        e_P=res.e_P, e_Y=res.e_Y, mfw_slack=slack,
                        witness=res.e_P < res.e_Y)
 

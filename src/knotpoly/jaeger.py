@@ -30,16 +30,17 @@ Local patterns are encoded by thread directions (+1 east, -1 west):
                       is oriented downward and the new left cusp upward.
 
 One enumerator, `nonzero_states`, serves both sums; an `Alphabet` holds
-what differs (the event kinds, the seed dir, the splice labels of the
-weight keys and the front's (t a^-2)^V factor).  Each weight table gives a
-spliced site one oriented pattern, so a splice choice is dropped when a
-site has no entry, and the patterns pin the orientation flips of the
-components they touch; zero-weight states are never formed.  One
-`diagram.scan` per choice splices and orients (each component's first-born
-thread at the alphabet's seed dir); its probes name the threads each site's
-pattern reads.  Both sums read the same two tallies of a state, left-up
-(cups whose lower thread runs west) and right-down (caps whose lower thread
-runs west); the diagram's rotation is #cups - left-up - right-down.
+what differs (the event kinds, the seed dir and the splice labels of the
+weight keys).  A state carries its weight's sign; the sums build the tau
+powers and the front's (t a^-2)^V factor from its splice counts.  Each
+weight table gives a spliced site one oriented pattern, so a splice choice
+is dropped when a site has no entry, and the patterns pin the orientation
+flips of the components they touch; zero-weight states are never formed.
+One `diagram.scan` per choice splices and orients (each component's
+first-born thread at the alphabet's seed dir); its probes name the threads
+each site's pattern reads.  Both sums read the same two tallies of a state,
+left-up (cups whose lower thread runs west) and right-down (caps whose lower
+thread runs west); the diagram's rotation is #cups - left-up - right-down.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .laurent import LaurentPoly, DeltaFraction, TAU, tau_power, substitute_jaeger
+from .laurent import LaurentPoly, DeltaFraction, substitute_jaeger
 from .diagram import DIAGRAM_KINDS, MorseDiagram, Scan, flipped_dirs, scan
 from .front import FRONT_KINDS, FrontWord, diagram_events_of
 from .skein import SkeinCache, homfly_R, kauffman_D
@@ -81,11 +82,10 @@ class Alphabet(NamedTuple):
     cross: str
     seed: int             # dir of each component's first-born thread
     labels: tuple         # splice labels of choices 1 and 2
-    wall_unit: tuple      # (t, a) exponents of the factor each choice 2 brings
 
 
-DIAGRAM_ALPHABET = Alphabet(*DIAGRAM_KINDS, ("h", "v"), (0, 0))
-FRONT_ALPHABET = Alphabet(*FRONT_KINDS, ("h", "c"), (1, -2))
+DIAGRAM_ALPHABET = Alphabet(*DIAGRAM_KINDS, ("h", "v"))
+FRONT_ALPHABET = Alphabet(*FRONT_KINDS, ("h", "c"))
 
 
 @dataclass
@@ -94,7 +94,6 @@ class SpliceState:
 
     choices: tuple[int, ...]          # per crossing: 0 none, 1 horizontal, 2 wall/cusp pair
     flips: tuple[bool, ...]           # per component of the spliced object
-    weight: LaurentPoly               # product of local weights
     v_count: int
     h_count: int
     spliced_events: tuple
@@ -102,7 +101,7 @@ class SpliceState:
     cups: int                         # cups (left cusps) of the spliced object
     left_up: int                      # cups whose lower thread runs west
     right_down: int                   # caps whose lower thread runs west
-    sign: int                         # weight / tau^(V+H), up to (t a^-2)^V on fronts
+    sign: int                         # product of the local weights' signs
 
     @property
     def r_sigma(self) -> int:
@@ -139,7 +138,6 @@ def nonzero_states(events: Sequence, alphabet: Alphabet,
     pattern_of = {key[:-1]: (key[-1], coeff)
                   for key, coeff in weights.items() if coeff}
     sites = [ev[2:] for ev in events if ev[0] == alphabet.cross]
-    ut, ua = alphabet.wall_unit
     for choices in itertools.product((0, 1, 2), repeat=len(sites)):
         patterns = []
         sign = 1
@@ -155,10 +153,6 @@ def nonzero_states(events: Sequence, alphabet: Alphabet,
             pinned = _pin(sp, patterns)
             if pinned is None:
                 continue
-            v_count = choices.count(2)
-            h_count = choices.count(1)
-            weight = tau_power(v_count + h_count).shift(ut * v_count,
-                                                        ua * v_count) * sign
             free = [c for c in sp.components if c not in pinned]
             for bits in itertools.product((False, True), repeat=len(free)):
                 flip_of = dict(pinned)
@@ -167,7 +161,7 @@ def nonzero_states(events: Sequence, alphabet: Alphabet,
                 dirs = flipped_dirs(sp, flips)
                 yield SpliceState(
                     choices=choices, flips=flips,
-                    weight=weight, v_count=v_count, h_count=h_count,
+                    v_count=choices.count(2), h_count=choices.count(1),
                     spliced_events=sp.events, spliced_dirs=dirs,
                     cups=len(sp.cup_lows),
                     left_up=sum(dirs[lo] < 0 for lo in sp.cup_lows),
@@ -294,10 +288,8 @@ def proof_chain_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> dict:
             out["nu_ok"] = False
         if nu_sig - ksig.rotation != st.left_up + st.right_down:
             out["rot_ok"] = False
-        # front weight = (t a^-2)^V * (-1)^H * tau^(V+H)
-        k_weight = (TAU ** (st.v_count + st.h_count)) * ((-1) ** st.h_count)
-        expect_front = k_weight * LaurentPoly.monomial(1, st.v_count, -2 * st.v_count)
-        if st.weight != expect_front:
+        # front weight sign (t a^-2)^V tau^(V+H) = (t a^-2)^V (-1)^H tau^(V+H)
+        if st.sign != (-1) ** st.h_count:
             out["weight_ok"] = False
         r_l = homfly_R(lsig.morsify(), cache)
         r_k = homfly_R(ksig, cache)

@@ -27,9 +27,10 @@ switching keeps the components, and each switched crossing of oriented sign
 eps lowers the writhe by 2 eps, so its value follows from that ledger.
 
 Diagrams are planar-reduced and level-normalized before memoization.
-Disjoint-union and connected-sum slices are split off and recombined
-multiplicatively (R(A # B) = R(A) R(B) / delta and R(A u B) = R(A) R(B));
-the splitter can be disabled to keep an independent computation path.
+Connected-sum slices are split off and recombined multiplicatively
+(R(A # B) = R(A) R(B) / delta); zero-strand slices need no rule of their
+own, since in a reduced diagram a connected-sum slice always comes first.
+The splitter can be disabled to keep an independent computation path.
 
 The writhe-normalized knot invariants are P = a^-w R and Y = a^-w D, with
 e_P and e_Y their least a-degrees.
@@ -182,18 +183,15 @@ class SkeinStats:
         return self.cache_hits / total if total else 0.0
 
 
-def _split_dirs(events: tuple, dirs: tuple, pos: int, kind: int):
-    """Split events (and orientation) at a 0- or 2-strand slice."""
-    ncups1 = sum(1 for e in events[:pos] if e[0] == "cup")
-    if kind == 0:
-        return (events[:pos], dirs[:2 * ncups1] if dirs else None,
-                events[pos:], dirs[2 * ncups1:] if dirs else None)
-    # connected-sum slice: close the prefix with a cap, reopen with a cup
+def _split_dirs(events: tuple, dirs: Optional[tuple], pos: int):
+    """Split events (and orientation) at a connected-sum slice: close the
+    prefix with a cap and reopen the rest with a cup."""
     e1 = events[:pos] + (("cap", 0),)
     e2 = (("cup", 0),) + events[pos:]
     if dirs is None:
         return e1, None, e2, None
     # the closing cap takes the two threads at the slice
+    ncups1 = sum(1 for e in events[:pos] if e[0] == "cup")
     prefix = scan(e1, DIAGRAM_KINDS)
     lo = prefix.cap_lows[-1]
     d2 = (dirs[lo], dirs[prefix.cap_mate[lo]]) + dirs[2 * ncups1:]
@@ -201,45 +199,32 @@ def _split_dirs(events: tuple, dirs: tuple, pos: int, kind: int):
 
 
 def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
-                cache: SkeinCache, stats: Optional[SkeinStats],
+                cache: SkeinCache, stats: SkeinStats,
                 allow_split: bool) -> LaurentPoly:
     events, dirs, a_pow, circles = reduce_diagram(events, dirs)
     mult = _unknot_power(kauffman, circles).shift(-circles, a_pow)
     if not events:
         return mult
-    if stats is not None:
-        stats.nodes += 1
+    stats.nodes += 1
     key = (b"D" if kauffman else b"R") + encode_events(events, dirs)
     cached = cache.get(key)
-    if stats is not None:
-        if cached is None:
-            stats.cache_misses += 1
-        else:
-            stats.cache_hits += 1
     if cached is not None:
+        stats.cache_hits += 1
         return mult * cached
+    stats.cache_misses += 1
 
-    val: Optional[LaurentPoly] = None
-    if allow_split:
-        sp = find_split(events)
-        if sp is not None:
-            pos, kind = sp
-            e1, d1, e2, d2 = _split_dirs(events, dirs, pos, kind)
-            v1 = _skein_eval(e1, d1, kauffman=kauffman, cache=cache,
-                             stats=stats, allow_split=allow_split)
-            v2 = _skein_eval(e2, d2, kauffman=kauffman, cache=cache,
-                             stats=stats, allow_split=allow_split)
-            prod = v1 * v2
-            if kind == 0:
-                val = prod
-            else:
-                unknot_num = _DELTA_D_NUM if kauffman else _DELTA_NUM
-                q = exact_divide(prod.shift(1, 0), unknot_num, "second")
-                if q is None:
-                    raise AssertionError("connected-sum factor not divisible")
-                val = q
-
-    if val is None:
+    pos = find_split(events) if allow_split else None
+    if pos is not None:
+        e1, d1, e2, d2 = _split_dirs(events, dirs, pos)
+        v1 = _skein_eval(e1, d1, kauffman=kauffman, cache=cache,
+                         stats=stats, allow_split=allow_split)
+        v2 = _skein_eval(e2, d2, kauffman=kauffman, cache=cache,
+                         stats=stats, allow_split=allow_split)
+        unknot_num = _DELTA_D_NUM if kauffman else _DELTA_NUM
+        val = exact_divide((v1 * v2).shift(1, 0), unknot_num, "second")
+        if val is None:
+            raise AssertionError("connected-sum factor not divisible")
+    else:
         k, use_dirs, writhe, viols = _scan(events, dirs)
         cur = events
         acc = LaurentPoly()
@@ -278,7 +263,7 @@ def homfly_R(d: MorseDiagram, cache: Optional[SkeinCache] = None,
     if cache is None:
         cache = SkeinCache.from_env()
     return _skein_eval(d.events, d.dirs, kauffman=False, cache=cache,
-                       stats=stats, allow_split=allow_split)
+                       stats=stats or SkeinStats(), allow_split=allow_split)
 
 
 def kauffman_D(d: MorseDiagram, cache: Optional[SkeinCache] = None,
@@ -288,7 +273,7 @@ def kauffman_D(d: MorseDiagram, cache: Optional[SkeinCache] = None,
     if cache is None:
         cache = SkeinCache.from_env()
     return _skein_eval(d.events, None, kauffman=True, cache=cache,
-                       stats=stats, allow_split=allow_split)
+                       stats=stats or SkeinStats(), allow_split=allow_split)
 
 
 @dataclass

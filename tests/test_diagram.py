@@ -162,6 +162,17 @@ def test_validation_errors():
             MorseDiagram(events)
 
 
+@pytest.mark.parametrize("strands, letters, message", [
+    (0, [], "braid needs at least one strand"),
+    (2, [1, 3], "letter 2: generator 3 out of range"),
+    (3, [2, -1, 0], "letter 3: generator 0 out of range"),
+])
+def test_braid_word_errors_count_letters_from_one(strands, letters, message):
+    with pytest.raises(DiagramError) as info:
+        BraidWord(strands, letters)
+    assert str(info.value) == message
+
+
 def test_reduction_ledger_random():
     """Reduction must preserve writhe (ledgered), components, orientation."""
     rng = random.Random(7)
@@ -178,16 +189,14 @@ def test_reduction_ledger_random():
 
 
 def _split_reference(events):
-    """Leftmost interior slice with no strands, or with two strands and
-    crossings on both sides; by counting each prefix afresh."""
+    """Leftmost interior slice with two strands and crossings on both sides;
+    by counting each prefix afresh."""
     for pos in range(1, len(events)):
         left, right = events[:pos], events[pos:]
         strands = 2 * (sum(e[0] == "cup" for e in left) - sum(e[0] == "cap" for e in left))
-        if strands == 0:
-            return pos, 0
         crossed = [any(e[0] == "x" for e in side) for side in (left, right)]
         if strands == 2 and all(crossed):
-            return pos, 2
+            return pos
     return None
 
 
@@ -201,12 +210,12 @@ def test_find_split_matches_reference():
         inputs += [d1.events, reduce_diagram(d1.events)[0], d1.events + d2.events,
                    connected_sum(d1, d2).events,
                    reduce_diagram(connected_sum(d1, d2).events)[0]]
-    kinds = set()
+    found = set()
     for events in inputs:
         got = find_split(events)
         assert got == _split_reference(events), events
-        kinds.add(got and got[1])
-    assert kinds == {None, 0, 2}
+        found.add(got is not None)
+    assert found == {False, True}
 
 
 def _simulate(events):

@@ -209,6 +209,28 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, content, where):
     assert capsys.readouterr().err.startswith(f"error: {cfgfile}{where}")
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["lj"], None, "provide --front"),
+    (["check"], None, "provide --braid or --front"),
+    (["sum"], None, "provide at least one --braid"),
+    (["poly", "--braid", "brad 2: 1"], None, "expected 'braid <n>:', got 'brad 2'"),
+    (["poly", "--braid", "braid x: 1"], None, "strand count 'x' is not an integer"),
+    (["front", "--front", "front: L a; R 1"], None, "item 1: level 'a' is not an integer"),
+    (["search", "--max-strands", "0"], None,
+     "max_strands >= 1 and max_letters >= 0 required"),
+    (["search"], "max_strands 2\n", "{config}:1: expected key=value"),
+    (["search"], "dedup=foo\n", "dedup must be one of ('none', 'cyclic+inverse')"),
+])
+def test_cli_usage_errors(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfgfile = tmp_path / "search.cfg"
+        cfgfile.write_text(config)
+        argv = argv + ["--config", str(cfgfile)]
+        message = message.format(config=cfgfile)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_invalid_search_setting_is_usage_error(capsys):
     assert main(["search", "--jobs", "0"]) == 2
     assert capsys.readouterr().err == "error: jobs must be positive\n"

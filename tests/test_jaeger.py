@@ -31,7 +31,7 @@ def all_states(events, alphabet):
     """Every state, zero-weight ones included, by brute force.
 
     The reference for `nonzero_states`: all splice choices times all flips,
-    each weight looked up in the frozen table, and the splicing, the
+    each local sign looked up in the frozen table, and the splicing, the
     orientation and the cusp tallies taken from the tests' reference walk
     rather than from `diagram.scan`.
     """
@@ -45,9 +45,6 @@ def all_states(events, alphabet):
         keys = [(labels[c - 1],) if front else (ev[2], labels[c - 1])
                 for ev, c in zip(crossings, choices) if c]
         v_count, h_count = choices.count(2), choices.count(1)
-        base = TAU ** (v_count + h_count)
-        if front:
-            base = base * LaurentPoly.monomial(1, v_count, -2 * v_count)
         for flips in itertools.product((False, True),
                                        repeat=len(skeleton.components)):
             oriented = reference_walk(spliced, kinds,
@@ -63,7 +60,7 @@ def all_states(events, alphabet):
             assert cups == cups_sigma - v_count, "cusp count bookkeeping broke"
             assert cups_sigma - oriented.rotation == left_up + right_down, \
                 "cusp-class / rotation relation broke"
-            yield SpliceState(choices=choices, flips=flips, weight=base * sign,
+            yield SpliceState(choices=choices, flips=flips,
                               v_count=v_count, h_count=h_count,
                               spliced_events=spliced, spliced_dirs=dirs,
                               cups=cups_sigma, left_up=left_up,
@@ -74,15 +71,16 @@ def test_zero_crossing_unknot_states():
     unknot = braid_closure(parse_braid("braid 1:"))
     states = list(all_states(unknot.events, DIAGRAM_ALPHABET))
     assert len(states) == 2
-    assert all(st.weight == ONE for st in states)
+    assert all(st.sign == 1 and st.v_count + st.h_count == 0 for st in states)
     assert {st.r_sigma for st in states} == {1, -1}
 
 
 def test_one_curl_state_census():
     inf = MorseDiagram(INF_NEG)
-    states = [st for st in all_states(inf.events, DIAGRAM_ALPHABET)
-              if not st.weight.is_zero()]
-    census = sorted((st.choices[0], st.r_sigma, st.weight.format(("t", "a")))
+    states = [st for st in all_states(inf.events, DIAGRAM_ALPHABET) if st.sign]
+    # a diagram state weighs sign * tau^(V+H)
+    census = sorted((st.choices[0], st.r_sigma,
+                     (TAU ** (st.v_count + st.h_count) * st.sign).format(("t", "a")))
                     for st in states)
     assert census == [
         (0, 0, "1"), (0, 0, "1"),

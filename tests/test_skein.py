@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -130,37 +131,71 @@ def test_split_optimization_matches_plain_recursion(cache):
         assert fast.R == slow.R and fast.D == slow.D
 
 
-def test_disjoint_union_splits_into_its_parts(monkeypatch):
-    """Two knot closures as consecutive event blocks, split at the junction.
+def test_disjoint_union_splits_into_its_parts():
+    """Two knot closures as consecutive event blocks.
 
     find_split offers the connected-sum slice before the first block's last
-    cap, which comes before the zero-strand junction, so the engines only
-    meet a disjoint-union slice next to a crossingless block, and reduction
-    removes those.  The test offers the junction to run the disjoint-union
-    rule R(A u B) = R(A) R(B) with dirs (R) and without (D).
+    cap, one event before the zero-strand junction, and the connected-sum
+    rule then gives R(A u B) = R(A) R(B), with dirs (R) and without (D).
     """
-    import knotpoly.skein as skein
     d1 = braid_closure(parse_braid("braid 2: 1 1 1"))
     d2 = braid_closure(parse_braid("braid 3: 1 -2 1 -2")).reversed()
     union = MorseDiagram(d1.events + d2.events, d1.dirs + d2.dirs)
     junction = len(d1.events)
-    assert find_split(union.events) == (junction - 1, 2)
-    assert find_split((("cup", 0), ("cap", 0)) + d2.events) == (2, 0)
+    assert find_split(union.events) == junction - 1
     assert reduce_diagram(union.events, union.dirs) == (union.events, union.dirs, 0, 0)
-    offered = []
-
-    def junction_first(events):
-        if events == union.events:
-            offered.append(events)
-            return junction, 0
-        return find_split(events)
-    monkeypatch.setattr(skein, "find_split", junction_first)
     for engine in (homfly_R, kauffman_D):
-        offered.clear()
         value = engine(union, SkeinCache())
-        assert len(offered) == 1
         assert value == engine(union, SkeinCache(), allow_split=False)
         assert value == engine(d1, SkeinCache()) * engine(d2, SkeinCache())
+
+
+def _crossingless_block(rng, max_cups=4):
+    """Random cups and caps from no strands back to none."""
+    events, strands, cups = [], 0, 0
+    while True:
+        if strands and (cups == max_cups or rng.random() < 0.5):
+            events.append(("cap", rng.randint(0, strands - 2)))
+            strands -= 2
+            if not strands:
+                return events
+        else:
+            events.append(("cup", rng.randint(0, strands)))
+            strands += 2
+            cups += 1
+
+
+def test_reduced_diagrams_split_before_any_zero_strand_slice():
+    """Why find_split needs no disjoint-union rule.
+
+    Seeded unions of 2-4 blocks (braid closures and crossingless blocks) are
+    reduced with and without dirs.  Wherever a reduced diagram has an
+    interior zero-strand slice, find_split returns a connected-sum slice
+    before it; and R and D of every union equal the split-free recursion.
+    """
+    rng = random.Random(91)
+    split_cache, plain_cache = SkeinCache(), SkeinCache()
+    zero_slices = 0
+    for _ in range(1000):
+        blocks = [braid_closure(random_braid(rng, max_strands=4, max_letters=7))
+                  if rng.random() < 0.6 else MorseDiagram(_crossingless_block(rng))
+                  for _ in range(rng.randint(2, 4))]
+        events = sum((b.events for b in blocks), ())
+        dirs = sum((b.dirs for b in blocks), ())
+        for ev, _dirs, _a, _c in (reduce_diagram(events, dirs), reduce_diagram(events)):
+            strands = itertools.accumulate({"cup": 2, "cap": -2}.get(e[0], 0)
+                                           for e in ev[:-1])
+            zero = next((i + 1 for i, s in enumerate(strands) if s == 0), None)
+            if zero is not None:
+                zero_slices += 1
+                pos = find_split(ev)
+                assert pos is not None and pos < zero, ev
+        union = MorseDiagram(events, dirs)
+        assert homfly_R(union, split_cache) == \
+            homfly_R(union, plain_cache, allow_split=False)
+        assert kauffman_D(union, split_cache) == \
+            kauffman_D(union, plain_cache, allow_split=False)
+    assert zero_slices > 200
 
 
 def test_cache_consistency_and_stats(cache):
