@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
@@ -172,18 +173,20 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
     cfg.validate()
     words = [tuple(b.letters) for b in enumerate_braids(cfg)]
     n = cfg.max_strands
-    if cfg.jobs == 1:
+    # the pool starts all its workers at once, so no more than there are CPUs
+    workers = min(cfg.jobs, os.cpu_count() or 1)
+    if workers == 1:
         rows = _worker((n, words, cfg.cache))
     else:
-        chunks = [words[i::cfg.jobs] for i in range(cfg.jobs)]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        chunks = [words[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 _worker,
                 [(n, chunk, cfg.cache) for chunk in chunks]))
         # restore enumeration order from the strided split
         rows = [None] * len(words)
         for j, chunk_rows in enumerate(results):
-            rows[j::cfg.jobs] = chunk_rows
+            rows[j::workers] = chunk_rows
     knots = [(letters, rep) for letters, rep in zip(words, rows)
              if rep is not None]
 

@@ -66,8 +66,6 @@ def check_front_bounds(f: FrontWord,
     """Bounds b and c for a knot front."""
     if f.component_count() != 1:
         raise DiagramError("bound report requires a knot front")
-    if cache is None:
-        cache = SkeinCache.from_env()
     inv = classical_invariants(f)
     res = full_invariants(f.morsify(), cache)
     slack_b = res.e_P - (inv.tb + abs(inv.maslov))
@@ -84,8 +82,6 @@ def check_front_bounds(f: FrontWord,
 
 def mfw_check(b: BraidWord, cache: Optional[SkeinCache] = None) -> BoundReport:
     """Braid bound for a closure (knot or link)."""
-    if cache is None:
-        cache = SkeinCache.from_env()
     d = braid_closure(b)
     res = full_invariants(d, cache)
     slack = res.e_P + b.exponent_sum() + b.strands
@@ -112,7 +108,5 @@ def additivity_audit(d1: MorseDiagram, d2: MorseDiagram,
 
 def ep_ey_compare(d: MorseDiagram, cache: Optional[SkeinCache] = None) -> dict:
     """e_P versus e_Y; witness means e_P < e_Y."""
-    if cache is None:
-        cache = SkeinCache.from_env()
     res = full_invariants(d, cache)
     return {"e_P": res.e_P, "e_Y": res.e_Y, "witness": res.e_P < res.e_Y}

@@ -38,7 +38,9 @@ is dropped when a site has no entry, and the patterns pin the orientation
 flips of the components they touch; zero-weight states are never formed.
 One `diagram.scan` per choice splices and orients (each component's
 first-born thread at the alphabet's seed dir); its probes name the threads
-each site's pattern reads.  Both sums read the same two tallies of a state,
+each site's pattern reads.  A state is the spliced, oriented object, with
+`events` and `dirs` as on any closed diagram here, so the diagram sum hands
+it to `homfly_R` as it is.  Both sums read the same two tallies of a state,
 left-up (cups whose lower thread runs west) and right-down (caps whose lower
 thread runs west); the diagram's rotation is #cups - left-up - right-down.
 """
@@ -90,23 +92,22 @@ FRONT_ALPHABET = Alphabet(*FRONT_KINDS, ("h", "c"))
 
 @dataclass
 class SpliceState:
-    """One splice pattern plus an orientation of the spliced object."""
+    """One state: the spliced, oriented object and how it was spliced."""
 
     choices: tuple[int, ...]          # per crossing: 0 none, 1 horizontal, 2 wall/cusp pair
     flips: tuple[bool, ...]           # per component of the spliced object
     v_count: int
     h_count: int
-    spliced_events: tuple
-    spliced_dirs: tuple
-    cups: int                         # cups (left cusps) of the spliced object
+    events: tuple                     # spliced events
+    dirs: tuple                       # per thread of the spliced object, +-1
     left_up: int                      # cups whose lower thread runs west
     right_down: int                   # caps whose lower thread runs west
     sign: int                         # product of the local weights' signs
 
     @property
     def r_sigma(self) -> int:
-        """Rotation of the spliced, oriented object (as many caps as cups)."""
-        return self.cups - self.left_up - self.right_down
+        """Rotation of the spliced, oriented object; two threads per cup."""
+        return len(self.dirs) // 2 - self.left_up - self.right_down
 
 
 def _pin(sp: Scan, patterns: list) -> Optional[dict]:
@@ -162,8 +163,7 @@ def nonzero_states(events: Sequence, alphabet: Alphabet,
                 yield SpliceState(
                     choices=choices, flips=flips,
                     v_count=choices.count(2), h_count=choices.count(1),
-                    spliced_events=sp.events, spliced_dirs=dirs,
-                    cups=len(sp.cup_lows),
+                    events=sp.events, dirs=dirs,
                     left_up=sum(dirs[lo] < 0 for lo in sp.cup_lows),
                     right_down=sum(dirs[lo] < 0 for lo in sp.cap_lows),
                     sign=sign)
@@ -193,8 +193,7 @@ def jaeger_both_sides(d: MorseDiagram, cache: Optional[SkeinCache] = None,
     contributions = []
     table = DIAGRAM_WEIGHTS if weights is None else weights
     for st in nonzero_states(d.events, DIAGRAM_ALPHABET, table):
-        kd = MorseDiagram(st.spliced_events, st.spliced_dirs)
-        rsub = substitute_jaeger(homfly_R(kd, cache), "homfly_rhs")
+        rsub = substitute_jaeger(homfly_R(st, cache), "homfly_rhs")
         # [K, state] (t a^-1)^r = sign (t a^-1)^r tau^(V+H)
         unit = LaurentPoly.monomial(st.sign, st.r_sigma, -st.r_sigma)
         term = rsub.scaled(unit, st.v_count + st.h_count)
@@ -209,8 +208,7 @@ def jaeger_both_sides(d: MorseDiagram, cache: Optional[SkeinCache] = None,
 
 def _front_term(st: SpliceState, cache: SkeinCache) -> DeltaFraction:
     """(a t^-1)^(#left-up + #right-down) [L, state] R(morsified spliced front)."""
-    m = MorseDiagram(diagram_events_of(st.spliced_events, morsified=True),
-                     st.spliced_dirs)
+    m = MorseDiagram(diagram_events_of(st.events, morsified=True), st.dirs)
     rsub = substitute_jaeger(homfly_R(m, cache), "homfly_rhs")
     e = st.left_up + st.right_down
     v = st.v_count
@@ -281,7 +279,7 @@ def proof_chain_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> dict:
            "r_factor_ok": True, "master_ok": None}
     for st in nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS):
         out["states"] += 1
-        lsig = FrontWord(st.spliced_events, st.spliced_dirs)
+        lsig = FrontWord(st.events, st.dirs)
         ksig = lsig.rounded()
         nu_sig = lsig.cusp_count() // 2
         if nu != nu_sig - st.v_count:

@@ -190,12 +190,12 @@ def _split_dirs(events: tuple, dirs: Optional[tuple], pos: int):
     e2 = (("cup", 0),) + events[pos:]
     if dirs is None:
         return e1, None, e2, None
-    # the closing cap takes the two threads at the slice
-    ncups1 = sum(1 for e in events[:pos] if e[0] == "cup")
+    # prefix threads come first; its closing cap takes the two at the slice
     prefix = scan(e1, DIAGRAM_KINDS)
+    n1 = len(prefix.dirs)
     lo = prefix.cap_lows[-1]
-    d2 = (dirs[lo], dirs[prefix.cap_mate[lo]]) + dirs[2 * ncups1:]
-    return e1, dirs[:2 * ncups1], e2, d2
+    d2 = (dirs[lo], dirs[prefix.cap_mate[lo]]) + dirs[n1:]
+    return e1, dirs[:n1], e2, d2
 
 
 def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
@@ -259,7 +259,8 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
 def homfly_R(d: MorseDiagram, cache: Optional[SkeinCache] = None,
              stats: Optional[SkeinStats] = None,
              allow_split: bool = True) -> LaurentPoly:
-    """Regular-isotopy HOMFLY polynomial of an oriented closed diagram."""
+    """Regular-isotopy HOMFLY polynomial of any oriented closed diagram with
+    `events` and `dirs`, such as a `MorseDiagram` or a diagram state."""
     if cache is None:
         cache = SkeinCache.from_env()
     return _skein_eval(d.events, d.dirs, kauffman=False, cache=cache,
@@ -269,7 +270,8 @@ def homfly_R(d: MorseDiagram, cache: Optional[SkeinCache] = None,
 def kauffman_D(d: MorseDiagram, cache: Optional[SkeinCache] = None,
                stats: Optional[SkeinStats] = None,
                allow_split: bool = True) -> LaurentPoly:
-    """Regular-isotopy Dubrovnik polynomial; orientation is ignored."""
+    """Regular-isotopy Dubrovnik polynomial of any closed diagram's `events`
+    (a `MorseDiagram` or a diagram state); orientation is ignored."""
     if cache is None:
         cache = SkeinCache.from_env()
     return _skein_eval(d.events, None, kauffman=True, cache=cache,
@@ -295,9 +297,8 @@ class SkeinResult:
 def full_invariants(d: MorseDiagram, cache: Optional[SkeinCache] = None,
                     stats: Optional[SkeinStats] = None,
                     allow_split: bool = True) -> SkeinResult:
-    """R, D and the writhe-normalized P, Y with their least a-degrees."""
-    if cache is None:
-        cache = SkeinCache.from_env()
+    """R, D and the writhe-normalized P, Y with their least a-degrees, of a
+    closed diagram with `events`, `dirs` and `writhe` (a `MorseDiagram`)."""
     R = homfly_R(d, cache, stats, allow_split)
     D = kauffman_D(d, cache, stats, allow_split)
     w = d.writhe

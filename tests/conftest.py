@@ -7,7 +7,8 @@ from knotpoly.laurent import LaurentPoly
 from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               braid_closure, crossing_surgery, scan)
 from knotpoly.front import FrontWord
-from knotpoly.skein import SkeinCache, full_invariants, DELTA, DELTA_D
+from knotpoly.skein import (CACHE_ENV_VAR, SkeinCache, full_invariants, DELTA,
+                            DELTA_D)
 
 A = LaurentPoly.monomial(1, 0, 1)
 AINV = LaurentPoly.monomial(1, 0, -1)
@@ -36,6 +37,12 @@ INVALID_EVENTS = (
     [("cup", 3)],                             # level out of range
     [("cup", 0), ("x", 0, 2), ("cap", 0)],    # crossing sign not +-1
 )
+
+
+@pytest.fixture(autouse=True)
+def no_env_cache(monkeypatch):
+    """The suite ignores the user's cache file; tests that need one set it."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
 
 
 @pytest.fixture(scope="session")

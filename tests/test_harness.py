@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from knotpoly import harness
 from knotpoly.harness import SearchConfig, enumerate_braids, search, load_config
 from knotpoly.cli import main
 
@@ -85,6 +86,36 @@ def test_search_parallel_matches_serial(tmp_path):
                        predicate="all", out=str(tmp_path / "p.csv"), jobs=2)
     search(par)
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cpus, pools", [(None, []), (1, []), (3, [3])])
+def test_search_jobs_bounded_by_cpu_count(monkeypatch, cpus, pools):
+    """`jobs` above the CPU count asks the pool for one worker per CPU.
+
+    The pool is a fake that records `max_workers` and maps in-process, so
+    no process starts; one CPU (or an unknown count) runs serially.
+    """
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    settings = dict(max_strands=3, max_letters=4, dedup="none", predicate="all")
+    serial = search(SearchConfig(**settings))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    assert search(SearchConfig(**settings, jobs=10_000)) == serial
+    assert asked == pools
 
 
 def test_search_bound_violation_predicate_empty(tmp_path):
@@ -451,7 +482,6 @@ def _readme_cli_lines() -> list[str]:
 
 @pytest.mark.parametrize("line", _readme_cli_lines())
 def test_readme_cli_examples(tmp_path, monkeypatch, capsys, line):
-    monkeypatch.delenv("KNOTPOLY_CACHE", raising=False)
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(line, comments=True)[1:]) == 0
 

@@ -12,7 +12,7 @@ import knotpoly
 from knotpoly.laurent import LaurentPoly, DeltaFraction, TAU, substitute_jaeger
 from knotpoly.diagram import MorseDiagram, parse_braid, braid_closure, scan
 from knotpoly.front import FrontWord, saucer_front, crossed_saucer_front
-from knotpoly.skein import CACHE_ENV_VAR, SkeinCache, kauffman_D
+from knotpoly.skein import CACHE_ENV_VAR, SkeinCache, homfly_R, kauffman_D
 from knotpoly.jaeger import (SpliceState, nonzero_states, jaeger_both_sides,
                              lj_both_sides, lemma_check, proof_chain_check,
                              DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, FRONT_ALPHABET,
@@ -62,8 +62,7 @@ def all_states(events, alphabet):
                 "cusp-class / rotation relation broke"
             yield SpliceState(choices=choices, flips=flips,
                               v_count=v_count, h_count=h_count,
-                              spliced_events=spliced, spliced_dirs=dirs,
-                              cups=cups_sigma, left_up=left_up,
+                              events=spliced, dirs=dirs, left_up=left_up,
                               right_down=right_down, sign=sign)
 
 
@@ -112,6 +111,26 @@ def test_states_match_brute_force():
         assert got == want, events
         counts[alphabet] += len(got)
     assert all(counts.values())
+
+
+def test_diagram_states_are_closed_diagrams():
+    """A diagram state is an oriented closed diagram as it stands.
+
+    On 120 seeded closures, every state's dirs orient its events, its
+    r_sigma is that diagram's rotation, and R of the state equals R of the
+    `MorseDiagram` rebuilt from it, each on its own cache.
+    """
+    rng = random.Random(1010)
+    c1, c2 = SkeinCache(), SkeinCache()
+    states = 0
+    for _ in range(120):
+        d = braid_closure(random_braid(rng, max_strands=4, max_letters=5))
+        for st in nonzero_states(d.events, DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS):
+            rebuilt = MorseDiagram(st.events, st.dirs)
+            assert rebuilt.rotation == st.r_sigma, st
+            assert homfly_R(st, c1) == homfly_R(rebuilt, c2), st
+            states += 1
+    assert states > 1000
 
 
 def test_jaeger_identity_examples(cache):
