@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification failed (identity or bound), 2 usage
 or parse error (`ParseError`, `DiagramError`), 3 an I/O error (cache, config
-or output file), 4 an internal error (an engine invariant broke or an engine
-raised any other `ValueError`; a bug, not a verdict on the input).
+or output file, or a malformed cache record), 4 an internal error (any other
+exception, such as a broken engine invariant or a `RecursionError` on a very
+deep input; a bug or a limit, not a verdict on the input).
 """
 
 from __future__ import annotations
@@ -214,8 +215,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 3
-    except (AssertionError, ValueError) as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
+    except Exception as exc:  # a bug, never exit 1 or a traceback
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 4
     finally:
         if args.skein_cache is not None:

@@ -39,22 +39,21 @@ flips of the components they touch; zero-weight states are never formed.
 One `diagram.scan` per choice splices and orients (each component's
 first-born thread at the alphabet's seed dir); its probes name the threads
 each site's pattern reads.  A state is the spliced, oriented object, with
-`events` and `dirs` as on any closed diagram here, so the diagram sum hands
-it to `homfly_R` as it is.  Both sums read the same two tallies of a state,
-left-up (cups whose lower thread runs west) and right-down (caps whose lower
-thread runs west); the diagram's rotation is #cups - left-up - right-down.
+`events` and `dirs` as on any closed diagram here: it reaches `homfly_R` as
+it is, a front state with its events morsified, and the proof chain's one
+object per state is the rounding K_sigma.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, DeltaFraction, substitute_jaeger
 from .diagram import DIAGRAM_KINDS, MorseDiagram, Scan, flipped_dirs, scan
 from .front import FRONT_KINDS, FrontWord, diagram_events_of
-from .skein import SkeinCache, homfly_R, kauffman_D
+from .skein import ClosedDiagram, SkeinCache, homfly_R, kauffman_D
 
 # weight = coeff * tau at the listed oriented pattern; all others vanish
 DIAGRAM_WEIGHTS: dict[tuple[int, str, tuple[int, int]], int] = {
@@ -184,7 +183,7 @@ class Certificate:
                            for c, f, t in self.contributions]}
 
 
-def jaeger_both_sides(d: MorseDiagram, cache: Optional[SkeinCache] = None,
+def jaeger_both_sides(d: ClosedDiagram, cache: Optional[SkeinCache] = None,
                       weights: Optional[dict] = None) -> Certificate:
     """Evaluate both sides of the state-sum identity for a diagram."""
     if cache is None:
@@ -208,7 +207,7 @@ def jaeger_both_sides(d: MorseDiagram, cache: Optional[SkeinCache] = None,
 
 def _front_term(st: SpliceState, cache: SkeinCache) -> DeltaFraction:
     """(a t^-1)^(#left-up + #right-down) [L, state] R(morsified spliced front)."""
-    m = MorseDiagram(diagram_events_of(st.events, morsified=True), st.dirs)
+    m = replace(st, events=tuple(diagram_events_of(st.events, morsified=True)))
     rsub = substitute_jaeger(homfly_R(m, cache), "homfly_rhs")
     e = st.left_up + st.right_down
     v = st.v_count
@@ -271,6 +270,7 @@ def proof_chain_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> dict:
     [K, sigma] = (-1)^H tau^(V+H), nu = nu_sigma - V, and
     nu_sigma - r(K_sigma) = #left-up + #right-down; plus the cusp-rounding
     relation D(l)(tau, a^2 t^-1) = (a^2 t^-1)^nu D(K)(tau, a^2 t^-1).
+    K_sigma is built from the state's events and dirs, not from its tallies.
     """
     if cache is None:
         cache = SkeinCache.from_env()
@@ -279,9 +279,9 @@ def proof_chain_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> dict:
            "r_factor_ok": True, "master_ok": None}
     for st in nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS):
         out["states"] += 1
-        lsig = FrontWord(st.events, st.dirs)
-        ksig = lsig.rounded()
-        nu_sig = lsig.cusp_count() // 2
+        lsig = replace(st, events=tuple(diagram_events_of(st.events, morsified=True)))
+        ksig = MorseDiagram(diagram_events_of(st.events), st.dirs)
+        nu_sig = len(ksig.cup_lows)  # l_sigma has two cusps per cup of K_sigma
         if nu != nu_sig - st.v_count:
             out["nu_ok"] = False
         if nu_sig - ksig.rotation != st.left_up + st.right_down:
@@ -289,7 +289,7 @@ def proof_chain_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> dict:
         # front weight sign (t a^-2)^V tau^(V+H) = (t a^-2)^V (-1)^H tau^(V+H)
         if st.sign != (-1) ** st.h_count:
             out["weight_ok"] = False
-        r_l = homfly_R(lsig.morsify(), cache)
+        r_l = homfly_R(lsig, cache)
         r_k = homfly_R(ksig, cache)
         if r_k != r_l.shift(0, -nu_sig):
             out["r_factor_ok"] = False

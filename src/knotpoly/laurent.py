@@ -29,6 +29,9 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 
+_JSON_KEYS = {"ez", "ea", "c"}  # of one term in `LaurentPoly.to_json`
+
+
 class LaurentPoly:
     """Sparse two-variable Laurent polynomial over the integers."""
 
@@ -171,7 +174,18 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data: list[dict]) -> "LaurentPoly":
-        return LaurentPoly({(int(d["ez"]), int(d["ea"])): int(d["c"]) for d in data})
+        """Inverse of `to_json`; ValueError on any other shape."""
+        if type(data) is not list:
+            raise ValueError("terms are not a list")
+        terms = {}
+        for d in data:
+            if type(d) is not dict or d.keys() != _JSON_KEYS:
+                raise ValueError(f"bad term {d!r}")
+            ez, ea, c = d["ez"], d["ea"], d["c"]
+            if type(ez) is not int or type(ea) is not int or type(c) is not str:
+                raise ValueError(f"bad term {d!r}")
+            terms[ez, ea] = int(c)
+        return LaurentPoly(terms)
 
 
 def _var_index(var: str) -> int:

@@ -43,7 +43,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Protocol
 
 from .laurent import LaurentPoly, exact_divide
 from .diagram import (DIAGRAM_KINDS, MorseDiagram, reduce_diagram,
@@ -60,11 +60,22 @@ _DELTA_D_NUM = LaurentPoly({(1, 0): 1, (0, 1): 1, (0, -1): -1})
 CACHE_ENV_VAR = "KNOTPOLY_CACHE"
 
 
+class ClosedDiagram(Protocol):
+    """What the engines read of a closed diagram, such as a `MorseDiagram`
+    or a state of a state sum."""
+
+    events: tuple
+    dirs: tuple
+
+
 class SkeinCache:
     """Memo store for computed polynomials, optionally file-backed.
 
     The persistent file is append-only, one `hexkey<TAB>json` line per record;
-    concurrent appends of identical records are harmless.
+    concurrent appends of identical records are harmless.  A malformed record
+    is an `OSError` naming `path:line`.  A last line with no newline is an
+    append cut short: it is skipped, and cut off the file before this cache
+    appends to it.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -73,22 +84,31 @@ class SkeinCache:
         self._fh = None
         if path:
             if os.path.exists(path):
-                try:
-                    with open(path, "r", encoding="ascii") as fh:
-                        for line in fh:
-                            line = line.strip()
-                            if not line:
-                                continue
-                            keyhex, _, payload = line.partition("\t")
-                            try:
-                                self.mem[bytes.fromhex(keyhex)] = \
-                                    LaurentPoly.from_json(json.loads(payload))
-                            except (ValueError, json.JSONDecodeError):
-                                continue  # torn write; ignore the record
-                except UnicodeDecodeError as exc:
-                    raise OSError(f"cache file {path} is not ASCII "
-                                  f"({exc.reason})") from None
+                self._load(path)
             self._fh = open(path, "a", encoding="ascii")
+
+    def _load(self, path: str) -> None:
+        end = 0
+        try:
+            with open(path, "rb") as fh:
+                for lineno, raw in enumerate(fh, 1):
+                    start, end = end, end + len(raw)
+                    if not raw.endswith(b"\n"):
+                        os.truncate(path, start)
+                        break
+                    line = raw.decode("ascii").strip()
+                    if not line:
+                        continue
+                    keyhex, _, payload = line.partition("\t")
+                    try:
+                        value = LaurentPoly.from_json(json.loads(payload))
+                        self.mem[bytes.fromhex(keyhex)] = value
+                    except ValueError:  # JSONDecodeError is one
+                        raise OSError(f"cache file {path}:{lineno}: "
+                                      "malformed record") from None
+        except UnicodeDecodeError as exc:
+            raise OSError(f"cache file {path} is not ASCII "
+                          f"({exc.reason})") from None
 
     @staticmethod
     def from_env() -> "SkeinCache":
@@ -256,22 +276,21 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
     return mult * val
 
 
-def homfly_R(d: MorseDiagram, cache: Optional[SkeinCache] = None,
+def homfly_R(d: ClosedDiagram, cache: Optional[SkeinCache] = None,
              stats: Optional[SkeinStats] = None,
              allow_split: bool = True) -> LaurentPoly:
-    """Regular-isotopy HOMFLY polynomial of any oriented closed diagram with
-    `events` and `dirs`, such as a `MorseDiagram` or a diagram state."""
+    """Regular-isotopy HOMFLY polynomial of an oriented closed diagram."""
     if cache is None:
         cache = SkeinCache.from_env()
     return _skein_eval(d.events, d.dirs, kauffman=False, cache=cache,
                        stats=stats or SkeinStats(), allow_split=allow_split)
 
 
-def kauffman_D(d: MorseDiagram, cache: Optional[SkeinCache] = None,
+def kauffman_D(d: ClosedDiagram, cache: Optional[SkeinCache] = None,
                stats: Optional[SkeinStats] = None,
                allow_split: bool = True) -> LaurentPoly:
-    """Regular-isotopy Dubrovnik polynomial of any closed diagram's `events`
-    (a `MorseDiagram` or a diagram state); orientation is ignored."""
+    """Regular-isotopy Dubrovnik polynomial of a closed diagram; orientation
+    is ignored."""
     if cache is None:
         cache = SkeinCache.from_env()
     return _skein_eval(d.events, None, kauffman=True, cache=cache,

@@ -282,7 +282,7 @@ def test_cli_engine_value_error_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "full_invariants", broken)
     assert main(["poly", "--braid", "braid 2: 1 1 1"]) == 4
     assert (capsys.readouterr().err
-            == "internal error: undefined degree: zero polynomial\n")
+            == "internal error: ValueError: undefined degree: zero polynomial\n")
 
 
 def test_cli_internal_error_has_own_code(monkeypatch, capsys):
@@ -292,7 +292,60 @@ def test_cli_internal_error_has_own_code(monkeypatch, capsys):
         raise AssertionError("invariant broke")
     monkeypatch.setattr(cli, "full_invariants", broken)
     assert main(["poly", "--braid", "braid 2: 1 1 1"]) == 4
-    assert capsys.readouterr().err == "internal error: invariant broke\n"
+    assert (capsys.readouterr().err
+            == "internal error: AssertionError: invariant broke\n")
+
+
+def test_cli_any_other_exception_is_internal_error(monkeypatch, capsys):
+    import knotpoly.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("ez")
+    monkeypatch.setattr(cli, "full_invariants", broken)
+    assert main(["poly", "--braid", "braid 2: 1 1 1"]) == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 'ez'\n"
+
+
+def test_cli_deep_recursion_is_internal_error(capsys):
+    """A 1,500-crossing closure outruns the recursion limit: exit 4, one line."""
+    assert main(["poly", "--braid", "braid 2: " + " ".join(["1"] * 1500)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RecursionError:")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def _cache_records(tmp_path) -> str:
+    """The cache file that `poly` on the trefoil closure writes."""
+    path = tmp_path / "records.txt"
+    assert main(["poly", "--braid", "braid 2: 1 1 1", "--cache", str(path)]) == 0
+    return path.read_text()
+
+
+def test_cli_malformed_cache_record_is_io_error(tmp_path, capsys):
+    records = _cache_records(tmp_path)
+    path = tmp_path / "c.txt"
+    path.write_text('R\t[{"ez":0}]\n' + records)
+    capsys.readouterr()
+    assert main(["poly", "--braid", "braid 2: 1 1 1", "--cache", str(path)]) == 3
+    assert (capsys.readouterr().err
+            == f"io error: cache file {path}:1: malformed record\n")
+
+
+def test_cli_torn_last_cache_record_is_skipped(tmp_path, capsys):
+    """A last line with no newline is an append cut short: it is skipped,
+    and cut off the file."""
+    argv = ["poly", "--braid", "braid 2: 1 1 1"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    records = _cache_records(tmp_path)
+    path = tmp_path / "c.txt"
+    path.write_text(records + 'R\t[{"ez"')
+    capsys.readouterr()
+    assert main(argv + ["--cache", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain and captured.err == ""
+    assert path.read_text() == records
 
 
 @pytest.fixture

@@ -237,6 +237,53 @@ def test_proof_chain_relations(cache):
         assert pc["r_factor_ok"] and pc["master_ok"], f.events
 
 
+def test_front_states_reach_the_engine_as_they_are(monkeypatch):
+    """The front sums hand `homfly_R` each state with its events morsified.
+
+    On 50 seeded fronts: `lj_both_sides` and `lemma_check` build no
+    `FrontWord` and at most one `MorseDiagram` (the front's morsification);
+    `proof_chain_check` builds one `MorseDiagram` per state (K_sigma) plus
+    two per front (its morsification and rounding) and no `FrontWord`; and
+    for each state, `lj_both_sides` and `lemma_check` hand over a
+    `SpliceState` with the events and dirs of
+    `FrontWord(st.events, st.dirs).morsify()`.
+    """
+    import knotpoly.jaeger as jaeger
+    rng = random.Random(1111)
+    fronts = [random_front(rng, max_crossings=3) for _ in range(50)]
+    per_front = [list(nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS))
+                 for f in fronts]
+    morsified = [[FrontWord(st.events, st.dirs).morsify() for st in states]
+                 for states in per_front]
+    builds = {}
+    for cls in (MorseDiagram, FrontWord):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+            builds[_name] += 1
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", counted)
+    handed = []
+
+    def recorded(d, *args, **kw):
+        handed.append(d)
+        return homfly_R(d, *args, **kw)
+    monkeypatch.setattr(jaeger, "homfly_R", recorded)
+    cache = SkeinCache()
+    for f, states, want in zip(fronts, per_front, morsified):
+        for check in (lj_both_sides, lemma_check, proof_chain_check):
+            builds.update(MorseDiagram=0, FrontWord=0)
+            handed.clear()
+            check(f, cache)
+            assert builds["FrontWord"] == 0, (check.__name__, f.events)
+            if check is proof_chain_check:
+                assert builds["MorseDiagram"] == len(states) + 2, f.events
+                continue
+            assert builds["MorseDiagram"] <= 1, (check.__name__, f.events)
+            assert len(handed) == len(states), (check.__name__, f.events)
+            for got, st, m in zip(handed, states, want):
+                assert type(got) is SpliceState and got.choices == st.choices
+                assert (got.events, got.dirs) == (m.events, m.dirs), f.events
+
+
 def test_rhs_summation_order_invariant(cache):
     """The state sum is a commutative reduction; order must not matter."""
     f = crossed_saucer_front()

@@ -164,6 +164,22 @@ def test_json_round_trip_and_sorting():
     assert LaurentPoly.from_json(blob) == p
 
 
+@pytest.mark.parametrize("blob", [
+    {"ez": 0, "ea": 0, "c": "1"},                # not a list
+    [{"ez": 0}],                                 # keys missing
+    [{"ez": 0, "ea": 0, "c": "1", "x": 0}],      # a key too many
+    [{"ez": "0", "ea": 0, "c": "1"}],            # exponent not an integer
+    [{"ez": True, "ea": 0, "c": "1"}],
+    [{"ez": 0, "ea": 0, "c": 1}],                # coefficient not a string
+    [{"ez": 0, "ea": 0, "c": "1.5"}],
+    [{"ez": 0, "ea": 0, "c": ""}],
+    [[0, 0, "1"]],
+])
+def test_from_json_rejects_other_shapes(blob):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json(blob)
+
+
 def test_exact_divide_delta_matches_generic_division():
     """The synthetic t - t^-1 kernel against the generic long division."""
     rng = random.Random(3)

@@ -226,6 +226,24 @@ def test_persistent_cache_roundtrip(tmp_path):
     assert stats.cache_hits >= 1
 
 
+def test_persistent_cache_appends_after_torn_line(tmp_path):
+    """Records appended after a torn last line load on the next open."""
+    path = tmp_path / "cache.txt"
+    trefoil = braid_closure(parse_braid("braid 2: 1 1 1"))
+    fig8 = braid_closure(parse_braid("braid 3: 1 -2 1 -2"))
+    c1 = SkeinCache(str(path))
+    homfly_R(trefoil, c1)
+    c1.close()
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("52\t[{")
+    c2 = SkeinCache(str(path))
+    r = homfly_R(fig8, c2)
+    c2.close()
+    c3 = SkeinCache(str(path))
+    c3.close()
+    assert c3.mem == c2.mem and homfly_R(fig8, c3) == r
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     path = str(tmp_path / "envcache.txt")
     monkeypatch.setenv(CACHE_ENV_VAR, path)
