@@ -1,0 +1,346 @@
+"""Algebra engines for braid closures: R in the Hecke algebra, D in the BMW
+algebra.
+
+A braid word on n strands is multiplied out letter by letter in an algebra
+with a finite basis, and the closure's polynomial is a trace of the product.
+A long word then costs one basis update per letter, where the skein engines
+expand a recursion over the whole diagram.
+
+R (Morton-Short, "Calculating the 2-variable polynomial for knots presented
+as closed braids", J. Algorithms 11, 1990).  The Hecke algebra H_n has the
+basis T_w, w in S_n, with g_i = T_(s_i) the positive crossing of strands i
+and i+1 (counted from 0):
+
+    T_w g_i    = T_(w s_i)              if l(w s_i) > l(w)
+               = T_(w s_i) + z T_w      otherwise
+    g_i^-1     = g_i - z
+
+The closure is the Ocneanu trace in this repository's conventions:
+tr(x) = delta tr_(n-1)(x) for x in H_(n-1), and tr(x g_(n-2) y) =
+a tr_(n-1)(x y) for x, y in H_(n-1) (a positive curl), so tr_n(1) =
+delta^n.  A permutation w that moves the last strand is w = u s_(n-2) ...
+s_p with u in S_(n-1) and the lengths adding, which gives
+tr(T_w) = a tr_(n-1)(T_u g_(n-3) ... g_p).
+
+D (Birman-Wenzl, Trans. AMS 313, 1989; Murakami, Osaka J. Math. 24, 1987)
+on the basis of totally descending tangles (Morton-Wassermann, "A basis for
+the Birman-Wenzl algebra", arXiv:1012.3116).  An open tangle here is an
+event list on a strand stack that starts and ends with n strands.  Its end
+points are ordered: the left ends S_0 ... S_(n-1), then the right ends
+E_0 ... E_(n-1).  The tangle's arcs are taken in the order of their first
+end points and each is traversed from that end point, then its closed
+loops in birth order.  The tangle is descending when each crossing is
+first met on its over strand.  A descending tangle is its Brauer diagram b
+(the matching of the end points) with each arc lying above the later ones
+and the loops split off below, so it equals a^w delta_D^k R_b, with w the
+writhe of its self-crossings and k its loops.  R_b is the descending
+tangle of b whose arcs do not cross themselves.
+
+R_b g_i^+-1 and the traces tr(R_b) come from the descending recursion of
+the skein engine, run on open tangles: the crossings first met on their
+under strand are switched, D(L+) - D(L-) = z (D(L_par) - D(L_turn)), and
+each smoothing recurses with one crossing fewer.  The trace of R_b is the
+same recursion on its closure, a tangle with no end points.  Tangles are
+planar-reduced with `diagram.reduce_diagram` before they are memoized: the
+reduction rules are local, so they hold on open tangles too.
+
+Tables (traces, basis tangles, structure constants, the tangle memo) are
+built on demand in a dict the caller passes, in memory only:
+`braid_invariants` passes its `SkeinCache`'s `tables`, so that callers
+sharing a cache share its tables.  Nothing is built at import.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from .laurent import LaurentPoly
+from .diagram import BraidWord, braid_closure, reduce_diagram
+from .skein import DELTA, DELTA_D, SkeinCache, SkeinResult, memo_value
+
+_ONE = LaurentPoly.one()
+
+
+def _add(out: dict, key, c: LaurentPoly) -> None:
+    s = out[key] + c if key in out else c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+# -- R in the Hecke algebra ---------------------------------------------------
+
+
+def _hecke_mul(x: dict, i: int, positive: bool) -> dict:
+    """x g_i, or x g_i^-1 = x g_i - z x, on the T_w basis."""
+    out: dict = {}
+    for w, c in x.items():
+        _add(out, w[:i] + (w[i + 1], w[i]) + w[i + 2:], c)
+        if (w[i] > w[i + 1]) == positive:  # a descent for g_i, an ascent for g_i^-1
+            _add(out, w, c.shift(1, 0) if positive else -c.shift(1, 0))
+    return out
+
+
+def _hecke_trace(w: tuple, traces: dict) -> LaurentPoly:
+    """tr(T_w), memoized per permutation in `traces`."""
+    n = len(w)
+    if n == 0:
+        return _ONE
+    val = traces.get(w)
+    if val is None:
+        p = w.index(n - 1)
+        u = w[:p] + w[p + 1:]
+        if p == n - 1:
+            val = DELTA * _hecke_trace(u, traces)
+        else:
+            y = {u: _ONE}
+            for i in range(n - 3, p - 1, -1):
+                y = _hecke_mul(y, i, True)
+            val = LaurentPoly()
+            for v, c in y.items():
+                val = val + c * _hecke_trace(v, traces)
+            val = val.shift(0, 1)
+        traces[w] = val
+    return val
+
+
+def hecke_R(b: BraidWord, tables: Optional[dict] = None) -> LaurentPoly:
+    """R of the closure of `b`, from the product of its letters in H_n.
+
+    `tables` keeps the traces for later calls (a `SkeinCache`'s `tables`).
+    """
+    x = {tuple(range(b.strands)): _ONE}
+    for l in b.letters:
+        x = _hecke_mul(x, abs(l) - 1, l > 0)
+    traces = {} if tables is None else tables.setdefault("hecke_trace", {})
+    val = LaurentPoly()
+    for w, c in x.items():
+        val = val + c * _hecke_trace(w, traces)
+    return val
+
+
+# -- D in the BMW algebra -----------------------------------------------------
+
+
+def _walk(n: int, events: tuple):
+    """Traverse an open tangle with n end points on each side.
+
+    Returns (violations, brauer, loops, writhe): the crossings first met on
+    the under strand as (ev_idx, sign, oriented sign if a self-crossing else
+    0) in the order met, the matching of the end points (end point e is S_e
+    for e < n and E_(e-n) otherwise), the number of closed loops, and the
+    writhe of the self-crossings.
+    """
+    active = list(range(n))
+    west: list[int] = list(range(n))   # per thread: its left end, or -1
+    mate: list[int] = [-1] * n         # birth mate of a cup's thread
+    cap_mate: list[int] = [-1] * n     # death mate, or -1 at a right end
+    passes: list[list[int]] = [[] for _ in range(n)]
+    crossings = []                     # (ev_idx, lo, hi, sign)
+    for idx, ev in enumerate(events):
+        kind, i = ev[0], ev[1]
+        if kind == "cup":
+            t = len(west)
+            west += (-1, -1)
+            mate += (t + 1, t)
+            cap_mate += (-1, -1)
+            passes += ([], [])
+            active[i:i] = (t, t + 1)
+        elif kind == "cap":
+            lo, hi = active[i], active[i + 1]
+            cap_mate[lo], cap_mate[hi] = hi, lo
+            del active[i:i + 2]
+        else:
+            lo, hi = active[i], active[i + 1]
+            passes[lo].append(len(crossings))
+            passes[hi].append(len(crossings))
+            crossings.append((idx, lo, hi, ev[2]))
+            active[i], active[i + 1] = hi, lo
+    east_end = {t: n + k for k, t in enumerate(active)}
+    starts = [(e, 1) for e in range(n)] + [(t, -1) for t in active]
+
+    component = [-1] * len(west)
+    d = [0] * len(west)
+    seen = bytearray(len(crossings))
+    met_under = []
+    brauer = [-1] * (2 * n)
+    comp = 0
+    loops = 0
+    for e in range(2 * n + len(west)):
+        if e < 2 * n:
+            if brauer[e] >= 0:
+                continue
+            t, direction = starts[e]
+        else:  # the loops, each from its first-born thread
+            t, direction = e - 2 * n, 1
+            if component[t] >= 0:
+                continue
+            loops += 1
+        first = t
+        while True:
+            component[t] = comp
+            d[t] = direction
+            plist = passes[t]
+            for cn in (plist if direction == 1 else reversed(plist)):
+                if seen[cn]:
+                    continue
+                seen[cn] = 1
+                ev_idx, lo, hi, s = crossings[cn]
+                # s = +1: the strand entering at the lower level passes over
+                if (t == lo) == (s == -1):
+                    met_under.append(cn)
+            if direction == 1:
+                if cap_mate[t] < 0:      # out at a right end
+                    brauer[e], brauer[east_end[t]] = east_end[t], e
+                    break
+                t, direction = cap_mate[t], -1
+            else:
+                if west[t] >= 0:         # out at a left end
+                    brauer[e], brauer[west[t]] = west[t], e
+                    break
+                t, direction = mate[t], 1
+            if t == first:  # a loop closes; an arc never returns
+                break
+        comp += 1
+
+    eps = [s * d[lo] * d[hi] if component[lo] == component[hi] else 0
+           for _, lo, hi, s in crossings]
+    viols = [(crossings[cn][0], crossings[cn][3], eps[cn]) for cn in met_under]
+    return viols, tuple(brauer), loops, sum(eps)
+
+
+def _eval(n: int, events: tuple, memo: dict) -> dict:
+    """The tangle on the R_b basis: {brauer: coefficient}."""
+    events, _, a_pow, circles = reduce_diagram(events)
+    val = memo.get((n, events))
+    if val is None:
+        val = memo[n, events] = _expand(n, events, memo)
+    if not a_pow and not circles:
+        return val
+    mult = (DELTA_D ** circles).shift(0, a_pow)
+    return {b: c * mult for b, c in val.items()}
+
+
+def _expand(n: int, events: tuple, memo: dict) -> dict:
+    """The descending recursion on a reduced tangle."""
+    viols, brauer, loops, writhe = _walk(n, events)
+    acc: dict = {}
+    cur = events
+    for ev_idx, s, eps in viols:
+        i = cur[ev_idx][1]
+        head, tail = cur[:ev_idx], cur[ev_idx + 1:]
+        # D(L+) - D(L-) = z (D(L_par) - D(L_turn)); L+ is s = +1
+        for b, c in _eval(n, head + tail, memo).items():
+            _add(acc, b, c.shift(1, 0) * s)
+        for b, c in _eval(n, head + (("cap", i), ("cup", i)) + tail, memo).items():
+            _add(acc, b, c.shift(1, 0) * -s)
+        cur = head + (("x", i, -s),) + tail
+        writhe -= 2 * eps
+    _add(acc, brauer, (DELTA_D ** loops).shift(0, writhe))
+    return acc
+
+
+def _cap_pairs(n: int, pairs: list, events: list) -> list:
+    """Cap the pairs of end points (0..n-1), innermost first; return the
+    stack of end points left.
+
+    Each pair's upper strand moves down to its partner, crossing exactly
+    the strands between them, whose arcs must cross the pair's arc.
+    """
+    stack = list(range(n))
+    for j, k in sorted(pairs, key=lambda p: p[1] - p[0]):
+        p, q = stack.index(j), stack.index(k)
+        for pos in range(q - 1, p, -1):
+            stack[pos], stack[pos + 1] = stack[pos + 1], stack[pos]
+            events.append(("x", pos, 1))
+        events.append(("cap", p))
+        del stack[p:p + 2]
+    return stack
+
+
+def _basis_tangle(n: int, b: tuple) -> tuple:
+    """R_b: the descending tangle of the matching b with the fewest crossings.
+
+    The left pairs are capped innermost first, then a permutation braid
+    takes the through strands to the order of their right ends, then the
+    right pairs are cupped (the mirror image of capping them).  Two arcs
+    cross at most once, and only when their end points interleave around
+    the boundary, so no arc crosses itself.  The crossing signs are then set
+    so that each crossing is first met on its over strand.
+    """
+    events: list = []
+    left = _cap_pairs(n, [(e, b[e]) for e in range(n) if e < b[e] < n], events)
+    right_events: list = []
+    right = _cap_pairs(n, [(e - n, b[e] - n) for e in range(n, 2 * n) if e < b[e]],
+                       right_events)
+    rank = {e: r for r, e in enumerate(right)}
+    stack = [rank[b[e] - n] for e in left]
+    for top in range(len(stack) - 1, 0, -1):  # bubble sort: one crossing per inversion
+        for i in range(top):
+            if stack[i] > stack[i + 1]:
+                stack[i], stack[i + 1] = stack[i + 1], stack[i]
+                events.append(("x", i, 1))
+    events += [("cup",) + ev[1:] if ev[0] == "cap" else ev
+               for ev in reversed(right_events)]
+    events = tuple(events)
+    for ev_idx, s, _ in _walk(n, events)[0]:
+        events = events[:ev_idx] + (("x", events[ev_idx][1], -s),) + events[ev_idx + 1:]
+    return events
+
+
+def bmw_D(b: BraidWord, tables: Optional[dict] = None) -> LaurentPoly:
+    """D of the closure of `b`, from the product of its letters in BMW_n.
+
+    `tables` keeps the tangle memo, the basis tangles, the structure
+    constants and the traces for later calls (a `SkeinCache`'s `tables`).
+    """
+    if tables is None:
+        tables = {}
+    memo, basis, steps, traces = (tables.setdefault(name, {}) for name in
+                                  ("bmw_memo", "bmw_basis", "bmw_step", "bmw_trace"))
+    n = b.strands
+
+    def tangle(br: tuple) -> tuple:
+        events = basis.get(br)
+        if events is None:
+            events = basis[br] = _basis_tangle(n, br)
+        return events
+
+    identity = tuple(range(n, 2 * n)) + tuple(range(n))
+    x = {identity: _ONE}
+    for l in b.letters:
+        out: dict = {}
+        for br, c in x.items():
+            step = steps.get((br, l))
+            if step is None:
+                crossing = ("x", abs(l) - 1, 1 if l > 0 else -1)
+                step = steps[br, l] = _eval(n, tangle(br) + (crossing,), memo)
+            for br2, c2 in step.items():
+                _add(out, br2, c * c2)
+        x = out
+    val = LaurentPoly()
+    for br, c in x.items():
+        tr = traces.get(br)
+        if tr is None:
+            closure = (tuple(("cup", i) for i in range(n)) + tangle(br)
+                       + tuple(("cap", i) for i in range(n - 1, -1, -1)))
+            tr = traces[br] = _eval(0, closure, memo).get((), LaurentPoly())
+        val = val + c * tr
+    return val
+
+
+def braid_invariants(b: BraidWord,
+                     cache: Optional[SkeinCache] = None) -> SkeinResult:
+    """The invariants of the closure of `b` from the algebra engines.
+
+    R and D are looked up in the cache under the skein engines' keys for the
+    reduced closure; on a miss the algebra values are stored there.  w is
+    the exponent sum, the closure's writhe.
+    """
+    if cache is None:
+        cache = SkeinCache()
+    d = braid_closure(b)
+    R = memo_value(d, cache, lambda: hecke_R(b, cache.tables), kauffman=False)
+    D = memo_value(d, cache, lambda: bmw_D(b, cache.tables), kauffman=True)
+    return SkeinResult.of(R, D, b.exponent_sum())

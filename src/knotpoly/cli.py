@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-    poly     invariants (R, D, P, Y, e_P, e_Y) of a braid closure or front
+    poly     invariants (R, D, P, Y, e_P, e_Y) of a braid closure or front;
+             a braid closure goes to the algebra engines, a front to skein
     front    tb / maslov of a front
     jaeger   state-sum certificate for a diagram
     lj       state-sum certificate for a front
@@ -9,7 +10,8 @@ Subcommands:
     sum      connected-sum invariants
     search   enumerate braid closures and report
 
-Exit codes: 0 success, 1 a verification failed (identity or bound), 2 usage
+Exit codes: 0 success, 1 a verification failed (identity, bound, or a
+search row that the algebra engines do not confirm), 2 usage
 or parse error (`ParseError`, `DiagramError`), 3 an I/O error (cache, config
 or output file, or a malformed cache record), 4 an internal error (any other
 exception, such as a broken engine invariant or a `RecursionError` on a very
@@ -30,8 +32,8 @@ from .front import parse_front, classical_invariants
 from .skein import SkeinCache, full_invariants, CACHE_ENV_VAR
 from .jaeger import jaeger_both_sides, lj_both_sides
 from .inequalities import check_front_bounds, mfw_check, CSV_HEADER
-from .harness import (DEDUPS, FORMATS, PREDICATES, SearchConfig, load_config,
-                      search, _flag)
+from .harness import (DEDUPS, FORMATS, PREDICATES, SearchConfig,
+                      VerificationError, load_config, search, _flag)
 
 
 def _cache_path(path: Optional[str]) -> Optional[str]:
@@ -73,8 +75,11 @@ def _input_front(args):
 
 def _cmd_poly(args) -> int:
     cache = _make_cache(args)
-    d = _input_diagram(args)
-    res = full_invariants(d, cache)
+    if args.braid:
+        from . import algebra  # on first use: see `harness.search`
+        res = algebra.braid_invariants(parse_braid(args.braid), cache)
+    else:
+        res = full_invariants(_input_diagram(args), cache)
     _emit(args, _json(res.to_json()))
     return 0
 
@@ -209,6 +214,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.skein_cache = None
     try:
         return _COMMANDS[args.command](args)
+    except VerificationError as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return 1
     except (ParseError, DiagramError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -284,6 +284,13 @@ class ParseError(ValueError):
     """Raised on malformed braid or front input."""
 
 
+# The most strands a braid word may have.  The algebra engines' bases grow
+# as n! (Hecke) and (2n-1)!! (BMW), 40,320 and 2,027,025 elements at 8
+# strands, and a closure makes a cup and a cap per strand, so a larger
+# count is refused before anything is built.
+MAX_STRANDS = 8
+
+
 def parse_braid(text: str) -> BraidWord:
     """Parse `braid <n> : <int>+`; nonzero k means generator |k| with sign(k)."""
     head, sep, rest = text.partition(":")
@@ -298,6 +305,8 @@ def parse_braid(text: str) -> BraidWord:
         raise ParseError(f"strand count {head_parts[1]!r} is not an integer") from None
     if n < 1:
         raise ParseError("strand count must be positive")
+    if n > MAX_STRANDS:
+        raise ParseError(f"strand count {n} is above the ceiling of {MAX_STRANDS}")
     letters = []
     for pos, tok in enumerate(rest.split(), 1):
         try:

@@ -26,13 +26,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
-from .diagram import BraidWord, ParseError, braid_closure
+from .diagram import MAX_STRANDS, BraidWord, ParseError
 from .inequalities import BoundReport, CSV_HEADER, mfw_check
-from .skein import SkeinCache, full_invariants
+from .skein import SkeinCache, SkeinResult
 
 PREDICATES = ("ep_lt_ey", "bound_violation", "all")
 DEDUPS = ("none", "cyclic+inverse")
 FORMATS = ("csv", "json")
+
+
+class VerificationError(Exception):
+    """A flagged row that the algebra engines do not confirm."""
 
 
 @dataclass
@@ -49,6 +53,9 @@ class SearchConfig:
     def validate(self) -> None:
         if self.max_strands < 1 or self.max_letters < 0:
             raise ParseError("max_strands >= 1 and max_letters >= 0 required")
+        if self.max_strands > MAX_STRANDS:
+            raise ParseError(f"max_strands {self.max_strands} is above the "
+                             f"ceiling of {MAX_STRANDS}")
         for name, allowed in (("dedup", DEDUPS), ("predicate", PREDICATES),
                               ("format", FORMATS)):
             if getattr(self, name) not in allowed:
@@ -168,7 +175,9 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
 
     Returns the knot rows in enumeration order; when cfg.out is set the
     report is also written in the configured format.  Flagged rows are
-    re-verified from scratch with caching disabled.
+    re-verified with the algebra engines, which share no memo with the
+    skein engines that made the rows; a disagreement is a
+    `VerificationError`.
     """
     cfg.validate()
     words = [tuple(b.letters) for b in enumerate_braids(cfg)]
@@ -190,13 +199,18 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
     knots = [(letters, rep) for letters, rep in zip(words, rows)
              if rep is not None]
 
-    # re-verify flagged rows without any cache
+    # imported on first use: where no bytecode cache is written, compiling
+    # algebra.py is about 5 ms, 13 % of the package import, and a process
+    # that re-verifies no row and runs no `poly --braid` need not pay it
+    from . import algebra
+    tables: dict = {}  # the algebra engines' tables, shared by the rows
     for letters, rep in knots:
         if _flag(cfg.predicate, rep):
             b = BraidWord(n, letters)
-            fresh = full_invariants(braid_closure(b), SkeinCache())
+            fresh = SkeinResult.of(algebra.hecke_R(b, tables),
+                                   algebra.bmw_D(b, tables), b.exponent_sum())
             if (fresh.e_P, fresh.e_Y) != (rep.e_P, rep.e_Y):
-                raise AssertionError(f"re-verification failed for {rep.subject}")
+                raise VerificationError(f"re-verification failed for {rep.subject}")
 
     reports = [rep for _, rep in knots]
     if cfg.out:

@@ -174,7 +174,8 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data: list[dict]) -> "LaurentPoly":
-        """Inverse of `to_json`; ValueError on any other shape."""
+        """Inverse of `to_json`; ValueError on any other shape, a repeated
+        term or a zero coefficient among them."""
         if type(data) is not list:
             raise ValueError("terms are not a list")
         terms = {}
@@ -184,7 +185,11 @@ class LaurentPoly:
             ez, ea, c = d["ez"], d["ea"], d["c"]
             if type(ez) is not int or type(ea) is not int or type(c) is not str:
                 raise ValueError(f"bad term {d!r}")
+            if (ez, ea) in terms:
+                raise ValueError(f"repeated term {d!r}")
             terms[ez, ea] = int(c)
+            if not terms[ez, ea]:
+                raise ValueError(f"zero coefficient {d!r}")
         return LaurentPoly(terms)
 
 

@@ -34,6 +34,11 @@ The splitter can be disabled to keep an independent computation path.
 
 The writhe-normalized knot invariants are P = a^-w R and Y = a^-w D, with
 e_P and e_Y their least a-degrees.
+
+Braid closures have a second path: `algebra.py` computes R in the Hecke
+algebra and D in the BMW algebra, one basis update per letter.  `poly
+--braid` uses it, reading and writing the memo under this module's keys
+(`memo_value`), and `search` re-verifies its flagged rows with it.
 """
 
 from __future__ import annotations
@@ -76,10 +81,14 @@ class SkeinCache:
     is an `OSError` naming `path:line`.  A last line with no newline is an
     append cut short: it is skipped, and cut off the file before this cache
     appends to it.
+
+    `tables` holds the algebra engines' tables (`algebra.py`), built on
+    demand and kept in memory only.
     """
 
     def __init__(self, path: Optional[str] = None):
         self.mem: dict[bytes, LaurentPoly] = {}
+        self.tables: dict[str, dict] = {}
         self.path = path
         self._fh = None
         if path:
@@ -218,15 +227,24 @@ def _split_dirs(events: tuple, dirs: Optional[tuple], pos: int):
     return e1, dirs[:n1], e2, d2
 
 
-def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
-                cache: SkeinCache, stats: SkeinStats,
-                allow_split: bool) -> LaurentPoly:
+def _reduced(events: tuple, dirs: Optional[tuple], kauffman: bool):
+    """(events, dirs, multiplier, memo key) of the reduced diagram; the
+    key is None when nothing is left."""
     events, dirs, a_pow, circles = reduce_diagram(events, dirs)
     mult = _unknot_power(kauffman, circles).shift(-circles, a_pow)
     if not events:
+        return events, dirs, mult, None
+    key = (b"D" if kauffman else b"R") + encode_events(events, dirs)
+    return events, dirs, mult, key
+
+
+def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
+                cache: SkeinCache, stats: SkeinStats,
+                allow_split: bool) -> LaurentPoly:
+    events, dirs, mult, key = _reduced(events, dirs, kauffman)
+    if key is None:
         return mult
     stats.nodes += 1
-    key = (b"D" if kauffman else b"R") + encode_events(events, dirs)
     cached = cache.get(key)
     if cached is not None:
         stats.cache_hits += 1
@@ -297,6 +315,24 @@ def kauffman_D(d: ClosedDiagram, cache: Optional[SkeinCache] = None,
                        stats=stats or SkeinStats(), allow_split=allow_split)
 
 
+def memo_value(d: ClosedDiagram, cache: SkeinCache, compute, *,
+               kauffman: bool) -> LaurentPoly:
+    """R (D when `kauffman`) of `d` from the memo, under the key the skein
+    engine uses for the reduced diagram.  On a miss `compute()` gives the
+    value of `d`, and the reduced diagram's share of it is stored there."""
+    _events, _dirs, mult, key = _reduced(d.events, None if kauffman else d.dirs,
+                                         kauffman)
+    if key is None:
+        return mult
+    cached = cache.get(key)
+    if cached is None:
+        cached = exact_divide(compute(), mult, "second")
+        if cached is None:
+            raise AssertionError("value not divisible by the reduction factor")
+        cache.put(key, cached)
+    return mult * cached
+
+
 @dataclass
 class SkeinResult:
     R: LaurentPoly
@@ -306,6 +342,14 @@ class SkeinResult:
     e_P: int
     e_Y: int
     w: int
+
+    @staticmethod
+    def of(R: LaurentPoly, D: LaurentPoly, w: int) -> "SkeinResult":
+        """The result for R and D of a diagram with writhe w."""
+        P = R.shift(0, -w)
+        Y = D.shift(0, -w)
+        return SkeinResult(R=R, D=D, P=P, Y=Y, e_P=P.min_degree("second"),
+                           e_Y=Y.min_degree("second"), w=w)
 
     def to_json(self) -> dict:
         return {"w": self.w, "e_P": self.e_P, "e_Y": self.e_Y,
@@ -318,11 +362,5 @@ def full_invariants(d: MorseDiagram, cache: Optional[SkeinCache] = None,
                     allow_split: bool = True) -> SkeinResult:
     """R, D and the writhe-normalized P, Y with their least a-degrees, of a
     closed diagram with `events`, `dirs` and `writhe` (a `MorseDiagram`)."""
-    R = homfly_R(d, cache, stats, allow_split)
-    D = kauffman_D(d, cache, stats, allow_split)
-    w = d.writhe
-    P = R.shift(0, -w)
-    Y = D.shift(0, -w)
-    return SkeinResult(R=R, D=D, P=P, Y=Y,
-                       e_P=P.min_degree("second"), e_Y=Y.min_degree("second"),
-                       w=w)
+    return SkeinResult.of(homfly_R(d, cache, stats, allow_split),
+                          kauffman_D(d, cache, stats, allow_split), d.writhe)

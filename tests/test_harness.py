@@ -275,40 +275,41 @@ def test_cli_non_ascii_cache_file_is_io_error(tmp_path, capsys):
 
 
 def test_cli_engine_value_error_is_internal_error(monkeypatch, capsys):
-    import knotpoly.cli as cli
+    import knotpoly.algebra as algebra
 
     def broken(*args, **kwargs):
         raise ValueError("undefined degree: zero polynomial")
-    monkeypatch.setattr(cli, "full_invariants", broken)
+    monkeypatch.setattr(algebra, "braid_invariants", broken)
     assert main(["poly", "--braid", "braid 2: 1 1 1"]) == 4
     assert (capsys.readouterr().err
             == "internal error: ValueError: undefined degree: zero polynomial\n")
 
 
 def test_cli_internal_error_has_own_code(monkeypatch, capsys):
-    import knotpoly.cli as cli
+    import knotpoly.algebra as algebra
 
     def broken(*args, **kwargs):
         raise AssertionError("invariant broke")
-    monkeypatch.setattr(cli, "full_invariants", broken)
+    monkeypatch.setattr(algebra, "braid_invariants", broken)
     assert main(["poly", "--braid", "braid 2: 1 1 1"]) == 4
     assert (capsys.readouterr().err
             == "internal error: AssertionError: invariant broke\n")
 
 
 def test_cli_any_other_exception_is_internal_error(monkeypatch, capsys):
-    import knotpoly.cli as cli
+    import knotpoly.algebra as algebra
 
     def broken(*args, **kwargs):
         raise KeyError("ez")
-    monkeypatch.setattr(cli, "full_invariants", broken)
+    monkeypatch.setattr(algebra, "braid_invariants", broken)
     assert main(["poly", "--braid", "braid 2: 1 1 1"]) == 4
     assert capsys.readouterr().err == "internal error: KeyError: 'ez'\n"
 
 
 def test_cli_deep_recursion_is_internal_error(capsys):
-    """A 1,500-crossing closure outruns the recursion limit: exit 4, one line."""
-    assert main(["poly", "--braid", "braid 2: " + " ".join(["1"] * 1500)]) == 4
+    """A 1,500-crossing closure outruns the skein recursion limit: exit 4,
+    one line."""
+    assert main(["check", "--braid", "braid 2: " + " ".join(["1"] * 1500)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: RecursionError:")
@@ -330,6 +331,21 @@ def test_cli_malformed_cache_record_is_io_error(tmp_path, capsys):
     assert main(["poly", "--braid", "braid 2: 1 1 1", "--cache", str(path)]) == 3
     assert (capsys.readouterr().err
             == f"io error: cache file {path}:1: malformed record\n")
+
+
+@pytest.mark.parametrize("record", [
+    '52\t[{"ez":0,"ea":0,"c":"1"},{"ez":0,"ea":0,"c":"2"}]',  # repeated term
+    '52\t[{"ez":0,"ea":0,"c":"0"}]',                          # zero coefficient
+])
+def test_cli_cache_record_to_json_never_writes_is_io_error(tmp_path, capsys, record):
+    records = _cache_records(tmp_path)
+    path = tmp_path / "c.txt"
+    path.write_text(records + record + "\n")
+    capsys.readouterr()
+    assert main(["poly", "--braid", "braid 2: 1 1 1", "--cache", str(path)]) == 3
+    lineno = records.count("\n") + 1
+    assert (capsys.readouterr().err
+            == f"io error: cache file {path}:{lineno}: malformed record\n")
 
 
 def test_cli_torn_last_cache_record_is_skipped(tmp_path, capsys):
@@ -386,11 +402,11 @@ def test_cli_closes_cache_file(tmp_path, capsys, opened_caches, argv, code):
 
 def test_cli_closes_cache_file_on_internal_error(tmp_path, monkeypatch, capsys,
                                                  opened_caches):
-    import knotpoly.cli as cli
+    import knotpoly.algebra as algebra
 
     def broken(*args, **kwargs):
         raise AssertionError("invariant broke")
-    monkeypatch.setattr(cli, "full_invariants", broken)
+    monkeypatch.setattr(algebra, "braid_invariants", broken)
     argv = ["poly", "--braid", "braid 2: 1 1 1", "--cache", str(tmp_path / "c.txt")]
     assert main(argv) == 4
     assert len(opened_caches) == 1 and opened_caches[0]._fh is None

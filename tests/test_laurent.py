@@ -180,6 +180,17 @@ def test_from_json_rejects_other_shapes(blob):
         LaurentPoly.from_json(blob)
 
 
+@pytest.mark.parametrize("blob", [
+    [{"ez": 0, "ea": 0, "c": "1"}, {"ez": 0, "ea": 0, "c": "2"}],  # repeated term
+    [{"ez": 1, "ea": 0, "c": "1"}, {"ez": 1, "ea": 0, "c": "-1"}],
+    [{"ez": 0, "ea": 0, "c": "0"}],                                # zero coefficient
+    [{"ez": 1, "ea": 2, "c": "3"}, {"ez": 0, "ea": 0, "c": "-0"}],
+])
+def test_from_json_rejects_terms_to_json_never_writes(blob):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json(blob)
+
+
 def test_exact_divide_delta_matches_generic_division():
     """The synthetic t - t^-1 kernel against the generic long division."""
     rng = random.Random(3)
