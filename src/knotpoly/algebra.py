@@ -25,16 +25,15 @@ tr(T_w) = a tr_(n-1)(T_u g_(n-3) ... g_p).
 D (Birman-Wenzl, Trans. AMS 313, 1989; Murakami, Osaka J. Math. 24, 1987)
 on the basis of totally descending tangles (Morton-Wassermann, "A basis for
 the Birman-Wenzl algebra", arXiv:1012.3116).  An open tangle here is an
-event list on a strand stack that starts and ends with n strands.  Its end
-points are ordered: the left ends S_0 ... S_(n-1), then the right ends
-E_0 ... E_(n-1).  The tangle's arcs are taken in the order of their first
-end points and each is traversed from that end point, then its closed
-loops in birth order.  The tangle is descending when each crossing is
-first met on its over strand.  A descending tangle is its Brauer diagram b
-(the matching of the end points) with each arc lying above the later ones
-and the loops split off below, so it equals a^w delta_D^k R_b, with w the
-writhe of its self-crossings and k its loops.  R_b is the descending
-tangle of b whose arcs do not cross themselves.
+event list on a strand stack that starts and ends with n strands, and it
+is traversed as `diagram.scan` orders its components: the arcs from their
+first end points (S_0 ... S_(n-1), then E_0 ... E_(n-1)), then the loops.
+The tangle is descending when each crossing is first met on its over
+strand.  A descending tangle is its Brauer diagram b (the matching of the
+end points) with each arc lying above the later ones and the loops split
+off below, so it equals a^w delta_D^k R_b, with w the writhe of its
+self-crossings and k its loops.  R_b is the descending tangle of b whose
+arcs do not cross themselves.
 
 R_b g_i^+-1 and the traces tr(R_b) come from the descending recursion of
 the skein engine, run on open tangles: the crossings first met on their
@@ -43,6 +42,12 @@ each smoothing recurses with one crossing fewer.  The trace of R_b is the
 same recursion on its closure, a tangle with no end points.  Tangles are
 planar-reduced with `diagram.reduce_diagram` before they are memoized: the
 reduction rules are local, so they hold on open tangles too.
+
+So the BMW path shares `diagram.scan` (with `ends` = n), the descending
+traversal `skein.descend` and `diagram.reduce_diagram` with the skein
+engine, and its agreement with `kauffman_D` does not check that code.  Its
+checks that share none of it are the Kauffman-bracket oracle of the tests
+and the T(2,n) closed forms.
 
 Tables (traces, basis tangles, structure constants, the tangle memo) are
 built on demand in a dict the caller passes, in memory only:
@@ -55,8 +60,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .laurent import LaurentPoly
-from .diagram import BraidWord, braid_closure, reduce_diagram
-from .skein import DELTA, DELTA_D, SkeinCache, SkeinResult, memo_value
+from .diagram import (BraidWord, braid_closure, reduce_diagram, _switch_events,
+                      _smooth_h_events, _smooth_v_events)
+from .skein import DELTA, DELTA_D, SkeinCache, SkeinResult, descend, memo_value
 
 _ONE = LaurentPoly.one()
 
@@ -123,93 +129,6 @@ def hecke_R(b: BraidWord, tables: Optional[dict] = None) -> LaurentPoly:
 # -- D in the BMW algebra -----------------------------------------------------
 
 
-def _walk(n: int, events: tuple):
-    """Traverse an open tangle with n end points on each side.
-
-    Returns (violations, brauer, loops, writhe): the crossings first met on
-    the under strand as (ev_idx, sign, oriented sign if a self-crossing else
-    0) in the order met, the matching of the end points (end point e is S_e
-    for e < n and E_(e-n) otherwise), the number of closed loops, and the
-    writhe of the self-crossings.
-    """
-    active = list(range(n))
-    west: list[int] = list(range(n))   # per thread: its left end, or -1
-    mate: list[int] = [-1] * n         # birth mate of a cup's thread
-    cap_mate: list[int] = [-1] * n     # death mate, or -1 at a right end
-    passes: list[list[int]] = [[] for _ in range(n)]
-    crossings = []                     # (ev_idx, lo, hi, sign)
-    for idx, ev in enumerate(events):
-        kind, i = ev[0], ev[1]
-        if kind == "cup":
-            t = len(west)
-            west += (-1, -1)
-            mate += (t + 1, t)
-            cap_mate += (-1, -1)
-            passes += ([], [])
-            active[i:i] = (t, t + 1)
-        elif kind == "cap":
-            lo, hi = active[i], active[i + 1]
-            cap_mate[lo], cap_mate[hi] = hi, lo
-            del active[i:i + 2]
-        else:
-            lo, hi = active[i], active[i + 1]
-            passes[lo].append(len(crossings))
-            passes[hi].append(len(crossings))
-            crossings.append((idx, lo, hi, ev[2]))
-            active[i], active[i + 1] = hi, lo
-    east_end = {t: n + k for k, t in enumerate(active)}
-    starts = [(e, 1) for e in range(n)] + [(t, -1) for t in active]
-
-    component = [-1] * len(west)
-    d = [0] * len(west)
-    seen = bytearray(len(crossings))
-    met_under = []
-    brauer = [-1] * (2 * n)
-    comp = 0
-    loops = 0
-    for e in range(2 * n + len(west)):
-        if e < 2 * n:
-            if brauer[e] >= 0:
-                continue
-            t, direction = starts[e]
-        else:  # the loops, each from its first-born thread
-            t, direction = e - 2 * n, 1
-            if component[t] >= 0:
-                continue
-            loops += 1
-        first = t
-        while True:
-            component[t] = comp
-            d[t] = direction
-            plist = passes[t]
-            for cn in (plist if direction == 1 else reversed(plist)):
-                if seen[cn]:
-                    continue
-                seen[cn] = 1
-                ev_idx, lo, hi, s = crossings[cn]
-                # s = +1: the strand entering at the lower level passes over
-                if (t == lo) == (s == -1):
-                    met_under.append(cn)
-            if direction == 1:
-                if cap_mate[t] < 0:      # out at a right end
-                    brauer[e], brauer[east_end[t]] = east_end[t], e
-                    break
-                t, direction = cap_mate[t], -1
-            else:
-                if west[t] >= 0:         # out at a left end
-                    brauer[e], brauer[west[t]] = west[t], e
-                    break
-                t, direction = mate[t], 1
-            if t == first:  # a loop closes; an arc never returns
-                break
-        comp += 1
-
-    eps = [s * d[lo] * d[hi] if component[lo] == component[hi] else 0
-           for _, lo, hi, s in crossings]
-    viols = [(crossings[cn][0], crossings[cn][3], eps[cn]) for cn in met_under]
-    return viols, tuple(brauer), loops, sum(eps)
-
-
 def _eval(n: int, events: tuple, memo: dict) -> dict:
     """The tangle on the R_b basis: {brauer: coefficient}."""
     events, _, a_pow, circles = reduce_diagram(events)
@@ -224,20 +143,24 @@ def _eval(n: int, events: tuple, memo: dict) -> dict:
 
 def _expand(n: int, events: tuple, memo: dict) -> dict:
     """The descending recursion on a reduced tangle."""
-    viols, brauer, loops, writhe = _walk(n, events)
+    sc, viols, writhe = descend(events, ends=n)
     acc: dict = {}
     cur = events
-    for ev_idx, s, eps in viols:
-        i = cur[ev_idx][1]
-        head, tail = cur[:ev_idx], cur[ev_idx + 1:]
+    for ev_idx, _lo, _hi, s, _eps in viols:
         # D(L+) - D(L-) = z (D(L_par) - D(L_turn)); L+ is s = +1
-        for b, c in _eval(n, head + tail, memo).items():
+        for b, c in _eval(n, _smooth_h_events(cur, ev_idx), memo).items():
             _add(acc, b, c.shift(1, 0) * s)
-        for b, c in _eval(n, head + (("cap", i), ("cup", i)) + tail, memo).items():
+        for b, c in _eval(n, _smooth_v_events(cur, ev_idx), memo).items():
             _add(acc, b, c.shift(1, 0) * -s)
-        cur = head + (("x", i, -s),) + tail
-        writhe -= 2 * eps
-    _add(acc, brauer, (DELTA_D ** loops).shift(0, writhe))
+        cur = _switch_events(cur, ev_idx)
+    # the descending tangle: the arcs' matching of the end points (S_e is e,
+    # E_e is n + e), and loops, the components after the n arcs
+    brauer = [0] * (2 * n)
+    first: dict = {}  # per arc, its first end point
+    for e, t in enumerate([*range(n), *sc.right_ends]):
+        f = first.setdefault(sc.component_of[t], e)
+        brauer[e], brauer[f] = f, e
+    _add(acc, tuple(brauer), (DELTA_D ** (len(sc.components) - n)).shift(0, writhe))
     return acc
 
 
@@ -284,8 +207,8 @@ def _basis_tangle(n: int, b: tuple) -> tuple:
     events += [("cup",) + ev[1:] if ev[0] == "cap" else ev
                for ev in reversed(right_events)]
     events = tuple(events)
-    for ev_idx, s, _ in _walk(n, events)[0]:
-        events = events[:ev_idx] + (("x", events[ev_idx][1], -s),) + events[ev_idx + 1:]
+    for ev_idx, *_ in descend(events, ends=n)[1]:
+        events = _switch_events(events, ev_idx)
     return events
 
 

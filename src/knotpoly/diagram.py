@@ -32,7 +32,15 @@ else each component's first-born thread gets the seed dir and the rest
 alternate along the loop.  Its `Scan` holds the spliced events, the dirs,
 each thread's cap mate, the components (named by their first-born threads)
 and each thread's component, the lower threads of the births and deaths,
-the kept crossings, each thread's passes and the splice probes.
+the kept crossings, each thread's passes, the splice probes and the
+right-end threads.
+
+`scan` walks open tangles too, whose stack starts and ends with `ends`
+strands: the left-end threads are 0 .. ends-1 and the k-th cup's are
+ends+2k and ends+2k+1, so the birth mate of t is ends + ((t - ends) ^ 1).
+The components begin with the arcs, in the order of their first end points
+(S_0 .. S_(ends-1), then E_0 .. E_(ends-1)), each named by and oriented
+from its thread there.
 """
 
 from __future__ import annotations
@@ -69,24 +77,26 @@ class Scan(NamedTuple):
     events: tuple         # the spliced events (the input if none is spliced)
     dirs: tuple           # per thread, +-1
     cap_mate: list        # per thread, the thread it dies with
-    components: list      # each component's first-born thread, in birth order
+    components: list      # the arcs' first end threads, then the loops' first-born
     component_of: list    # per thread, its component
-    cup_lows: range       # the lower thread of each birth: 2k for the k-th
+    cup_lows: range       # the lower thread of each birth: ends + 2k for the k-th
     cap_lows: list        # the lower thread of each death, in event order
     crossings: list       # kept: (ev_idx in events, lo, hi, sign or 0 unsigned)
     passes: list          # per thread, the numbers of the crossings it passes
     probes: list          # per spliced crossing, (choice, a, b): the threads its weight reads
+    right_ends: list      # the threads at the right ends, bottom to top
 
 
 def scan(events: Iterable[Event], alphabet: tuple,
          dirs: Optional[Sequence[int]] = None,
-         choices: Optional[Sequence[int]] = None) -> Scan:
+         choices: Optional[Sequence[int]] = None, ends: int = 0) -> Scan:
     """Walk the strand stack once: splice, validate and orient.
 
     `alphabet` is a kinds tuple, or any tuple that starts with one.
     With `choices` (one per crossing), choice 0 keeps a crossing, 1 opens it
     horizontally and 2 replaces it by a death-birth wall; the wall's birth
-    mints the next two threads.
+    mints the next two threads.  The stack starts and must end with `ends`
+    strands; given dirs must orient each arc from its first end point.
     """
     birth, death, cross, seed = alphabet[:4]
     events = tuple(events)
@@ -95,6 +105,10 @@ def scan(events: Iterable[Event], alphabet: tuple,
     active: list[int] = []
     cap_mate: list[int] = []
     passes: list[list[int]] = []
+    if ends:  # the left-end threads
+        active += range(ends)
+        cap_mate += [-1] * ends
+        passes += [[] for _ in range(ends)]
     crossings: list = []
     cap_lows: list[int] = []
     for idx, ev in enumerate(events):
@@ -145,8 +159,9 @@ def scan(events: Iterable[Event], alphabet: tuple,
         passes += ([], [])
         if out is not None:
             out.append(ev)
-    if active:
-        raise DiagramError("diagram is not closed: strands remain")
+    if len(active) != ends:
+        raise DiagramError("diagram is not closed: strands remain" if not ends
+                           else f"tangle ends with {len(active)} strands, not {ends}")
 
     n = len(cap_mate)
     if dirs is None:
@@ -157,7 +172,25 @@ def scan(events: Iterable[Event], alphabet: tuple,
             raise DiagramError("orientation vector has wrong shape")
     component_of = [-1] * n
     components = []
-    for start in range(n):
+    if ends:
+        # the arcs: a left end flows east (+1), a right end west (-1)
+        for start in [*range(ends), *active]:
+            if component_of[start] >= 0:
+                continue
+            components.append(start)
+            t, way = start, 1 if start < ends else -1
+            while t >= 0:  # -1 past the arc's last end point
+                component_of[t] = start
+                if dirs is None:
+                    d[t] = way
+                elif d[t] != way:
+                    raise DiagramError("inconsistent orientation assignment")
+                if way == 1:
+                    t = cap_mate[t]
+                else:
+                    t = ends + ((t - ends) ^ 1) if t >= ends else -1
+                way = -way
+    for start in range(ends, n, 2):  # the loops, by first-born thread
         if component_of[start] >= 0:
             continue
         components.append(start)
@@ -165,17 +198,18 @@ def scan(events: Iterable[Event], alphabet: tuple,
         while True:  # cap mate, then birth mate, back to start
             m = cap_mate[t]
             component_of[t] = component_of[m] = start
+            mate = ends + ((m - ends) ^ 1)
             if dirs is None:
                 d[t] = seed
                 d[m] = -seed
-            elif d[m] == d[t] or d[m ^ 1] == d[m]:
+            elif d[m] == d[t] or d[mate] == d[m]:
                 raise DiagramError("inconsistent orientation assignment")
-            t = m ^ 1
+            t = mate
             if t == start:
                 break
     return Scan(events if out is None else tuple(out), tuple(d), cap_mate,
-                components, component_of, range(0, n, 2), cap_lows, crossings,
-                passes, probes)
+                components, component_of, range(ends, n, 2), cap_lows, crossings,
+                passes, probes, active)
 
 
 def flipped_dirs(sc, flips: Sequence[bool]) -> tuple:

@@ -161,11 +161,39 @@ def _row_for_word(n: int, letters: tuple[int, ...],
 
 
 def _worker(payload: tuple[int, list[tuple[int, ...]], Optional[str]]
-            ) -> list[Optional[BoundReport]]:
+            ) -> tuple[list[Optional[BoundReport]], list]:
+    """A pool worker's rows, and the memo records it made that the cache
+    file did not hold (none without a file)."""
     n, words, cache_path = payload
     cache = SkeinCache(cache_path)
+    cache.close()  # read the file, append nothing: the parent appends once
+    known = len(cache.mem)
+    rows = [_row_for_word(n, letters, cache) for letters in words]
+    return rows, (list(itertools.islice(cache.mem.items(), known, None))
+                  if cache_path else [])
+
+
+def _rows(n: int, words: list[tuple[int, ...]], workers: int,
+          cache_path: Optional[str]) -> list[Optional[BoundReport]]:
+    """The row of each word, serially or on a pool of `workers`; the
+    workers' new memo records go to the cache file, each key once."""
+    cache = SkeinCache(cache_path)
     try:
-        return [_row_for_word(n, letters, cache) for letters in words]
+        if workers == 1:
+            return [_row_for_word(n, letters, cache) for letters in words]
+        chunks = [words[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(
+                _worker,
+                [(n, chunk, cache_path) for chunk in chunks]))
+        # restore enumeration order from the strided split
+        rows: list[Optional[BoundReport]] = [None] * len(words)
+        for j, (chunk_rows, records) in enumerate(results):
+            rows[j::workers] = chunk_rows
+            for key, value in records:  # two workers may make one record
+                if cache.get(key) is None:
+                    cache.put(key, value)
+        return rows
     finally:
         cache.close()
 
@@ -177,25 +205,15 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
     report is also written in the configured format.  Flagged rows are
     re-verified with the algebra engines, which share no memo with the
     skein engines that made the rows; a disagreement is a
-    `VerificationError`.
+    `VerificationError`.  Pool workers read the cache file, and the parent
+    appends their new records, each key once.
     """
     cfg.validate()
     words = [tuple(b.letters) for b in enumerate_braids(cfg)]
     n = cfg.max_strands
     # the pool starts all its workers at once, so no more than there are CPUs
     workers = min(cfg.jobs, os.cpu_count() or 1)
-    if workers == 1:
-        rows = _worker((n, words, cfg.cache))
-    else:
-        chunks = [words[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _worker,
-                [(n, chunk, cfg.cache) for chunk in chunks]))
-        # restore enumeration order from the strided split
-        rows = [None] * len(words)
-        for j, chunk_rows in enumerate(results):
-            rows[j::workers] = chunk_rows
+    rows = _rows(n, words, workers, cfg.cache)
     knots = [(letters, rep) for letters, rep in zip(words, rows)
              if rep is not None]
 

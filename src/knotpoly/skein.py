@@ -20,11 +20,12 @@ smoothed remainders recurse with one crossing fewer.  A descending diagram
 with writhe w and k components is an unlink with curls and evaluates to
 a^w * delta^k (delta the unknot value).
 
-Each memo miss makes one `diagram.scan` of the events, which validates the
-diagram and orients it, and one walk of its threads (`_scan`), which yields
-the writhe and the violations.  The descending diagram is not built:
-switching keeps the components, and each switched crossing of oriented sign
-eps lowers the writhe by 2 eps, so its value follows from that ledger.
+Each memo miss makes one `descend`: a `diagram.scan` of the events, which
+validates the diagram and orients it, and one walk of its threads, which
+yields the violations and the writhe of the descending diagram.  The
+descending diagram is not built: switching keeps the components, so its
+value follows from that writhe.  `descend` walks open tangles too, for the
+BMW engine of `algebra.py`.
 
 Diagrams are planar-reduced and level-normalized before memoization.
 Connected-sum slices are split off and recombined multiplicatively
@@ -51,7 +52,7 @@ from functools import lru_cache
 from typing import Optional, Protocol
 
 from .laurent import LaurentPoly, exact_divide
-from .diagram import (DIAGRAM_KINDS, MorseDiagram, reduce_diagram,
+from .diagram import (DIAGRAM_KINDS, MorseDiagram, Scan, reduce_diagram,
                       encode_events, find_split, scan, _switch_events,
                       _smooth_h_events, _smooth_v_events, _cups_before)
 
@@ -162,21 +163,24 @@ def _unknot_power(kauffman: bool, k: int) -> LaurentPoly:
     return (_DELTA_D_NUM if kauffman else _DELTA_NUM) ** k
 
 
-def _scan(events: tuple,
-          dirs: Optional[tuple]) -> tuple[int, tuple, int, list]:
-    """Scan a closed diagram: (components, dirs, writhe, violations).
+def descend(events: tuple, dirs: Optional[tuple] = None,
+            ends: int = 0) -> tuple[Scan, list, int]:
+    """Walk a diagram, or a tangle with `ends` end points on each side, to
+    its descending form: (`diagram.scan` of it, violations, writhe).
 
-    `diagram.scan` validates the events and the orientation, or orients the
-    diagram when `dirs` is None.  Violations are the crossings first met on
-    the under strand, as (ev_idx, lo_thread, hi_thread, sign,
-    oriented_sign), along the traversal that takes components in birth
-    order, starts each at its first-born thread and follows the flow.
+    The walk takes the scan's components in order, each from its named
+    thread along the flow.  Violations are the crossings first met on the
+    under strand, as (ev_idx, lo_thread, hi_thread, sign, oriented_sign), in
+    the order met.  Switching them all gives the descending diagram, and
+    `writhe` is the writhe of its self-crossings: in a closed diagram the
+    crossings of two layered components cancel, so that is its writhe.
     """
-    sc = scan(events, DIAGRAM_KINDS, dirs)
+    sc = scan(events, DIAGRAM_KINDS, dirs, ends=ends)
     d = sc.dirs
     cross = sc.crossings
     passes = sc.passes
     cap_mate = sc.cap_mate
+    component_of = sc.component_of
     seen = bytearray(len(cross))
     writhe = 0
     viols = []
@@ -191,14 +195,21 @@ def _scan(events: tuple,
                 seen[cn] = 1
                 ev_idx, lo, hi, s = cross[cn]
                 eps = s * d[lo] * d[hi]
-                writhe += eps
                 # s = +1: the strand entering at the lower level passes over
                 if (t == lo) == (s == -1):
                     viols.append((ev_idx, lo, hi, s, eps))
-            t = cap_mate[t] if east else t ^ 1
-            if t == start:
+                    eps = -eps
+                if component_of[lo] == component_of[hi]:
+                    writhe += eps
+            if east:
+                t = cap_mate[t]
+            elif t >= ends:
+                t = ends + ((t - ends) ^ 1)
+            else:
+                break  # out at a left end
+            if t == start or t < 0:  # a loop closes, or out at a right end
                 break
-    return len(sc.components), d, writhe, viols
+    return sc, viols, writhe
 
 
 @dataclass
@@ -263,7 +274,8 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
         if val is None:
             raise AssertionError("connected-sum factor not divisible")
     else:
-        k, use_dirs, writhe, viols = _scan(events, dirs)
+        sc, viols, writhe = descend(events, dirs)
+        k = len(sc.components)
         cur = events
         acc = LaurentPoly()
         for ev_idx, lo, hi, s, eps in viols:
@@ -276,17 +288,16 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
                                 allow_split=allow_split)
                 acc = acc + (h - v).shift(1, 0) * s
             else:
-                if use_dirs[lo] * use_dirs[hi] == 1:
+                if sc.dirs[lo] * sc.dirs[hi] == 1:
                     sm_ev, sm_dirs = _smooth_h_events(cur, ev_idx), dirs
                 else:
                     sm_ev = _smooth_v_events(cur, ev_idx)
                     pos = 2 * _cups_before(cur, ev_idx)
-                    sm_dirs = dirs[:pos] + (use_dirs[hi], use_dirs[lo]) + dirs[pos:]
+                    sm_dirs = dirs[:pos] + (sc.dirs[hi], sc.dirs[lo]) + dirs[pos:]
                 sm = _skein_eval(sm_ev, sm_dirs, kauffman=False, cache=cache,
                                  stats=stats, allow_split=allow_split)
                 acc = acc + sm.shift(1, 0) * eps
             cur = _switch_events(cur, ev_idx)
-            writhe -= 2 * eps
         # all violations switched: a descending diagram, a^w * delta^k
         val = _unknot_power(kauffman, k).shift(-k, writhe) + acc
 

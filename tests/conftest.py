@@ -122,19 +122,26 @@ DIAGRAM_KINDS = ("cup", "cap", "x", 1)
 FRONT_KINDS = ("L", "R", "X", -1)
 
 
-def reference_walk(events, kinds=DIAGRAM_KINDS, dirs=None):
+def reference_walk(events, kinds=DIAGRAM_KINDS, dirs=None, ends=0):
     """A reference for `diagram.scan` that shares none of its code.
 
-    Dict mates, union-find components (each named by its least thread) and
-    orientation by propagation from each component's seed thread, or a
-    check of the given dirs.  `before[p]` is the strand stack just before
-    event p; `thread_passes[t]` lists (ev_idx, entered at the lower level).
-    Crossings without a sign (front ones) get sign 0.
+    Dict mates, union-find components and orientation by propagation from
+    each component's seed thread, or a check of the given dirs.  A loop is
+    named by its least thread and seeded with the kinds' seed dir.  An open
+    tangle (`ends` strands at each side) starts with threads 0 .. ends-1; its
+    arcs come first, in the order of their first end points (`points[e]` is
+    the thread at end point e: S_0.., then E_0..), each named by and seeded
+    from the thread there, +1 at a left end and -1 at a right end.
+    `brauer[e]` is the end point matched to e and `loops` the loop count.
+    `before[p]` is the strand stack just before event p; `thread_passes[t]`
+    lists (ev_idx, entered at the lower level).  Crossings without a sign
+    (front ones) get sign 0.
     """
     birth, death, cross, seed = kinds
     events = tuple(events)
-    active, before, parent = [], [], []
-    cup_pair, cap_pair, passes = {}, {}, {}
+    active, before, parent = list(range(ends)), [], list(range(ends))
+    cup_pair, cap_pair = {}, {}
+    passes = {t: [] for t in range(ends)}
     cross_info, cup_events, cap_events = [], [], []
 
     def find(x):
@@ -181,17 +188,31 @@ def reference_walk(events, kinds=DIAGRAM_KINDS, dirs=None):
             active[i], active[i + 1] = hi, lo
         else:
             raise DiagramError("unknown kind")
-    if active:
-        raise DiagramError("not closed")
+    if len(active) != ends:
+        raise DiagramError("wrong number of strands at the end")
 
     n = len(parent)
-    component_of = tuple(find(t) for t in range(n))
-    components = tuple(sorted(set(component_of)))
+    points = list(range(ends)) + active
+    arcs = {}  # root -> its first end point
+    for e, t in enumerate(points):
+        arcs.setdefault(find(t), e)
+    brauer = [0] * len(points)
+    for root, e in arcs.items():
+        f = next(f for f in range(len(points) - 1, -1, -1)
+                 if find(points[f]) == root)
+        brauer[e], brauer[f] = f, e
+    loops = sorted({find(t) for t in range(n)} - set(arcs))
+    name = {root: points[e] for root, e in arcs.items()}
+    name.update((root, root) for root in loops)
+    component_of = tuple(name[find(t)] for t in range(n))
+    components = tuple(points[e] for e in sorted(arcs.values())) + tuple(loops)
+    seeds = [(points[e], 1 if e < ends else -1) for e in arcs.values()]
+    seeds += [(c, seed) for c in loops]
     if dirs is None:
         d = [0] * n
-        stack = list(components)
-        for c in components:
-            d[c] = seed
+        stack = [t for t, _dir in seeds]
+        for t, dir_ in seeds:
+            d[t] = dir_
         while stack:
             t = stack.pop()
             for mates in (cup_pair, cap_pair):
@@ -207,14 +228,54 @@ def reference_walk(events, kinds=DIAGRAM_KINDS, dirs=None):
         for mates in (cup_pair, cap_pair):
             if any(dirs[t] != -dirs[m] for t, m in mates.items()):
                 raise DiagramError("inconsistent orientation assignment")
+        if any(dirs[t] != dir_ for t, dir_ in seeds[:len(arcs)]):
+            raise DiagramError("an arc not oriented from its first end point")
     rot2 = sum(dirs[lo] for _i, lo, _hi in cup_events + cap_events)
     return SimpleNamespace(
         events=events, dirs=dirs, before=before, cup_pair=cup_pair,
         cap_pair=cap_pair, cross_info=tuple(cross_info),
         thread_passes=passes, cup_events=cup_events, cap_events=cap_events,
-        component_of=component_of, components=components,
+        component_of=component_of, components=components, points=points,
+        brauer=tuple(brauer), loops=len(loops),
         writhe=sum(s * dirs[lo] * dirs[hi] for _i, lo, hi, s in cross_info),
         rotation=rot2 // 2)
+
+
+def reference_descend(events, dirs=None, ends=0):
+    """`skein.descend` recomputed from the reference walk, thread by thread:
+    (component count, dirs, writhe, violations).
+
+    The writhe is read off a reference walk of the descending diagram (the
+    violations switched): all its crossings for a closed diagram, its
+    self-crossings for a tangle.
+    """
+    ref = reference_walk(events, dirs=dirs, ends=ends)
+    cross_at = {ci[0]: ci for ci in ref.cross_info}
+    seen = set()
+    viols = []
+    for start in ref.components:  # arcs from their first end, then loops
+        t = start
+        while t is not None:
+            east = ref.dirs[t] == 1
+            plist = ref.thread_passes[t]
+            for ev_idx, entered_lower in (plist if east else reversed(plist)):
+                if ev_idx in seen:
+                    continue
+                seen.add(ev_idx)
+                _, lo, hi, s = cross_at[ev_idx]
+                over = (s == 1) if entered_lower else (s == -1)
+                if not over:
+                    viols.append((ev_idx, lo, hi, s, s * ref.dirs[lo] * ref.dirs[hi]))
+            t = (ref.cap_pair if east else ref.cup_pair).get(t)
+            if t == start:
+                break
+    switched = {v[0] for v in viols}
+    desc = reference_walk([("x", ev[1], -ev[2]) if idx in switched else ev
+                           for idx, ev in enumerate(events)], dirs=ref.dirs, ends=ends)
+    writhe = desc.writhe if not ends else \
+        sum(s * desc.dirs[lo] * desc.dirs[hi] for _i, lo, hi, s in desc.cross_info
+            if desc.component_of[lo] == desc.component_of[hi])
+    return len(ref.components), ref.dirs, writhe, viols
 
 
 def reference_flip(ref, flips):

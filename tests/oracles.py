@@ -1,0 +1,106 @@
+"""The Kauffman bracket computed directly: an oracle that shares no code with the
+knotpoly engines.
+
+A diagram is an event list on a stack of strands, as in `diagram.py`:
+("cup", i), ("cap", i) and ("x", i, s), where s = +1 means the strand
+entering at the lower level passes over.  The bracket sums over the 2^c
+states that open each crossing horizontally (the strands keep their levels)
+or vertically (a cap, then a cup), with the loops of each state counted by
+union-find:
+
+    <K> = sum over states of A^(#horizontal s - #vertical s) d^(loops),
+    d = -A^2 - A^-2,
+
+so the horizontal opening is the A-smoothing of a crossing of sign +1 and
+the empty diagram has bracket 1.  With z = A - A^-1 and a = -A^3 this is D:
+D(L+) - D(L-) = z (D(L_par) - D(L_turn)) holds term by term, and
+delta_D = d.  With a = A^4 and z = A^-2 - A^2, P = a^-w R is the Jones
+polynomial (-A^3)^-w <K>.
+
+Polynomials in A are dicts {exponent: coefficient}; a knotpoly polynomial
+enters as its terms {(z exponent, a exponent): coefficient}.
+"""
+
+
+def closure(strands: int, letters) -> list:
+    """The events of a braid word's closure: the strands at the bottom, the
+    return strands nested above them."""
+    events = [("cup", i) for i in range(strands)]
+    events += [("x", abs(l) - 1, 1 if l > 0 else -1) for l in letters]
+    return events + [("cap", i) for i in range(strands - 1, -1, -1)]
+
+
+def mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def power(p: dict, k: int) -> dict:
+    out = {0: 1}
+    for _ in range(k):
+        out = mul(out, p)
+    return out
+
+
+LOOP = {2: -1, -2: -1}  # d = -A^2 - A^-2
+
+
+def _loops(events: list, vertical: list) -> int:
+    """The loops of the state that opens the crossing j vertically when
+    vertical[j], else horizontally."""
+    parent: list = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    stack: list = []
+    j = 0
+    for ev in events:
+        kind, i = ev[0], ev[1]
+        if kind == "x":
+            j += 1
+            if not vertical[j - 1]:
+                continue
+        if kind != "cup":  # a cap, or the cap of a vertical opening
+            parent[find(stack[i])] = find(stack[i + 1])
+            del stack[i:i + 2]
+            if kind == "cap":
+                continue
+        parent.append(len(parent))
+        stack[i:i] = [parent[-1]] * 2
+    return sum(1 for x in range(len(parent)) if find(x) == x)
+
+
+def bracket(events: list) -> dict:
+    """<K> of a closed event list, by its 2^c states."""
+    signs = [ev[2] for ev in events if ev[0] == "x"]
+    tally: dict = {}  # (A exponent, loops) -> states
+    for state in range(1 << len(signs)):
+        vertical = [state >> j & 1 for j in range(len(signs))]
+        exp = sum(-s if v else s for s, v in zip(signs, vertical))
+        key = (exp, _loops(events, vertical))
+        tally[key] = tally.get(key, 0) + 1
+    out: dict = {}
+    for (exp, loops), count in tally.items():
+        for e, c in power(LOOP, loops).items():
+            out[e + exp] = out.get(e + exp, 0) + count * c
+    return {e: c for e, c in out.items() if c}
+
+
+def specialize(terms: dict, z: dict, a: tuple, m: int) -> dict:
+    """z^m p(z, a) for p = sum of c z^ez a^ea over `terms`, with a = sign
+    A^k given as (sign, k); m must clear the negative powers of z."""
+    sign, k = a
+    out: dict = {}
+    for (ez, ea), c in terms.items():
+        assert ez + m >= 0, "m does not clear the negative powers of z"
+        for e, c2 in power(z, ez + m).items():
+            e += k * ea
+            out[e] = out.get(e, 0) + c * c2 * sign ** (ea % 2)
+    return {e: c for e, c in out.items() if c}

@@ -1,8 +1,11 @@
 """The algebra engines against the skein engines, closed forms and the
 mirror property, and how `poly --braid` and `search` use them."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,14 +14,15 @@ from knotpoly import algebra, harness
 from knotpoly.algebra import (bmw_D, hecke_R, braid_invariants, _basis_tangle,
                               _eval)
 from knotpoly.cli import main
-from knotpoly.diagram import (MAX_STRANDS, BraidWord, ParseError, braid_closure,
-                              parse_braid)
+from knotpoly.diagram import (DIAGRAM_KINDS, MAX_STRANDS, BraidWord, DiagramError,
+                              ParseError, braid_closure, parse_braid, scan)
 from knotpoly.harness import SearchConfig
 from knotpoly.laurent import LaurentPoly
-from knotpoly.skein import (DELTA, DELTA_D, SkeinCache, full_invariants,
+from knotpoly.skein import (DELTA, DELTA_D, SkeinCache, descend, full_invariants,
                             homfly_R, kauffman_D)
 
-from conftest import A, ZVAR, WITNESS_BRAID, random_braid
+from conftest import (A, ZVAR, WITNESS_BRAID, random_braid, reference_descend,
+                      reference_walk)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,6 +48,80 @@ def test_basis_tangles_expand_to_themselves(n):
         assert _eval(n, _basis_tangle(n, b), {}) == {b: LaurentPoly.one()}, b
         count += 1
     assert count == [1, 1, 3, 15, 105][n]  # (2n-1)!!
+
+
+def _random_tangle(rng: random.Random, n: int, length: int) -> tuple:
+    """Random events on a stack of n strands, closed back to n strands."""
+    events, k = [], n
+    for _ in range(length):
+        kind = rng.choice(("cup", "cap", "x", "x") if k >= 2 else ("cup",))
+        if kind == "x":
+            events.append(("x", rng.randint(0, k - 2), rng.choice((1, -1))))
+        else:
+            events.append((kind, rng.randint(0, k if kind == "cup" else k - 2)))
+            k += 2 if kind == "cup" else -2
+    for k in range(k, n, -2):
+        events.append(("cap", rng.randint(0, k - 2)))
+    for k in range(k, n, 2):
+        events.append(("cup", rng.randint(0, k)))
+    return tuple(events)
+
+
+def _check_tangle_scan(events: tuple, n: int) -> None:
+    """`scan(ends=n)` and `descend` against the reference walk."""
+    sc = scan(events, DIAGRAM_KINDS, ends=n)
+    ref = reference_walk(events, ends=n)
+    assert sc.dirs == ref.dirs
+    assert (tuple(sc.components), tuple(sc.component_of)) == \
+        (ref.components, ref.component_of)
+    assert sc.right_ends == ref.points[n:]
+    assert list(sc.cup_lows) == [lo for _i, lo, _hi in ref.cup_events]
+    assert all(sc.cap_mate[t] == m for t, m in ref.cap_pair.items())
+    assert tuple(sc.crossings) == ref.cross_info
+    # the Brauer matching and the loop count, read off the scan's components
+    points = [*range(n), *sc.right_ends]
+    brauer = tuple(next(f for f, u in enumerate(points)
+                        if f != e and sc.component_of[u] == sc.component_of[t])
+                   for e, t in enumerate(points))
+    assert brauer == ref.brauer
+    assert len(sc.components) - n == ref.loops
+    got, viols, writhe = descend(events, ends=n)
+    assert (len(got.components), got.dirs, writhe, viols) == \
+        reference_descend(events, ends=n)
+    # given dirs must orient each arc from its first end point
+    assert scan(events, DIAGRAM_KINDS, sc.dirs, ends=n).dirs == sc.dirs
+    if n:
+        arc = sc.components[0]
+        flipped = tuple(-d if c == arc else d for d, c in zip(sc.dirs, sc.component_of))
+        for check in (lambda: scan(events, DIAGRAM_KINDS, flipped, ends=n),
+                      lambda: reference_walk(events, dirs=flipped, ends=n)):
+            with pytest.raises(DiagramError):
+                check()
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_tangle_scan_matches_reference_on_basis_tangles(n):
+    for m in _matchings(list(range(2 * n))):
+        tangle = _basis_tangle(n, tuple(m[e] for e in range(2 * n)))
+        _check_tangle_scan(tangle, n)
+        if n > 1:  # and the tangles of the structure constants
+            _check_tangle_scan(tangle + (("x", n - 2, -1),), n)
+
+
+def test_tangle_scan_matches_reference_on_random_tangles():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        _check_tangle_scan(_random_tangle(rng, n, rng.randint(0, 12)), n)
+
+
+def test_tangle_scan_rejects_wrong_end_width():
+    tangle = _basis_tangle(2, (1, 0, 3, 2))
+    for events, n in ((tangle + (("cup", 0),), 2), ((("cap", 0),), 2)):
+        for check in (lambda: scan(events, DIAGRAM_KINDS, ends=n),
+                      lambda: reference_walk(events, ends=n)):
+            with pytest.raises(DiagramError):
+                check()
 
 
 def _check_agreement(b: BraidWord, cache: SkeinCache, tables: dict) -> None:
@@ -127,6 +205,16 @@ def test_braid_invariants_match_full_invariants(cache):
     for _ in range(40):
         b = random_braid(rng, max_strands=5, max_letters=9)
         assert braid_invariants(b) == full_invariants(braid_closure(b), cache)
+
+
+def test_package_import_leaves_algebra_out():
+    """`import knotpoly` does not compile or run `algebra.py`: a process
+    that runs no algebra engine does not pay for it at start-up."""
+    code = "import sys, knotpoly; sys.exit('knotpoly.algebra' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(algebra.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- the cache file ----------------------------------------------------------

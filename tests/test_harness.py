@@ -88,34 +88,75 @@ def test_search_parallel_matches_serial(tmp_path):
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
 
 
+class InProcessPool:
+    """A fake `ProcessPoolExecutor` that maps in-process, so no process
+    starts."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+class TogetherPool(InProcessPool):
+    """The in-process pool, but each worker finds the cache file as it was
+    when the pool started, as workers that start together do; what a
+    worker appends still lands at the end of the shared file."""
+
+    def map(self, fn, payloads):
+        payloads = list(payloads)
+        path = Path(payloads[0][2])
+        start = path.read_bytes() if path.exists() else b""
+        results = []
+        for payload in payloads:
+            now = path.read_bytes() if path.exists() else b""
+            path.write_bytes(start)
+            results.append(fn(payload))
+            path.write_bytes(now + path.read_bytes()[len(start):])
+        return results
+
+
 @pytest.mark.parametrize("cpus, pools", [(None, []), (1, []), (3, [3])])
 def test_search_jobs_bounded_by_cpu_count(monkeypatch, cpus, pools):
     """`jobs` above the CPU count asks the pool for one worker per CPU.
 
-    The pool is a fake that records `max_workers` and maps in-process, so
-    no process starts; one CPU (or an unknown count) runs serially.
+    The pool is the in-process fake; one CPU (or an unknown count) runs
+    serially.
     """
     asked = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
     settings = dict(max_strands=3, max_letters=4, dedup="none", predicate="all")
     serial = search(SearchConfig(**settings))
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: asked.append(max_workers) or
+                        InProcessPool(max_workers))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     assert search(SearchConfig(**settings, jobs=10_000)) == serial
     assert asked == pools
+
+
+def _keys(path) -> list:
+    return [line.split("\t", 1)[0] for line in path.read_text().splitlines()]
+
+
+def test_search_jobs_write_each_cache_key_once(tmp_path, monkeypatch):
+    """Under `jobs`, the cache file gets the serial run's keys, each once,
+    though the workers start together and make some records twice."""
+    settings = dict(max_strands=3, max_letters=5, dedup="none")
+    serial = search(SearchConfig(**settings, cache=str(tmp_path / "s.txt")))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", TogetherPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert search(SearchConfig(**settings, jobs=2,
+                               cache=str(tmp_path / "p.txt"))) == serial
+    keys = _keys(tmp_path / "p.txt")
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(_keys(tmp_path / "s.txt"))
 
 
 def test_search_bound_violation_predicate_empty(tmp_path):

@@ -14,12 +14,12 @@ from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               _smooth_v_events, _cups_before)
 from knotpoly.skein import (SkeinCache, SkeinStats, homfly_R, kauffman_D,
                             full_invariants, DELTA, DELTA_D, CACHE_ENV_VAR,
-                            _scan)
+                            descend)
 
 from conftest import (A, AINV, ZVAR, P_TREFOIL, Y_TREFOIL, INVALID_EVENTS,
                       FRONT_KINDS, DIAGRAM_KINDS, assert_scan_rejects,
                       front_twin, random_braid, random_surgered_closure,
-                      reference_walk)
+                      reference_descend, reference_walk)
 
 ONE = LaurentPoly.one()
 
@@ -283,31 +283,6 @@ def test_cache_env_var_file_opened_once_and_closed(tmp_path):
     assert len(path.read_text().splitlines()) == len(fresh.mem)
 
 
-def _reference_scan(events, dirs):
-    """`_scan` recomputed from the reference walk, thread by thread."""
-    ref = reference_walk(events, dirs=dirs)
-    cross_at = {ci[0]: ci for ci in ref.cross_info}
-    seen = set()
-    viols = []
-    for start in ref.components:  # a component's id is its first-born thread
-        t = start
-        while True:
-            east = ref.dirs[t] == 1
-            plist = ref.thread_passes[t]
-            for ev_idx, entered_lower in (plist if east else reversed(plist)):
-                if ev_idx in seen:
-                    continue
-                seen.add(ev_idx)
-                _, lo, hi, s = cross_at[ev_idx]
-                over = (s == 1) if entered_lower else (s == -1)
-                if not over:
-                    viols.append((ev_idx, lo, hi, s, s * ref.dirs[lo] * ref.dirs[hi]))
-            t = ref.cap_pair[t] if east else ref.cup_pair[t]
-            if t == start:
-                break
-    return len(ref.components), ref.dirs, ref.writhe, viols
-
-
 def test_scan_matches_reference_walk_random():
     rng = random.Random(17)
     scanned = 0
@@ -321,13 +296,16 @@ def test_scan_matches_reference_walk_random():
         if ev:
             cases += [(ev, None), (ev, dd)]
         for events, dirs in cases:
-            assert _scan(events, dirs) == _reference_scan(events, dirs)
+            sc, viols, writhe = descend(events, dirs)
+            assert (len(sc.components), sc.dirs, writhe, viols) == \
+                reference_descend(events, dirs)
             scanned += 1
     assert scanned >= 3 * 400
 
 
 def test_scan_matches_morse_diagram_random():
-    """`_scan` agrees with the MorseDiagram of the same events and dirs."""
+    """`descend` agrees with the MorseDiagrams of the same events and dirs
+    and of the descending diagram."""
     rng = random.Random(17)
     scanned = 0
     for _ in range(400):
@@ -341,13 +319,16 @@ def test_scan_matches_morse_diagram_random():
             cases += [(ev, None), (ev, dd)]
         for events, dirs in cases:
             ref = MorseDiagram(events, dirs)
-            ncomp, got_dirs, writhe, viols = _scan(events, dirs)
-            assert (ncomp, got_dirs, writhe) == \
-                (len(ref.components), ref.dirs, ref.writhe)
+            sc, viols, writhe = descend(events, dirs)
+            assert (len(sc.components), sc.dirs) == (len(ref.components), ref.dirs)
             assert len({v[0] for v in viols}) == len(viols)
+            switched = events
             for ev_idx, lo, hi, s, eps in viols:
                 assert (ev_idx, lo, hi, s) in ref.cross_info
                 assert eps == s * ref.dirs[lo] * ref.dirs[hi]
+                switched = _switch_events(switched, ev_idx)
+            assert writhe == MorseDiagram(switched, sc.dirs).writhe
+            assert writhe == ref.writhe - 2 * sum(v[4] for v in viols)
             scanned += 1
     assert scanned >= 3 * 400
 
@@ -363,7 +344,7 @@ def test_scan_rejects_invalid_events(events):
     with pytest.raises(DiagramError):
         MorseDiagram(events)
     with pytest.raises(DiagramError):
-        _scan(tuple(events), None)
+        descend(tuple(events))
     assert_scan_rejects(events, DIAGRAM_KINDS)
     assert_scan_rejects(front_twin(events), FRONT_KINDS)
 
@@ -371,9 +352,9 @@ def test_scan_rejects_invalid_events(events):
 def test_scan_rejects_bad_orientation():
     d = braid_closure(parse_braid("braid 2: 1 1"))
     with pytest.raises(DiagramError):
-        _scan(d.events, d.dirs[:-1])                  # wrong shape
+        descend(d.events, d.dirs[:-1])                # wrong shape
     with pytest.raises(DiagramError):
-        _scan(d.events, (1, 1, 1, 1))                 # cup mates agree
+        descend(d.events, (1, 1, 1, 1))               # cup mates agree
     with pytest.raises(DiagramError):
         MorseDiagram(d.events, (1, 1, 1, 1))
     # the trefoil's cups pair threads (0, 1), (2, 3) and its caps (0, 3), (1, 2)
@@ -382,7 +363,7 @@ def test_scan_rejects_bad_orientation():
                  (1, -1, -1, 1)):                     # only cap mates agree
         for check in (lambda: reference_walk(tref.events, dirs=dirs),
                       lambda: MorseDiagram(tref.events, dirs),
-                      lambda: _scan(tref.events, dirs)):
+                      lambda: descend(tref.events, dirs)):
             with pytest.raises(DiagramError):
                 check()
 
