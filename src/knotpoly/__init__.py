@@ -8,8 +8,7 @@ from .diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
 from .front import (FrontWord, LegendrianInvariants, parse_front,
                     classical_invariants, saucer_front, crossed_saucer_front)
 from .skein import (SkeinCache, SkeinResult, SkeinStats, homfly_R,
-                    kauffman_D, full_invariants, DELTA, DELTA_D,
-                    CACHE_ENV_VAR)
+                    kauffman_D, full_invariants, DELTA, DELTA_D)
 from .jaeger import (SpliceState, Certificate, nonzero_states,
                      jaeger_both_sides, lj_both_sides, lemma_check,
                      proof_chain_check, DIAGRAM_ALPHABET, FRONT_ALPHABET,

@@ -253,16 +253,13 @@ def bmw_D(b: BraidWord, tables: Optional[dict] = None) -> LaurentPoly:
     return val
 
 
-def braid_invariants(b: BraidWord,
-                     cache: Optional[SkeinCache] = None) -> SkeinResult:
+def braid_invariants(b: BraidWord, cache: SkeinCache) -> SkeinResult:
     """The invariants of the closure of `b` from the algebra engines.
 
     R and D are looked up in the cache under the skein engines' keys for the
     reduced closure; on a miss the algebra values are stored there.  w is
     the exponent sum, the closure's writhe.
     """
-    if cache is None:
-        cache = SkeinCache()
     d = braid_closure(b)
     R = memo_value(d, cache, lambda: hecke_R(b, cache.tables), kauffman=False)
     D = memo_value(d, cache, lambda: bmw_D(b, cache.tables), kauffman=True)

@@ -29,11 +29,13 @@ from typing import Optional
 
 from .diagram import ParseError, DiagramError, parse_braid, braid_closure, connected_sum
 from .front import parse_front, classical_invariants
-from .skein import SkeinCache, full_invariants, CACHE_ENV_VAR
+from .skein import SkeinCache, full_invariants
 from .jaeger import jaeger_both_sides, lj_both_sides
 from .inequalities import check_front_bounds, mfw_check, CSV_HEADER
 from .harness import (DEDUPS, FORMATS, PREDICATES, SearchConfig,
                       VerificationError, load_config, search, _flag)
+
+CACHE_ENV_VAR = "KNOTPOLY_CACHE"
 
 
 def _cache_path(path: Optional[str]) -> Optional[str]:

@@ -61,8 +61,7 @@ class BoundReport:
         return {column: getattr(self, field) for column, field in COLUMNS}
 
 
-def check_front_bounds(f: FrontWord,
-                       cache: Optional[SkeinCache] = None) -> BoundReport:
+def check_front_bounds(f: FrontWord, cache: SkeinCache) -> BoundReport:
     """Bounds b and c for a knot front."""
     if f.component_count() != 1:
         raise DiagramError("bound report requires a knot front")
@@ -80,7 +79,7 @@ def check_front_bounds(f: FrontWord,
                        witness=res.e_P < res.e_Y)
 
 
-def mfw_check(b: BraidWord, cache: Optional[SkeinCache] = None) -> BoundReport:
+def mfw_check(b: BraidWord, cache: SkeinCache) -> BoundReport:
     """Braid bound for a closure (knot or link)."""
     d = braid_closure(b)
     res = full_invariants(d, cache)
@@ -91,10 +90,8 @@ def mfw_check(b: BraidWord, cache: Optional[SkeinCache] = None) -> BoundReport:
 
 
 def additivity_audit(d1: MorseDiagram, d2: MorseDiagram,
-                     cache: Optional[SkeinCache] = None) -> dict:
+                     cache: SkeinCache) -> dict:
     """Check that e_P + 1 and e_Y + 1 add under connected sum."""
-    if cache is None:
-        cache = SkeinCache.from_env()
     r1 = full_invariants(d1, cache)
     r2 = full_invariants(d2, cache)
     rs = full_invariants(connected_sum(d1, d2), cache)
@@ -106,7 +103,7 @@ def additivity_audit(d1: MorseDiagram, d2: MorseDiagram,
     }
 
 
-def ep_ey_compare(d: MorseDiagram, cache: Optional[SkeinCache] = None) -> dict:
+def ep_ey_compare(d: MorseDiagram, cache: SkeinCache) -> dict:
     """e_P versus e_Y; witness means e_P < e_Y."""
     res = full_invariants(d, cache)
     return {"e_P": res.e_P, "e_Y": res.e_Y, "witness": res.e_P < res.e_Y}

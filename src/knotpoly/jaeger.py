@@ -183,11 +183,9 @@ class Certificate:
                            for c, f, t in self.contributions]}
 
 
-def jaeger_both_sides(d: ClosedDiagram, cache: Optional[SkeinCache] = None,
+def jaeger_both_sides(d: ClosedDiagram, cache: SkeinCache,
                       weights: Optional[dict] = None) -> Certificate:
     """Evaluate both sides of the state-sum identity for a diagram."""
-    if cache is None:
-        cache = SkeinCache.from_env()
     lhs = substitute_jaeger(kauffman_D(d, cache), "kauffman_lhs")
     contributions = []
     table = DIAGRAM_WEIGHTS if weights is None else weights
@@ -216,11 +214,9 @@ def _front_term(st: SpliceState, cache: SkeinCache) -> DeltaFraction:
     return rsub.scaled(unit, v + st.h_count)
 
 
-def lj_both_sides(f: FrontWord, cache: Optional[SkeinCache] = None,
+def lj_both_sides(f: FrontWord, cache: SkeinCache,
                   weights: Optional[dict] = None) -> Certificate:
     """Evaluate both sides of the front version of the state sum."""
-    if cache is None:
-        cache = SkeinCache.from_env()
     lhs = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
     table = FRONT_WEIGHTS if weights is None else weights
     contributions = [(st.choices, st.flips, _front_term(st, cache))
@@ -240,14 +236,12 @@ class LemmaRow:
     respects_bound: bool
 
 
-def lemma_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> list[LemmaRow]:
+def lemma_check(f: FrontWord, cache: SkeinCache) -> list[LemmaRow]:
     """Per-state least a-degrees of the front state-sum contributions.
 
     Each nonvanishing contribution should be a genuine polynomial in a, with
     least degree at least 2(#left-up - V) + |mu| - mu for the state's mu.
     """
-    if cache is None:
-        cache = SkeinCache.from_env()
     rows = []
     for st in nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS):
         term = _front_term(st, cache)
@@ -263,7 +257,7 @@ def lemma_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> list[LemmaR
     return rows
 
 
-def proof_chain_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> dict:
+def proof_chain_check(f: FrontWord, cache: SkeinCache) -> dict:
     """The per-state relations tying front states to diagram states.
 
     Checks, for every state: R(K_sigma) = a^-nu_sigma R(l_sigma),
@@ -272,8 +266,6 @@ def proof_chain_check(f: FrontWord, cache: Optional[SkeinCache] = None) -> dict:
     relation D(l)(tau, a^2 t^-1) = (a^2 t^-1)^nu D(K)(tau, a^2 t^-1).
     K_sigma is built from the state's events and dirs, not from its tallies.
     """
-    if cache is None:
-        cache = SkeinCache.from_env()
     nu = f.cusp_count() // 2
     out = {"states": 0, "weight_ok": True, "nu_ok": True, "rot_ok": True,
            "r_factor_ok": True, "master_ok": None}

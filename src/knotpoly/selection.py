@@ -9,7 +9,7 @@ package does not import this module, so it runs as `__main__` only once.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .diagram import MorseDiagram, braid_closure, parse_braid
 from .front import FrontWord, crossed_saucer_front, saucer_front
@@ -34,15 +34,13 @@ def _candidate_front_tables() -> Iterator[dict]:
 
 def selection_sweep(diagrams: Sequence[MorseDiagram],
                     fronts: Sequence[FrontWord],
-                    cache: Optional[SkeinCache] = None) -> dict:
+                    cache: SkeinCache) -> dict:
     """Filter all candidate weight tables against the identities.
 
     Returns the survivors and whether each matches the frozen tables.  The
     corpus should contain crossings of both signs and both parallel and
     antiparallel splice sites, otherwise several tables may survive.
     """
-    if cache is None:
-        cache = SkeinCache.from_env()
     diagram_survivors = []
     for table in _candidate_diagram_tables():
         if all(jaeger_both_sides(d, cache, weights=table).equal for d in diagrams):
@@ -87,7 +85,7 @@ def _main() -> int:
     import json
     import sys
     diagrams, fronts = standard_selection_corpus()
-    rep = selection_sweep(diagrams, fronts)
+    rep = selection_sweep(diagrams, fronts, SkeinCache())
     rep["corpus"] = {
         "diagrams": [d.to_json() for d in diagrams],
         "fronts": [f.to_json() for f in fronts],

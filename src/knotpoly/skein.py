@@ -44,7 +44,6 @@ algebra and D in the BMW algebra, one basis update per letter.  `poly
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
 from dataclasses import dataclass
@@ -62,8 +61,6 @@ DELTA_D = LaurentPoly({(-1, 1): 1, (-1, -1): -1, (0, 0): 1})
 # denominators cleared: delta = (a - a^-1)/z, delta_D = (z + a - a^-1)/z
 _DELTA_NUM = LaurentPoly({(0, 1): 1, (0, -1): -1})
 _DELTA_D_NUM = LaurentPoly({(1, 0): 1, (0, 1): 1, (0, -1): -1})
-
-CACHE_ENV_VAR = "KNOTPOLY_CACHE"
 
 
 class ClosedDiagram(Protocol):
@@ -113,28 +110,14 @@ class SkeinCache:
                     try:
                         value = LaurentPoly.from_json(json.loads(payload))
                         self.mem[bytes.fromhex(keyhex)] = value
-                    except ValueError:  # JSONDecodeError is one
+                    # JSONDecodeError is a ValueError; a deep nesting
+                    # overflows the decoder's recursion
+                    except (ValueError, RecursionError):
                         raise OSError(f"cache file {path}:{lineno}: "
                                       "malformed record") from None
         except UnicodeDecodeError as exc:
             raise OSError(f"cache file {path} is not ASCII "
                           f"({exc.reason})") from None
-
-    @staticmethod
-    def from_env() -> "SkeinCache":
-        """The cache behind `cache=None`: the `KNOTPOLY_CACHE` file or memory.
-
-        Each file is opened once per process and closed at exit; without
-        the variable every call gets a fresh in-memory cache.
-        """
-        path = os.environ.get(CACHE_ENV_VAR) or None
-        if path is None:
-            return SkeinCache()
-        cache = _ENV_CACHES.get(path)
-        if cache is None:
-            cache = _ENV_CACHES[path] = SkeinCache(path)
-            atexit.register(cache.close)
-        return cache
 
     def get(self, key: bytes) -> Optional[LaurentPoly]:
         return self.mem.get(key)
@@ -149,9 +132,6 @@ class SkeinCache:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-_ENV_CACHES: dict[str, SkeinCache] = {}
 
 
 @lru_cache(maxsize=None)
@@ -305,23 +285,19 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
     return mult * val
 
 
-def homfly_R(d: ClosedDiagram, cache: Optional[SkeinCache] = None,
+def homfly_R(d: ClosedDiagram, cache: SkeinCache,
              stats: Optional[SkeinStats] = None,
              allow_split: bool = True) -> LaurentPoly:
     """Regular-isotopy HOMFLY polynomial of an oriented closed diagram."""
-    if cache is None:
-        cache = SkeinCache.from_env()
     return _skein_eval(d.events, d.dirs, kauffman=False, cache=cache,
                        stats=stats or SkeinStats(), allow_split=allow_split)
 
 
-def kauffman_D(d: ClosedDiagram, cache: Optional[SkeinCache] = None,
+def kauffman_D(d: ClosedDiagram, cache: SkeinCache,
                stats: Optional[SkeinStats] = None,
                allow_split: bool = True) -> LaurentPoly:
     """Regular-isotopy Dubrovnik polynomial of a closed diagram; orientation
     is ignored."""
-    if cache is None:
-        cache = SkeinCache.from_env()
     return _skein_eval(d.events, None, kauffman=True, cache=cache,
                        stats=stats or SkeinStats(), allow_split=allow_split)
 
@@ -368,7 +344,7 @@ class SkeinResult:
                 "P": self.P.to_json(), "Y": self.Y.to_json()}
 
 
-def full_invariants(d: MorseDiagram, cache: Optional[SkeinCache] = None,
+def full_invariants(d: MorseDiagram, cache: SkeinCache,
                     stats: Optional[SkeinStats] = None,
                     allow_split: bool = True) -> SkeinResult:
     """R, D and the writhe-normalized P, Y with their least a-degrees, of a

@@ -7,8 +7,8 @@ from knotpoly.laurent import LaurentPoly
 from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               braid_closure, crossing_surgery, scan)
 from knotpoly.front import FrontWord
-from knotpoly.skein import (CACHE_ENV_VAR, SkeinCache, full_invariants, DELTA,
-                            DELTA_D)
+from knotpoly.cli import CACHE_ENV_VAR
+from knotpoly.skein import SkeinCache, full_invariants, DELTA, DELTA_D
 
 A = LaurentPoly.monomial(1, 0, 1)
 AINV = LaurentPoly.monomial(1, 0, -1)

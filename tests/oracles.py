@@ -104,3 +104,93 @@ def specialize(terms: dict, z: dict, a: tuple, m: int) -> dict:
             e += k * ea
             out[e] = out.get(e, 0) + c * c2 * sign ** (ea % 2)
     return {e: c for e, c in out.items() if c}
+
+
+# -- Alexander polynomial from the reduced Burau matrix ------------------------
+
+
+def add(p: dict, q: dict, sign: int = 1) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def divide(p: dict, q: dict) -> dict:
+    """p / q for Laurent polynomials; asserts that q divides p."""
+    p = dict(p)
+    out: dict = {}
+    top_q, floor = max(q), (min(p) - min(q) if p else 0)
+    while p:
+        top = max(p)
+        c, r = divmod(p[top], q[top_q])
+        assert r == 0 and top - top_q >= floor, "not divisible"
+        out[top - top_q] = c
+        p = add(p, {e + top - top_q: c * c2 for e, c2 in q.items()}, -1)
+    return out
+
+
+def determinant(rows: list) -> dict:
+    """det of a square matrix of Laurent polynomials, by fraction-free
+    Bareiss elimination: each division by the last pivot is exact."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, {0: 1}
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return {}
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = divide(add(mul(m[i][j], m[k][k]),
+                                     mul(m[i][k], m[k][j]), -1), prev)
+        prev = m[k][k]
+    return {e: sign * c for e, c in m[-1][-1].items()} if n else {0: 1}
+
+
+def alexander(strands: int, letters) -> dict:
+    """Delta(t) of a braid closure, up to a unit +-t^k:
+    det(I - psi(b)) / (1 + t + ... + t^(n-1)) for the reduced Burau matrix
+    psi(b), the product of psi(s_i) = I but for row i - 1, which is
+    (t, -t, 1) at columns i - 2, i - 1, i (those that exist), and of
+    psi(s_i^-1) = I but for row i - 1, (1, -t^-1, t^-1)."""
+    m = strands - 1
+    psi = [[{0: 1} if r == c else {} for c in range(m)] for r in range(m)]
+    for l in reversed(letters):  # psi(b) = psi(l_1) ... psi(l_k)
+        i = abs(l) - 1
+        row = ({i - 1: {1: 1}, i: {1: -1}, i + 1: {0: 1}} if l > 0 else
+               {i - 1: {0: 1}, i: {-1: -1}, i + 1: {-1: 1}})
+        new = {}
+        for k, g in row.items():
+            if 0 <= k < m:
+                for c in range(m):
+                    new[c] = add(new.get(c, {}), mul(g, psi[k][c]))
+        psi[i] = [new.get(c, {}) for c in range(m)]
+    eye_minus = [[add({0: 1} if r == c else {}, psi[r][c], -1)
+                  for c in range(m)] for r in range(m)]
+    return divide(determinant(eye_minus), {e: 1 for e in range(strands)})
+
+
+def conway(p_terms: dict) -> dict:
+    """The Conway polynomial {z exponent: coefficient} of a HOMFLY P given
+    by its terms: P / delta at a = 1, with delta = (a - a^-1) / z.  Each
+    z-slice of z P is divided by a - a^-1 exactly, then summed at a = 1."""
+    slices: dict = {}
+    for (ez, ea), c in p_terms.items():
+        slices.setdefault(ez, {})[ea] = c
+    out = {}
+    for ez, p in slices.items():
+        c = sum(divide(p, {1: 1, -1: -1}).values())
+        if c:
+            out[ez + 1] = c
+    return out
+
+
+def centred(p: dict) -> dict:
+    """p times the unit +-s^k that centres its exponents on 0 and makes its
+    value at s = 1 positive: the Conway normalization of a knot's Delta(s^2),
+    which is symmetric with value +-1 at s = 1."""
+    shift = (min(p) + max(p)) // 2
+    sign = 1 if sum(p.values()) > 0 else -1
+    return {e - shift: sign * c for e, c in p.items()}

@@ -377,6 +377,8 @@ def test_cli_malformed_cache_record_is_io_error(tmp_path, capsys):
 @pytest.mark.parametrize("record", [
     '52\t[{"ez":0,"ea":0,"c":"1"},{"ez":0,"ea":0,"c":"2"}]',  # repeated term
     '52\t[{"ez":0,"ea":0,"c":"0"}]',                          # zero coefficient
+    # nested past the JSON decoder's recursion limit
+    pytest.param("52\t" + "[" * 100_000, id="nested"),
 ])
 def test_cli_cache_record_to_json_never_writes_is_io_error(tmp_path, capsys, record):
     records = _cache_records(tmp_path)

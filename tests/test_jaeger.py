@@ -12,7 +12,8 @@ import knotpoly
 from knotpoly.laurent import LaurentPoly, DeltaFraction, TAU, substitute_jaeger
 from knotpoly.diagram import MorseDiagram, parse_braid, braid_closure, scan
 from knotpoly.front import FrontWord, saucer_front, crossed_saucer_front
-from knotpoly.skein import CACHE_ENV_VAR, SkeinCache, homfly_R, kauffman_D
+from knotpoly.cli import CACHE_ENV_VAR
+from knotpoly.skein import SkeinCache, homfly_R, kauffman_D
 from knotpoly.jaeger import (SpliceState, nonzero_states, jaeger_both_sides,
                              lj_both_sides, lemma_check, proof_chain_check,
                              DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, FRONT_ALPHABET,

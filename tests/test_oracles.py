@@ -1,19 +1,30 @@
-"""R and D of braid closures against the Kauffman bracket of `oracles.py`,
-which shares no code with the engines: the skein engines and the algebra
-engines of `algebra.py` share `diagram.scan`, the descending walk and the
-planar reduction, so their agreement does not check that code."""
+"""R and D against oracles of `oracles.py`, which share no code with the
+engines: the skein engines and the algebra engines of `algebra.py` share
+`diagram.scan`, the descending walk and the planar reduction, so their
+agreement does not check that code.
+
+The Kauffman bracket checks D and R on braid closures, on the
+morsifications of fronts and on spliced diagram states; the Alexander
+polynomial of the reduced Burau matrix checks R on braid closures through
+the Conway polynomial."""
 
 import random
 
 from knotpoly.algebra import bmw_D, hecke_R
-from knotpoly.diagram import BraidWord, braid_closure
+from knotpoly.diagram import BraidWord, braid_closure, parse_braid
+from knotpoly.harness import SearchConfig, enumerate_braids
+from knotpoly.jaeger import DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, nonzero_states
 from knotpoly.skein import SkeinCache, homfly_R, kauffman_D
 
-from conftest import random_braid
-from oracles import bracket, closure, mul, power, specialize
+from conftest import WITNESS_BRAID, random_braid, random_front, reference_walk
+from oracles import (add, alexander, bracket, centred, closure, conway, mul,
+                     power, specialize)
 
 Z_D = {1: 1, -1: -1}   # z = A - A^-1, with a = -A^3
 Z_R = {-2: 1, 2: -1}   # z = A^-2 - A^2, with a = A^4
+# the Alexander polynomial of the witness closure
+WITNESS_ALEXANDER = {4: 1, 3: -5, 2: 8, 1: -4, 0: 1, -1: -4, -2: 8, -3: -5,
+                     -4: 1}
 
 
 def _corpus() -> list:
@@ -31,9 +42,33 @@ def _corpus() -> list:
     return braids
 
 
-def _clearing(*polys) -> int:
-    """The power of z that clears every negative z power of `polys`."""
-    return max(0, *(-ez for p in polys for ez, _ea in p.terms))
+def _clearing(p) -> int:
+    """The power of z that clears every negative z power of `p`."""
+    return max(0, *(-ez for ez, _ea in p.terms))
+
+
+def _d_holds(K: dict, D, eps: int = 1, eta: int = 1) -> bool:
+    """D(z = eps (A - A^-1), a = -A^(3 eta)) = <K>; negative z powers are
+    cleared by z^m on both sides."""
+    z = {e: eps * c for e, c in Z_D.items()}
+    m = _clearing(D)
+    return specialize(D.terms, z, (-1, 3 * eta), m) == mul(K, power(z, m))
+
+
+def _r_holds(K: dict, w: int, R, eps: int = 1, eta: int = 1,
+             omega: int = 1) -> bool:
+    """P = a^-w R at a = A^(4 eta), z = eps (A^-2 - A^2) equals
+    (-A^3)^-w <K>, with the writhe w read as omega w."""
+    z = {e: eps * c for e, c in Z_R.items()}
+    m = _clearing(R)
+    w *= omega
+    P = mul(specialize(R.terms, z, (1, 4 * eta), m), {-4 * eta * w: 1})
+    return P == mul(mul(K, {-3 * w: (-1) ** (w % 2)}), power(z, m))
+
+
+def _closure_writhe(events) -> int:
+    """The writhe of a braid closure: its strands all run one way."""
+    return sum(ev[2] for ev in events if ev[0] == "x")
 
 
 def test_engines_against_the_bracket():
@@ -43,17 +78,96 @@ def test_engines_against_the_bracket():
         events = closure(b.strands, b.letters)
         K = bracket(events)
         d = braid_closure(b)
-        Ds = (bmw_D(b, tables), kauffman_D(d, cache))
-        m = _clearing(*Ds)
-        for D in Ds:
-            # D(z = A - A^-1, a = -A^3) = <K>
-            assert specialize(D.terms, Z_D, (-1, 3), m) == \
-                mul(K, power(Z_D, m)), b.text()
-        w = sum(1 if ev[2] > 0 else -1 for ev in events if ev[0] == "x")
-        # P = a^-w R at a = A^4, z = A^-2 - A^2 equals (-A^3)^-w <K>
-        jones = mul(K, {-3 * w: (-1) ** (w % 2)})
-        Rs = (hecke_R(b, tables), homfly_R(d, cache))
-        m = _clearing(*Rs)
-        for R in Rs:
-            P = mul(specialize(R.terms, Z_R, (1, 4), m), {-4 * w: 1})
-            assert P == mul(jones, power(Z_R, m)), b.text()
+        for D in (bmw_D(b, tables), kauffman_D(d, cache)):
+            assert _d_holds(K, D), b.text()
+        w = _closure_writhe(events)
+        for R in (hecke_R(b, tables), homfly_R(d, cache)):
+            assert _r_holds(K, w, R), b.text()
+
+
+def test_front_morsifications_against_the_bracket():
+    """Knots and links; the writhe comes from the reference walk of the
+    tests, not from `diagram.scan`."""
+    rng = random.Random(404)
+    cache = SkeinCache()
+    checked = 0
+    while checked < 40:
+        m = random_front(rng, max_crossings=5).morsify()
+        if sum(ev[0] == "x" for ev in m.events) > 10:
+            continue
+        K = bracket(list(m.events))
+        assert _d_holds(K, kauffman_D(m, cache)), m.events
+        w = reference_walk(m.events, dirs=m.dirs).writhe
+        assert _r_holds(K, w, homfly_R(m, cache)), m.events
+        checked += 1
+
+
+def test_spliced_states_against_the_bracket():
+    cache = SkeinCache()
+    states = 0
+    for word in ("braid 2: 1 1 1", "braid 3: 1 -2 1 -2", "braid 3: 1 1 2 -1 2",
+                 "braid 4: 1 -2 3 -2 1"):
+        d = braid_closure(parse_braid(word))
+        for st in nonzero_states(d.events, DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS):
+            K = bracket(list(st.events))
+            assert _d_holds(K, kauffman_D(st, cache)), (word, st.choices)
+            w = reference_walk(st.events, dirs=st.dirs).writhe
+            assert _r_holds(K, w, homfly_R(st, cache)), (word, st.choices)
+            states += 1
+    assert states > 100
+
+
+def test_conventions_pinned():
+    """Of the 4 sign conventions for D (the signs of z and of a's
+    exponent) and the 8 for R (those and the writhe's sign), exactly one
+    of each holds on a small seeded corpus: the one the oracle tests use."""
+    rng = random.Random(31)
+    corpus = [parse_braid("braid 2: 1 1 1")]
+    while len(corpus) < 12:
+        b = random_braid(rng, max_strands=4, max_letters=7)
+        if len(b.letters) >= 4:
+            corpus.append(b)
+    signs = (1, -1)
+    d_ok = {(eps, eta) for eps in signs for eta in signs}
+    r_ok = {(eps, eta, omega) for eps in signs for eta in signs for omega in signs}
+    cache = SkeinCache()
+    for b in corpus:
+        events = closure(b.strands, b.letters)
+        K, w, d = bracket(events), _closure_writhe(events), braid_closure(b)
+        D, R = kauffman_D(d, cache), homfly_R(d, cache)
+        d_ok = {c for c in d_ok if _d_holds(K, D, *c)}
+        r_ok = {c for c in r_ok if _r_holds(K, w, R, *c)}
+    assert d_ok == {(1, 1)}
+    assert r_ok == {(1, 1, 1)}
+
+
+def _matches_burau(b: BraidWord, R) -> bool:
+    """Delta(s^2) = Conway(s - s^-1) for the knot `b`, with Delta from its
+    Burau matrix, known up to a unit +-s^k and so centred, and Conway from
+    its R.  The value at s = 1 is Conway(0) = 1, which pins R's sign."""
+    w = b.exponent_sum()
+    nabla: dict = {}
+    for k, c in conway({(ez, ea - w): c for (ez, ea), c in R.terms.items()}).items():
+        assert k >= 0, "a knot's Conway polynomial has no negative z powers"
+        nabla = add(nabla, {e: c * c2 for e, c2 in power(Z_D, k).items()})
+    at_s2 = {2 * e: c for e, c in alexander(b.strands, b.letters).items()}
+    return centred(at_s2) == nabla
+
+
+def test_witness_alexander():
+    b = parse_braid(WITNESS_BRAID)
+    assert centred(alexander(b.strands, b.letters)) == WITNESS_ALEXANDER
+    assert _matches_burau(b, hecke_R(b))
+    assert _matches_burau(b, homfly_R(braid_closure(b), SkeinCache()))
+
+
+def test_search_knots_against_burau():
+    """Every knot row of `search --max-strands 3 --max-letters 6`."""
+    tables: dict = {}
+    cache = SkeinCache()
+    knots = [b for b in enumerate_braids(SearchConfig(max_strands=3, max_letters=6))
+             if b.component_count() == 1]
+    for b in knots:
+        assert _matches_burau(b, hecke_R(b, tables)), b.text()
+        assert _matches_burau(b, homfly_R(braid_closure(b), cache)), b.text()
+    assert len(knots) == 2856

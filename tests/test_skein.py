@@ -1,9 +1,8 @@
 import hashlib
 import itertools
+import inspect
 import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -13,8 +12,7 @@ from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               reduce_diagram, _switch_events, _smooth_h_events,
                               _smooth_v_events, _cups_before)
 from knotpoly.skein import (SkeinCache, SkeinStats, homfly_R, kauffman_D,
-                            full_invariants, DELTA, DELTA_D, CACHE_ENV_VAR,
-                            descend)
+                            full_invariants, DELTA, DELTA_D, descend)
 
 from conftest import (A, AINV, ZVAR, P_TREFOIL, Y_TREFOIL, INVALID_EVENTS,
                       FRONT_KINDS, DIAGRAM_KINDS, assert_scan_rejects,
@@ -226,6 +224,21 @@ def test_persistent_cache_roundtrip(tmp_path):
     assert stats.cache_hits >= 1
 
 
+def test_library_calls_take_their_cache():
+    """No engine or checker finds a memo on its own: `cache` has no default,
+    so only the CLI picks a cache file."""
+    from knotpoly import algebra, inequalities, jaeger, selection
+    entry_points = (homfly_R, kauffman_D, full_invariants,
+                    jaeger.jaeger_both_sides, jaeger.lj_both_sides,
+                    jaeger.lemma_check, jaeger.proof_chain_check,
+                    selection.selection_sweep, inequalities.check_front_bounds,
+                    inequalities.mfw_check, inequalities.additivity_audit,
+                    inequalities.ep_ey_compare, algebra.braid_invariants)
+    for fn in entry_points:
+        param = inspect.signature(fn).parameters["cache"]
+        assert param.default is inspect.Parameter.empty, fn.__name__
+
+
 def test_persistent_cache_appends_after_torn_line(tmp_path):
     """Records appended after a torn last line load on the next open."""
     path = tmp_path / "cache.txt"
@@ -242,45 +255,6 @@ def test_persistent_cache_appends_after_torn_line(tmp_path):
     c3 = SkeinCache(str(path))
     c3.close()
     assert c3.mem == c2.mem and homfly_R(fig8, c3) == r
-
-
-def test_cache_env_var(tmp_path, monkeypatch):
-    path = str(tmp_path / "envcache.txt")
-    monkeypatch.setenv(CACHE_ENV_VAR, path)
-    d = braid_closure(parse_braid("braid 2: 1 1"))
-    r = full_invariants(d)
-    assert os.path.exists(path)
-    monkeypatch.delenv(CACHE_ENV_VAR)
-    assert full_invariants(d).R == r.R
-
-
-def test_cache_env_var_file_opened_once_and_closed(tmp_path):
-    """cache=None calls share one cache per file; it is closed at exit."""
-    import knotpoly
-    path = tmp_path / "envcache.txt"
-    code = "\n".join([
-        "from knotpoly.diagram import parse_braid, braid_closure",
-        "from knotpoly.inequalities import mfw_check",
-        "from knotpoly.skein import SkeinCache, SkeinStats, full_invariants, homfly_R",
-        "b = parse_braid('braid 2: 1 1 1')",
-        "full_invariants(braid_closure(b))",
-        "later = SkeinStats()",
-        "homfly_R(braid_closure(b), stats=later)",
-        "mfw_check(b)",
-        "full_invariants(braid_closure(b), stats=later)",
-        "cache = SkeinCache.from_env()",
-        "assert cache is SkeinCache.from_env() and cache._fh is not None",
-        "assert later.cache_hits >= 2, later  # later calls read the first's memo",
-    ])
-    src = os.path.dirname(os.path.dirname(os.path.abspath(knotpoly.__file__)))
-    env = {**os.environ, CACHE_ENV_VAR: str(path), "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-X", "dev", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "ResourceWarning" not in proc.stderr
-    fresh = SkeinCache()
-    full_invariants(braid_closure(parse_braid("braid 2: 1 1 1")), fresh)
-    assert len(path.read_text().splitlines()) == len(fresh.mem)
 
 
 def test_scan_matches_reference_walk_random():
