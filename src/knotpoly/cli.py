@@ -12,10 +12,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification failed (identity, bound, or a
 search row that the algebra engines do not confirm), 2 usage
-or parse error (`ParseError`, `DiagramError`), 3 an I/O error (cache, config
-or output file, or a malformed cache record), 4 an internal error (any other
-exception, such as a broken engine invariant or a `RecursionError` on a very
-deep input; a bug or a limit, not a verdict on the input).
+or parse error (`ParseError`, `DiagramError`, or an input with too many
+crossings for the skein recursion, named by its crossing count), 3 an I/O
+error (cache, config or output file, or a malformed cache record), 4 an
+internal error (any other exception, such as a broken engine invariant; a
+bug, not a verdict on the input).
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ def _input_front(args):
     if not args.front:
         raise ParseError("provide --front")
     return parse_front(args.front)
+
+
+def _crossing_count(args) -> int:
+    """Crossings of the command's input, which has already parsed."""
+    if getattr(args, "front", None):
+        return parse_front(args.front).crossing_count()
+    braids = getattr(args, "braid", None) or []
+    if isinstance(braids, str):
+        braids = [braids]
+    copies = getattr(args, "copies", 1)
+    return copies * sum(len(parse_braid(w).letters) for w in braids)
 
 
 def _cmd_poly(args) -> int:
@@ -225,6 +237,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 3
+    except RecursionError:
+        n = _crossing_count(args)  # 0 for search, which has no one input
+        sys.stderr.write("error: input too deep for the skein recursion"
+                         + (f" ({n} crossings)" if n else "") + "\n")
+        return 2
     except Exception as exc:  # a bug, never exit 1 or a traceback
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 4

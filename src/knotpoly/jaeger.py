@@ -41,14 +41,16 @@ first-born thread at the alphabet's seed dir); its probes name the threads
 each site's pattern reads.  A state is the spliced, oriented object, with
 `events` and `dirs` as on any closed diagram here: it reaches `homfly_R` as
 it is, a front state with its events morsified, and the proof chain's one
-object per state is the rounding K_sigma.
+object per state is the rounding K_sigma.  The states of one splice choice
+share one event list, which the engine then reduces once, and R's image
+under the substitution is computed once per distinct R on a cache.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, DeltaFraction, substitute_jaeger
 from .diagram import DIAGRAM_KINDS, MorseDiagram, Scan, flipped_dirs, scan
@@ -183,6 +185,15 @@ class Certificate:
                            for c, f, t in self.contributions]}
 
 
+def _rhs_image(r: LaurentPoly, cache: SkeinCache) -> DeltaFraction:
+    """R's image under the right-hand side's substitution, computed once
+    per distinct R on a cache (`SkeinCache.substituted`)."""
+    image = cache.substituted.get(r)
+    if image is None:
+        image = cache.substituted[r] = substitute_jaeger(r, "homfly_rhs")
+    return image
+
+
 def jaeger_both_sides(d: ClosedDiagram, cache: SkeinCache,
                       weights: Optional[dict] = None) -> Certificate:
     """Evaluate both sides of the state-sum identity for a diagram."""
@@ -190,7 +201,7 @@ def jaeger_both_sides(d: ClosedDiagram, cache: SkeinCache,
     contributions = []
     table = DIAGRAM_WEIGHTS if weights is None else weights
     for st in nonzero_states(d.events, DIAGRAM_ALPHABET, table):
-        rsub = substitute_jaeger(homfly_R(st, cache), "homfly_rhs")
+        rsub = _rhs_image(homfly_R(st, cache), cache)
         # [K, state] (t a^-1)^r = sign (t a^-1)^r tau^(V+H)
         unit = LaurentPoly.monomial(st.sign, st.r_sigma, -st.r_sigma)
         term = rsub.scaled(unit, st.v_count + st.h_count)
@@ -203,10 +214,21 @@ def jaeger_both_sides(d: ClosedDiagram, cache: SkeinCache,
 # -- front states --------------------------------------------------------------
 
 
+def _morsified(states: Iterable[SpliceState]) -> Iterator[SpliceState]:
+    """Each front state with its events morsified, once per spliced event
+    list (the states of one splice choice share theirs)."""
+    events = morse = None
+    for st in states:
+        if st.events is not events:
+            events = st.events
+            morse = tuple(diagram_events_of(events, morsified=True))
+        yield replace(st, events=morse)
+
+
 def _front_term(st: SpliceState, cache: SkeinCache) -> DeltaFraction:
-    """(a t^-1)^(#left-up + #right-down) [L, state] R(morsified spliced front)."""
-    m = replace(st, events=tuple(diagram_events_of(st.events, morsified=True)))
-    rsub = substitute_jaeger(homfly_R(m, cache), "homfly_rhs")
+    """(a t^-1)^(#left-up + #right-down) [L, state] R(st), for a state
+    with its events morsified."""
+    rsub = _rhs_image(homfly_R(st, cache), cache)
     e = st.left_up + st.right_down
     v = st.v_count
     # sign (a t^-1)^e (t a^-2)^V tau^(V+H)
@@ -219,8 +241,9 @@ def lj_both_sides(f: FrontWord, cache: SkeinCache,
     """Evaluate both sides of the front version of the state sum."""
     lhs = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
     table = FRONT_WEIGHTS if weights is None else weights
+    states = _morsified(nonzero_states(f.events, FRONT_ALPHABET, table))
     contributions = [(st.choices, st.flips, _front_term(st, cache))
-                     for st in nonzero_states(f.events, FRONT_ALPHABET, table)]
+                     for st in states]
     rhs = DeltaFraction.sum(t for _c, _f, t in contributions)
     return Certificate(lhs=lhs, rhs=rhs, equal=lhs == rhs,
                        contributions=contributions)
@@ -243,7 +266,8 @@ def lemma_check(f: FrontWord, cache: SkeinCache) -> list[LemmaRow]:
     least degree at least 2(#left-up - V) + |mu| - mu for the state's mu.
     """
     rows = []
-    for st in nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS):
+    states = nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS)
+    for st in _morsified(states):
         term = _front_term(st, cache)
         if term.is_zero():
             continue
@@ -265,26 +289,29 @@ def proof_chain_check(f: FrontWord, cache: SkeinCache) -> dict:
     nu_sigma - r(K_sigma) = #left-up + #right-down; plus the cusp-rounding
     relation D(l)(tau, a^2 t^-1) = (a^2 t^-1)^nu D(K)(tau, a^2 t^-1).
     K_sigma is built from the state's events and dirs, not from its tallies.
+    The states go one splice choice at a time, each l_sigma's R before each
+    K_sigma's, so that each event list meets the engine in one run.
     """
     nu = f.cusp_count() // 2
     out = {"states": 0, "weight_ok": True, "nu_ok": True, "rot_ok": True,
            "r_factor_ok": True, "master_ok": None}
-    for st in nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS):
-        out["states"] += 1
-        lsig = replace(st, events=tuple(diagram_events_of(st.events, morsified=True)))
-        ksig = MorseDiagram(diagram_events_of(st.events), st.dirs)
-        nu_sig = len(ksig.cup_lows)  # l_sigma has two cusps per cup of K_sigma
-        if nu != nu_sig - st.v_count:
-            out["nu_ok"] = False
-        if nu_sig - ksig.rotation != st.left_up + st.right_down:
-            out["rot_ok"] = False
-        # front weight sign (t a^-2)^V tau^(V+H) = (t a^-2)^V (-1)^H tau^(V+H)
-        if st.sign != (-1) ** st.h_count:
-            out["weight_ok"] = False
-        r_l = homfly_R(lsig, cache)
-        r_k = homfly_R(ksig, cache)
-        if r_k != r_l.shift(0, -nu_sig):
-            out["r_factor_ok"] = False
+    states = nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS)
+    for _choices, group in itertools.groupby(states, lambda st: st.choices):
+        group = list(group)
+        r_ls = [homfly_R(lsig, cache) for lsig in _morsified(group)]
+        for st, r_l in zip(group, r_ls):
+            out["states"] += 1
+            ksig = MorseDiagram(diagram_events_of(st.events), st.dirs)
+            nu_sig = len(ksig.cup_lows)  # l_sigma: two cusps per cup of K_sigma
+            if nu != nu_sig - st.v_count:
+                out["nu_ok"] = False
+            if nu_sig - ksig.rotation != st.left_up + st.right_down:
+                out["rot_ok"] = False
+            # front weight sign (t a^-2)^V tau^(V+H) = (t a^-2)^V (-1)^H tau^(V+H)
+            if st.sign != (-1) ** st.h_count:
+                out["weight_ok"] = False
+            if homfly_R(ksig, cache) != r_l.shift(0, -nu_sig):
+                out["r_factor_ok"] = False
     d_l = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
     d_k = substitute_jaeger(kauffman_D(f.rounded(), cache), "kauffman_lhs")
     pre = LaurentPoly.monomial(1, -nu, 2 * nu)  # (a^2 t^-1)^nu

@@ -28,9 +28,16 @@ value follows from that writhe.  `descend` walks open tangles too, for the
 BMW engine of `algebra.py`.
 
 Diagrams are planar-reduced and level-normalized before memoization.
-Connected-sum slices are split off and recombined multiplicatively
-(R(A # B) = R(A) R(B) / delta); zero-strand slices need no rule of their
-own, since in a reduced diagram a connected-sum slice always comes first.
+Reduction reads only the events, so an engine entry (`homfly_R`,
+`kauffman_D`, `memo_value`) reduces its event list with thread numbers in
+place of dirs and reads the orientation through the returned thread map;
+the cache keeps that last reduction in memory, never persisted, so the
+orientations of one event list, and R then D of one diagram, reduce it
+once.  The entry also checks that the orientation has two entries of +-1
+per cup.  Connected-sum slices are split off and recombined
+multiplicatively (R(A # B) = R(A) R(B) / delta); zero-strand slices need
+no rule of their own, since in a reduced diagram a connected-sum slice
+always comes first.
 The splitter can be disabled to keep an independent computation path.
 
 The writhe-normalized knot invariants are P = a^-w R and Y = a^-w D, with
@@ -50,10 +57,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Protocol
 
-from .laurent import LaurentPoly, exact_divide
-from .diagram import (DIAGRAM_KINDS, MorseDiagram, Scan, reduce_diagram,
-                      encode_events, find_split, scan, _switch_events,
-                      _smooth_h_events, _smooth_v_events, _cups_before)
+from .laurent import DeltaFraction, LaurentPoly, exact_divide
+from .diagram import (DIAGRAM_KINDS, DiagramError, MorseDiagram, Scan,
+                      reduce_diagram, encode_events, find_split, scan,
+                      _switch_events, _smooth_h_events, _smooth_v_events,
+                      _cups_before)
 
 # unknot values
 DELTA = LaurentPoly({(-1, 1): 1, (-1, -1): -1})            # (a - a^-1)/z
@@ -80,13 +88,22 @@ class SkeinCache:
     append cut short: it is skipped, and cut off the file before this cache
     appends to it.
 
-    `tables` holds the algebra engines' tables (`algebra.py`), built on
-    demand and kept in memory only.
+    Three stores are kept in memory only.  They are never persisted and
+    change no memo key:
+
+    - `tables`, the algebra engines' tables (`algebra.py`), built on demand;
+    - `last_reduction`, the planar reduction of the last event list an
+      engine entry saw (`_entry_reduced`), with its thread map; None
+      before the first entry;
+    - `substituted`, each R's image under the state-sum substitution
+      (`jaeger`), keyed by R.
     """
 
     def __init__(self, path: Optional[str] = None):
         self.mem: dict[bytes, LaurentPoly] = {}
         self.tables: dict[str, dict] = {}
+        self.last_reduction: Optional[tuple] = None
+        self.substituted: dict[LaurentPoly, DeltaFraction] = {}
         self.path = path
         self._fh = None
         if path:
@@ -218,10 +235,10 @@ def _split_dirs(events: tuple, dirs: Optional[tuple], pos: int):
     return e1, dirs[:n1], e2, d2
 
 
-def _reduced(events: tuple, dirs: Optional[tuple], kauffman: bool):
-    """(events, dirs, multiplier, memo key) of the reduced diagram; the
+def _keyed(events: tuple, dirs: Optional[tuple], a_pow: int, circles: int,
+           kauffman: bool):
+    """(events, dirs, multiplier, memo key) of a reduction's result; the
     key is None when nothing is left."""
-    events, dirs, a_pow, circles = reduce_diagram(events, dirs)
     mult = _unknot_power(kauffman, circles).shift(-circles, a_pow)
     if not events:
         return events, dirs, mult, None
@@ -229,10 +246,47 @@ def _reduced(events: tuple, dirs: Optional[tuple], kauffman: bool):
     return events, dirs, mult, key
 
 
+_UNITS = frozenset((1, -1))
+
+
+def _entry_reduced(d: ClosedDiagram, kauffman: bool, cache: SkeinCache):
+    """`_keyed` of an engine entry's reduced diagram, its event list
+    reduced once.
+
+    Planar reduction never reads the dirs, so it runs on thread numbers in
+    their place and returns a thread map, through which each orientation
+    is read.  The cache keeps the last event list's reduction: consecutive
+    entries on one event list (the orientations of one splice choice, R
+    then D of one diagram) reduce it once.
+    """
+    events = tuple(d.events)
+    slot = cache.last_reduction
+    if slot is None or slot[0] != events:
+        threads = tuple(range(2 * sum(e[0] == "cup" for e in events)))
+        slot = (events, threads) + reduce_diagram(events, threads)
+        cache.last_reduction = slot
+    _events, threads, reduced, tmap, a_pow, circles = slot
+    dirs = None
+    if not kauffman:
+        dirs = d.dirs
+        if len(dirs) != len(threads) or not _UNITS.issuperset(dirs):
+            raise DiagramError("orientation vector has wrong shape")
+        dirs = tuple(map(dirs.__getitem__, tmap))
+    return _keyed(reduced, dirs, a_pow, circles, kauffman)
+
+
 def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
                 cache: SkeinCache, stats: SkeinStats,
                 allow_split: bool) -> LaurentPoly:
-    events, dirs, mult, key = _reduced(events, dirs, kauffman)
+    return _eval_reduced(*_keyed(*reduce_diagram(events, dirs), kauffman),
+                         kauffman=kauffman, cache=cache, stats=stats,
+                         allow_split=allow_split)
+
+
+def _eval_reduced(events: tuple, dirs: Optional[tuple], mult: LaurentPoly,
+                  key: Optional[bytes], *, kauffman: bool, cache: SkeinCache,
+                  stats: SkeinStats, allow_split: bool) -> LaurentPoly:
+    """The value of a reduced diagram given as `_keyed` returns it."""
     if key is None:
         return mult
     stats.nodes += 1
@@ -289,8 +343,9 @@ def homfly_R(d: ClosedDiagram, cache: SkeinCache,
              stats: Optional[SkeinStats] = None,
              allow_split: bool = True) -> LaurentPoly:
     """Regular-isotopy HOMFLY polynomial of an oriented closed diagram."""
-    return _skein_eval(d.events, d.dirs, kauffman=False, cache=cache,
-                       stats=stats or SkeinStats(), allow_split=allow_split)
+    return _eval_reduced(*_entry_reduced(d, False, cache), kauffman=False,
+                         cache=cache, stats=stats or SkeinStats(),
+                         allow_split=allow_split)
 
 
 def kauffman_D(d: ClosedDiagram, cache: SkeinCache,
@@ -298,8 +353,9 @@ def kauffman_D(d: ClosedDiagram, cache: SkeinCache,
                allow_split: bool = True) -> LaurentPoly:
     """Regular-isotopy Dubrovnik polynomial of a closed diagram; orientation
     is ignored."""
-    return _skein_eval(d.events, None, kauffman=True, cache=cache,
-                       stats=stats or SkeinStats(), allow_split=allow_split)
+    return _eval_reduced(*_entry_reduced(d, True, cache), kauffman=True,
+                         cache=cache, stats=stats or SkeinStats(),
+                         allow_split=allow_split)
 
 
 def memo_value(d: ClosedDiagram, cache: SkeinCache, compute, *,
@@ -307,8 +363,7 @@ def memo_value(d: ClosedDiagram, cache: SkeinCache, compute, *,
     """R (D when `kauffman`) of `d` from the memo, under the key the skein
     engine uses for the reduced diagram.  On a miss `compute()` gives the
     value of `d`, and the reduced diagram's share of it is stored there."""
-    _events, _dirs, mult, key = _reduced(d.events, None if kauffman else d.dirs,
-                                         kauffman)
+    _events, _dirs, mult, key = _entry_reduced(d, kauffman, cache)
     if key is None:
         return mult
     cached = cache.get(key)

@@ -188,6 +188,53 @@ def test_reduction_ledger_random():
             assert a_pow == d.writhe
 
 
+def _decorated(d: MorseDiagram, rng: random.Random) -> MorseDiagram:
+    """d with a free circle in front, a curl after a random cup and an R2
+    pair at a random slice, randomly oriented."""
+    events = list(d.events)
+    cups = [i for i, e in enumerate(events) if e[0] == "cup"]
+    if cups:
+        i = rng.choice(cups)
+        events.insert(i + 1, ("x", events[i][1], rng.choice((1, -1))))
+    widths = list(itertools.accumulate(
+        (2 if e[0] == "cup" else -2 if e[0] == "cap" else 0 for e in events),
+        initial=0))
+    slices = [i for i, w in enumerate(widths) if w >= 2]
+    if slices:
+        i = rng.choice(slices)
+        level, s = rng.randrange(widths[i] - 1), rng.choice((1, -1))
+        events[i:i] = [("x", level, s), ("x", level, -s)]
+    m = MorseDiagram([("cup", 0), ("cap", 0)] + events)
+    return m.with_orientation([rng.random() < 0.5 for _ in m.components])
+
+
+def test_thread_map_carries_the_orientation():
+    """Reducing thread numbers in place of the dirs and reading the dirs
+    through the resulting thread map equals reducing the dirs: the events,
+    dirs, a-power and circle count all match, on oriented closures and
+    morsified fronts with curls, zigzags, R2 pairs and free circles."""
+    rng = random.Random(15)
+    diagrams = [_decorated(braid_closure(parse_braid("braid 2: 1 1 1")), rng)]
+    for _ in range(150):
+        diagrams.append(_decorated(random_surgered_closure(rng), rng))
+        diagrams.append(_decorated(random_front(rng, max_crossings=4).morsify(), rng))
+    reversed_pairs = 0
+    for d in diagrams:
+        want = reduce_diagram(d.events, d.dirs)
+        ev, tmap, a_pow, circles = reduce_diagram(d.events, tuple(range(len(d.dirs))))
+        assert (ev, tuple(d.dirs[t] for t in tmap), a_pow, circles) == want
+        reversed_pairs += any(tmap[k] > tmap[k + 1] for k in range(0, len(tmap), 2))
+    assert reversed_pairs > 0  # a curl reversed a kept cup's pair
+
+    # a curl right after the trefoil's second cup swaps that cup's threads
+    tref = braid_closure(parse_braid("braid 2: 1 1 1"))
+    curled = MorseDiagram(tref.events[:2] + (("x", 1, 1),) + tref.events[2:])
+    ev, tmap, a_pow, circles = reduce_diagram(curled.events, (0, 1, 2, 3))
+    assert (ev, tmap, a_pow, circles) == (tref.events, (0, 1, 3, 2), -1, 0)
+    assert reduce_diagram(curled.events, curled.dirs)[1] == tuple(
+        curled.dirs[t] for t in tmap)
+
+
 def _split_reference(events):
     """Leftmost interior slice with two strands and crossings on both sides;
     by counting each prefix afresh."""

@@ -347,14 +347,14 @@ def test_cli_any_other_exception_is_internal_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: KeyError: 'ez'\n"
 
 
-def test_cli_deep_recursion_is_internal_error(capsys):
-    """A 1,500-crossing closure outruns the skein recursion limit: exit 4,
-    one line."""
-    assert main(["check", "--braid", "braid 2: " + " ".join(["1"] * 1500)]) == 4
+def test_cli_deep_recursion_is_usage_error(capsys):
+    """A 1,500-crossing closure outruns the skein recursion limit: exit 2,
+    one line naming the crossing count."""
+    assert main(["check", "--braid", "braid 2: " + " ".join(["1"] * 1500)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal error: RecursionError:")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err == ("error: input too deep for the skein recursion "
+                            "(1500 crossings)\n")
 
 
 def _cache_records(tmp_path) -> str:

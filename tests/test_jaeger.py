@@ -10,7 +10,8 @@ import pytest
 
 import knotpoly
 from knotpoly.laurent import LaurentPoly, DeltaFraction, TAU, substitute_jaeger
-from knotpoly.diagram import MorseDiagram, parse_braid, braid_closure, scan
+from knotpoly.diagram import (MorseDiagram, parse_braid, braid_closure,
+                              reduce_diagram, scan)
 from knotpoly.front import FrontWord, saucer_front, crossed_saucer_front
 from knotpoly.cli import CACHE_ENV_VAR
 from knotpoly.skein import SkeinCache, homfly_R, kauffman_D
@@ -283,6 +284,59 @@ def test_front_states_reach_the_engine_as_they_are(monkeypatch):
             for got, st, m in zip(handed, states, want):
                 assert type(got) is SpliceState and got.choices == st.choices
                 assert (got.events, got.dirs) == (m.events, m.dirs), f.events
+
+
+def test_front_sums_reduce_once_per_spliced_event_list(monkeypatch):
+    """On a warm memo, the front sums reduce each run of engine entries on
+    one event list once: once per spliced event list, not once per state,
+    in `lj_both_sides`, and twice in `proof_chain_check` (l_sigma, then
+    K_sigma), plus the front's own D.  R's image under the substitution is
+    computed once per distinct R."""
+    import knotpoly.jaeger as jaeger
+    import knotpoly.skein as skein
+    rng = random.Random(1515)
+    fronts = [f for f in (random_front(rng, max_crossings=3) for _ in range(80))
+              if f.component_count() >= 2][:8]
+    reductions, entries, images = [], [], []
+
+    def counted_reduce(events, dirs=None):
+        reductions.append(tuple(events))
+        return reduce_diagram(events, dirs)
+    monkeypatch.setattr(skein, "reduce_diagram", counted_reduce)
+    for name in ("homfly_R", "kauffman_D"):
+        def entry(d, *args, _engine=getattr(jaeger, name), **kw):
+            entries.append(tuple(d.events))
+            return _engine(d, *args, **kw)
+        monkeypatch.setattr(jaeger, name, entry)
+
+    def counted_substitute(p, side):
+        images.append((p, side))
+        return substitute_jaeger(p, side)
+    monkeypatch.setattr(jaeger, "substitute_jaeger", counted_substitute)
+    states = choices = runs = 0
+    for f in fronts:
+        front_states = list(nonzero_states(f.events, FRONT_ALPHABET,
+                                           FRONT_WEIGHTS))
+        n_choices = len({st.choices for st in front_states})
+        warm = SkeinCache()
+        lj_both_sides(f, warm)
+        proof_chain_check(f, warm)
+        for check, per_choice, own_d in ((lj_both_sides, 1, 1),
+                                         (proof_chain_check, 2, 2)):
+            memo = SkeinCache()
+            memo.mem.update(warm.mem)
+            for seen in (reductions, entries, images):
+                seen.clear()
+            check(f, memo)
+            assert reductions == [k for k, _run in itertools.groupby(entries)]
+            assert len(reductions) <= per_choice * n_choices + own_d, f.events
+            rhs = [p for p, side in images if side == "homfly_rhs"]
+            assert len(rhs) == len(set(rhs)), f.events
+            runs += len(reductions)
+        states += len(front_states)
+        choices += n_choices
+    assert states > choices  # several orientations per splice choice
+    assert runs < states  # the two checks evaluate R on 3 * states entries
 
 
 def test_rhs_summation_order_invariant(cache):

@@ -3,6 +3,7 @@ import itertools
 import inspect
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +12,10 @@ from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               braid_closure, connected_sum, find_split,
                               reduce_diagram, _switch_events, _smooth_h_events,
                               _smooth_v_events, _cups_before)
+from knotpoly import skein
 from knotpoly.skein import (SkeinCache, SkeinStats, homfly_R, kauffman_D,
-                            full_invariants, DELTA, DELTA_D, descend)
+                            full_invariants, memo_value, DELTA, DELTA_D,
+                            descend)
 
 from conftest import (A, AINV, ZVAR, P_TREFOIL, Y_TREFOIL, INVALID_EVENTS,
                       FRONT_KINDS, DIAGRAM_KINDS, assert_scan_rejects,
@@ -207,6 +210,55 @@ def test_cache_consistency_and_stats(cache):
     assert r1 == r2
     assert again.cache_hits >= 1
     assert homfly_R(d, cache) == r1
+
+
+def test_engine_entry_checks_the_orientation(cache):
+    """An orientation must give two entries of +-1 per cup: a long, a short
+    or a non-unit vector is a `DiagramError`, with a cold or a warm memo."""
+    tref = braid_closure(parse_braid("braid 2: 1 1 1"))
+    homfly_R(tref, cache)
+    for dirs in (tref.dirs + (1, -1), tref.dirs + (5,), tref.dirs[:-1] + (5,),
+                 tref.dirs[:-1] + (0,), tref.dirs[:-1], tref.dirs[:-2], ()):
+        bad = SimpleNamespace(events=tref.events, dirs=dirs)
+        for memo in (SkeinCache(), cache):
+            for call in (lambda: homfly_R(bad, memo),
+                         lambda: memo_value(bad, memo, lambda: ONE,
+                                            kauffman=False)):
+                with pytest.raises(DiagramError,
+                                   match="orientation vector has wrong shape"):
+                    call()
+    assert kauffman_D(SimpleNamespace(events=tref.events, dirs=()), cache) \
+        == kauffman_D(tref, cache)
+
+
+def test_entry_reduces_each_event_list_once(monkeypatch):
+    """R then D of one closure reduce its event list once; on a warm memo
+    nothing else is reduced.  The empty event list is reduced on a fresh
+    cache, not taken for its empty slot."""
+    d = braid_closure(parse_braid("braid 3: 1 -2 1 -2 -2"))
+    warm = SkeinCache()
+    want = full_invariants(d, warm)
+    memo = SkeinCache()
+    memo.mem.update(warm.mem)
+    seen = []  # the event lists `skein` reduces, in order
+
+    def counted(events, dirs=None):
+        seen.append(tuple(events))
+        return reduce_diagram(events, dirs)
+    monkeypatch.setattr(skein, "reduce_diagram", counted)
+    assert full_invariants(d, memo) == want
+    assert seen == [d.events]
+
+    cold = SkeinCache()
+    seen.clear()
+    assert full_invariants(d, cold) == want
+    assert seen.count(d.events) == 1 and len(seen) > 1
+
+    seen.clear()
+    empty = SimpleNamespace(events=(), dirs=())
+    assert homfly_R(empty, SkeinCache()) == ONE
+    assert kauffman_D(empty, SkeinCache()) == ONE
+    assert seen == [(), ()]
 
 
 def test_persistent_cache_roundtrip(tmp_path):
