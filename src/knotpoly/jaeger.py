@@ -34,16 +34,20 @@ what differs (the event kinds, the seed dir and the splice labels of the
 weight keys).  A state carries its weight's sign; the sums build the tau
 powers and the front's (t a^-2)^V factor from its splice counts.  Each
 weight table gives a spliced site one oriented pattern, so a splice choice
-is dropped when a site has no entry, and the patterns pin the orientation
-flips of the components they touch; zero-weight states are never formed.
-One `diagram.scan` per choice splices and orients (each component's
-first-born thread at the alphabet's seed dir); its probes name the threads
-each site's pattern reads.  A state is the spliced, oriented object, with
-`events` and `dirs` as on any closed diagram here: it reaches `homfly_R` as
-it is, a front state with its events morsified, and the proof chain's one
-object per state is the rounding K_sigma.  The states of one splice choice
-share one event list, which the engine then reduces once, and R's image
-under the substitution is computed once per distinct R on a cache.
+is dropped when a site has no entry or when its patterns cannot all hold.
+The choices are walked site by site on a parity union-find over the strand
+segments, which finds a contradictory prefix before anything is spliced
+and drops its whole subtree.  One `diagram.scan` per surviving choice
+splices and orients (each component's first-born thread at the alphabet's
+seed dir); its probes name the threads each site's pattern reads, and the
+patterns pin the orientation flips of the components they touch, so
+zero-weight states are never formed.  A state is the spliced, oriented
+object, with `events` and `dirs` as on any closed diagram here: it reaches
+`homfly_R` as it is, a front state with its events morsified, and the
+proof chain's one object per state is the rounding K_sigma.  The states of
+one splice choice share one event list, which the engine then reduces
+once, and R's image under the substitution is computed once per distinct R
+on a cache.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, DeltaFraction, substitute_jaeger
-from .diagram import DIAGRAM_KINDS, MorseDiagram, Scan, flipped_dirs, scan
+from .diagram import DIAGRAM_KINDS, MorseDiagram, Scan, scan
 from .front import FRONT_KINDS, FrontWord, diagram_events_of
 from .skein import ClosedDiagram, SkeinCache, homfly_R, kauffman_D
 
@@ -126,48 +130,173 @@ def _pin(sp: Scan, patterns: list) -> Optional[dict]:
     return pinned
 
 
+class _ParityForest:
+    """Union-find with a parity bit from each node to its parent (Tarjan,
+    J. ACM 22, 1975): two nodes joined at parity 0 run the same way, at
+    parity 1 opposite ways.
+
+    Union by size and no path compression, so `rollback` undoes unions
+    last first by detaching the roots they attached.
+    """
+
+    __slots__ = ("parent", "parity", "size", "history")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.parity = [0] * n
+        self.size = [1] * n
+        self.history: list[int] = []  # the attached roots, in order
+
+    def join(self, unions) -> bool:
+        """Join each (x, y, p) of `unions` at parity p, or nothing: False
+        when one of them closes an odd cycle, a pair joined already at the
+        other parity."""
+        parent, parity, size, history = (self.parent, self.parity,
+                                          self.size, self.history)
+        mark = len(history)
+        for x, y, p in unions:
+            while parent[x] != x:
+                p ^= parity[x]
+                x = parent[x]
+            while parent[y] != y:
+                p ^= parity[y]
+                y = parent[y]
+            if x == y:
+                if p:
+                    self.rollback(mark)
+                    return False
+                continue
+            if size[x] < size[y]:
+                x, y = y, x
+            parent[y] = x
+            parity[y] = p
+            size[x] += size[y]
+            history.append(y)
+        return True
+
+    def rollback(self, mark: int) -> None:
+        """Undo the unions made since `history` had `mark` entries (a
+        root's parity is never read, so it is left as it was)."""
+        history = self.history
+        while len(history) > mark:
+            ry = history.pop()
+            self.size[self.parent[ry]] -= self.size[ry]
+            self.parent[ry] = ry
+
+
+def _surviving_choices(base: Scan, alphabet: Alphabet,
+                       pattern_of: dict) -> list:
+    """(choices, patterns, sign) of each full splice choice of the
+    unspliced scan `base` whose patterns can all hold, in
+    `itertools.product` order.
+
+    The choices are walked depth first on a parity forest of the strand
+    segments, the stretches of `base`'s threads between the crossings they
+    pass, plus a node `east` for the east direction.  Cups and caps make
+    their two segments opposite for every choice.  At a crossing with
+    segments a, b before it (lower, upper) and c, d after it, choice 0
+    joins a to d and b to c, choice 1 joins a to c and b to d, and choice 2
+    makes a, b opposite and c, d opposite; a pattern pins the two segments
+    its probe reads (a and b for choice 1, a and c for choice 2) to `east`,
+    at parity 1 for a westward dir.  A choice with no table entry is
+    skipped, and one whose unions close an odd cycle is pruned with its
+    whole subtree.
+    """
+    first, into = [], {}
+    n = 0
+    for t, plist in enumerate(base.passes):
+        first.append(n)
+        for cn in plist:
+            into[cn, t] = n  # n + 1 leaves crossing cn
+            n += 1
+        n += 1
+    east = n
+    forest = _ParityForest(n + 1)
+    last = [f + len(plist) for f, plist in zip(first, base.passes)]
+    forest.join([(first[lo], first[lo + 1], 1) for lo in base.cup_lows])
+    forest.join([(last[lo], last[base.cap_mate[lo]], 1) for lo in base.cap_lows])
+    forest.history.clear()  # these are never undone
+    options = []  # per crossing: (choice, pattern, coeff, unions)
+    for cn, (idx, lo, hi, _s) in enumerate(base.crossings):
+        a, b = into[cn, lo], into[cn, hi]
+        c, d = b + 1, a + 1
+        opts = [(0, None, 1, ((a, d, 0), (b, c, 0)))]
+        for choice, joins, pinned in ((1, ((a, c, 0), (b, d, 0)), (a, b)),
+                                      (2, ((a, b, 1), (c, d, 1)), (a, c))):
+            entry = pattern_of.get(base.events[idx][2:]
+                                   + (alphabet.labels[choice - 1],))
+            if entry is not None:
+                pattern, coeff = entry
+                pins = tuple((x, east, int(want < 0))
+                             for x, want in zip(pinned, pattern))
+                opts.append((choice, pattern, coeff, joins + pins))
+        options.append(opts)
+
+    out: list = []
+    choices: list = []
+    patterns: list = []
+
+    def walk(sign: int) -> None:
+        k = len(choices)
+        if k == len(options):
+            out.append((tuple(choices), patterns[:], sign))
+            return
+        for choice, pattern, coeff, unions in options[k]:
+            mark = len(forest.history)
+            if forest.join(unions):
+                choices.append(choice)
+                if pattern:
+                    patterns.append(pattern)
+                walk(sign * coeff)
+                if pattern:
+                    patterns.pop()
+                choices.pop()
+                forest.rollback(mark)
+
+    walk(1)
+    return out
+
+
 def nonzero_states(events: Sequence, alphabet: Alphabet,
                    weights: dict) -> Iterator[SpliceState]:
     """The states of nonzero weight, by splice choices, then by flips.
 
     Choices run over (0, 1, 2)^crossings and flips over one bit per
-    component of the spliced object, both in `itertools.product` order.  A
-    table gives each site key one weighted pattern, so a choice whose sites
-    have no entry is skipped before splicing, the sites pin the flips of
-    their components (`_pin`), and only the unpinned components run over
-    both bits.
+    component of the spliced object, both in `itertools.product` order.
+    A table gives each site key one weighted pattern, and only the choices
+    whose patterns can all hold are spliced (`_surviving_choices`), each by
+    one `scan`.  Its probes pin the flips of the components they touch
+    (`_pin`), and only the unpinned components run over both bits.  The
+    scan of the unspliced events, which is choice 0 everywhere, validates
+    them before anything is yielded.
     """
     pattern_of = {key[:-1]: (key[-1], coeff)
                   for key, coeff in weights.items() if coeff}
-    sites = [ev[2:] for ev in events if ev[0] == alphabet.cross]
-    for choices in itertools.product((0, 1, 2), repeat=len(sites)):
-        patterns = []
-        sign = 1
-        for site, c in zip(sites, choices):
-            if c:
-                entry = pattern_of.get(site + (alphabet.labels[c - 1],))
-                if entry is None:
-                    break
-                patterns.append(entry[0])
-                sign *= entry[1]
-        else:
-            sp = scan(events, alphabet, choices=choices)
-            pinned = _pin(sp, patterns)
-            if pinned is None:
-                continue
-            free = [c for c in sp.components if c not in pinned]
-            for bits in itertools.product((False, True), repeat=len(free)):
-                flip_of = dict(pinned)
-                flip_of.update(zip(free, bits))
-                flips = tuple(flip_of[c] for c in sp.components)
-                dirs = flipped_dirs(sp, flips)
-                yield SpliceState(
-                    choices=choices, flips=flips,
-                    v_count=choices.count(2), h_count=choices.count(1),
-                    events=sp.events, dirs=dirs,
-                    left_up=sum(dirs[lo] < 0 for lo in sp.cup_lows),
-                    right_down=sum(dirs[lo] < 0 for lo in sp.cap_lows),
-                    sign=sign)
+    base = scan(events, alphabet)
+    for chosen, patterns, sign in _surviving_choices(base, alphabet, pattern_of):
+        sp = scan(events, alphabet, choices=chosen) if any(chosen) else base
+        pinned = _pin(sp, patterns)
+        if pinned is None:
+            raise AssertionError(f"splice choice {chosen} passed the parity "
+                                 "forest but its patterns disagree")
+        comps = sp.components
+        at = {c: i for i, c in enumerate(comps)}
+        comp_at = [at[c] for c in sp.component_of]  # per thread
+        flips = [pinned.get(c, False) for c in comps]  # free bits set below
+        free = [i for i, c in enumerate(comps) if c not in pinned]
+        v_count, h_count = chosen.count(2), chosen.count(1)
+        for bits in itertools.product((False, True), repeat=len(free)):
+            for i, bit in zip(free, bits):
+                flips[i] = bit
+            dirs = tuple([-d if flips[i] else d
+                          for d, i in zip(sp.dirs, comp_at)])
+            yield SpliceState(
+                choices=chosen, flips=tuple(flips),
+                v_count=v_count, h_count=h_count,
+                events=sp.events, dirs=dirs,
+                left_up=sum([dirs[lo] < 0 for lo in sp.cup_lows]),
+                right_down=sum([dirs[lo] < 0 for lo in sp.cap_lows]),
+                sign=sign)
 
 
 @dataclass
@@ -315,5 +444,5 @@ def proof_chain_check(f: FrontWord, cache: SkeinCache) -> dict:
     d_l = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
     d_k = substitute_jaeger(kauffman_D(f.rounded(), cache), "kauffman_lhs")
     pre = LaurentPoly.monomial(1, -nu, 2 * nu)  # (a^2 t^-1)^nu
-    out["master_ok"] = d_l == d_k * pre
+    out["master_ok"] = d_l == d_k.scaled(pre, 0)
     return out

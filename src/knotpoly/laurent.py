@@ -338,9 +338,13 @@ class DeltaFraction:
 
         A unit keeps the numerator's divisibility, so the power of
         t - t^-1 only lowers the denominator power; nothing is divided.
+        The unit multiplies the numerator term by term.
         """
-        num = self.numerator * unit
-        if k >= self.denom_power:
+        [((d1, d2), u)] = unit.terms.items()
+        num = LaurentPoly.__new__(LaurentPoly)
+        num.terms = {(e1 + d1, e2 + d2): c * u
+                     for (e1, e2), c in self.numerator.terms.items()}
+        if k > self.denom_power:
             num = num * tau_power(k - self.denom_power)
         f = DeltaFraction.__new__(DeltaFraction)
         f.numerator = num

@@ -237,13 +237,25 @@ def _split_dirs(events: tuple, dirs: Optional[tuple], pos: int):
 
 def _keyed(events: tuple, dirs: Optional[tuple], a_pow: int, circles: int,
            kauffman: bool):
-    """(events, dirs, multiplier, memo key) of a reduction's result; the
-    key is None when nothing is left."""
-    mult = _unknot_power(kauffman, circles).shift(-circles, a_pow)
+    """(events, dirs, a_pow, circles, memo key) of a reduction's result;
+    the key is None when nothing is left."""
     if not events:
-        return events, dirs, mult, None
+        return events, dirs, a_pow, circles, None
     key = (b"D" if kauffman else b"R") + encode_events(events, dirs)
-    return events, dirs, mult, key
+    return events, dirs, a_pow, circles, key
+
+
+def _factor(kauffman: bool, a_pow: int, circles: int) -> LaurentPoly:
+    """The reduction factor a^a_pow delta^circles (delta_D^circles for D)."""
+    return _unknot_power(kauffman, circles).shift(-circles, a_pow)
+
+
+def _scaled(p: LaurentPoly, kauffman: bool, a_pow: int,
+            circles: int) -> LaurentPoly:
+    """p times the reduction factor; a shift when no circle was removed."""
+    if not circles:
+        return p.shift(0, a_pow)
+    return p * _factor(kauffman, a_pow, circles)
 
 
 _UNITS = frozenset((1, -1))
@@ -283,17 +295,18 @@ def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
                          allow_split=allow_split)
 
 
-def _eval_reduced(events: tuple, dirs: Optional[tuple], mult: LaurentPoly,
-                  key: Optional[bytes], *, kauffman: bool, cache: SkeinCache,
-                  stats: SkeinStats, allow_split: bool) -> LaurentPoly:
+def _eval_reduced(events: tuple, dirs: Optional[tuple], a_pow: int,
+                  circles: int, key: Optional[bytes], *, kauffman: bool,
+                  cache: SkeinCache, stats: SkeinStats,
+                  allow_split: bool) -> LaurentPoly:
     """The value of a reduced diagram given as `_keyed` returns it."""
     if key is None:
-        return mult
+        return _factor(kauffman, a_pow, circles)
     stats.nodes += 1
     cached = cache.get(key)
     if cached is not None:
         stats.cache_hits += 1
-        return mult * cached
+        return _scaled(cached, kauffman, a_pow, circles)
     stats.cache_misses += 1
 
     pos = find_split(events) if allow_split else None
@@ -336,7 +349,7 @@ def _eval_reduced(events: tuple, dirs: Optional[tuple], mult: LaurentPoly,
         val = _unknot_power(kauffman, k).shift(-k, writhe) + acc
 
     cache.put(key, val)
-    return mult * val
+    return _scaled(val, kauffman, a_pow, circles)
 
 
 def homfly_R(d: ClosedDiagram, cache: SkeinCache,
@@ -363,16 +376,20 @@ def memo_value(d: ClosedDiagram, cache: SkeinCache, compute, *,
     """R (D when `kauffman`) of `d` from the memo, under the key the skein
     engine uses for the reduced diagram.  On a miss `compute()` gives the
     value of `d`, and the reduced diagram's share of it is stored there."""
-    _events, _dirs, mult, key = _entry_reduced(d, kauffman, cache)
+    _events, _dirs, a_pow, circles, key = _entry_reduced(d, kauffman, cache)
     if key is None:
-        return mult
+        return _factor(kauffman, a_pow, circles)
     cached = cache.get(key)
     if cached is None:
-        cached = exact_divide(compute(), mult, "second")
-        if cached is None:
-            raise AssertionError("value not divisible by the reduction factor")
+        if circles:
+            cached = exact_divide(compute(), _factor(kauffman, a_pow, circles),
+                                  "second")
+            if cached is None:
+                raise AssertionError("value not divisible by the reduction factor")
+        else:
+            cached = compute().shift(0, -a_pow)
         cache.put(key, cached)
-    return mult * cached
+    return _scaled(cached, kauffman, a_pow, circles)
 
 
 @dataclass

@@ -10,8 +10,8 @@ import pytest
 
 import knotpoly
 from knotpoly.laurent import LaurentPoly, DeltaFraction, TAU, substitute_jaeger
-from knotpoly.diagram import (MorseDiagram, parse_braid, braid_closure,
-                              reduce_diagram, scan)
+from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
+                              braid_closure, reduce_diagram, scan)
 from knotpoly.front import FrontWord, saucer_front, crossed_saucer_front
 from knotpoly.cli import CACHE_ENV_VAR
 from knotpoly.skein import SkeinCache, homfly_R, kauffman_D
@@ -19,7 +19,8 @@ from knotpoly.jaeger import (SpliceState, nonzero_states, jaeger_both_sides,
                              lj_both_sides, lemma_check, proof_chain_check,
                              DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, FRONT_ALPHABET,
                              FRONT_WEIGHTS)
-from knotpoly.selection import selection_sweep
+from knotpoly.selection import (_candidate_diagram_tables,
+                                _candidate_front_tables, selection_sweep)
 
 from conftest import (A, INVALID_EVENTS, assert_scan_rejects, random_braid,
                       random_front, reference_flip, reference_splice,
@@ -29,16 +30,17 @@ ONE = LaurentPoly.one()
 INF_NEG = (("cup", 0), ("x", 0, -1), ("cap", 0))
 
 
-def all_states(events, alphabet):
+def all_states(events, alphabet, weights=None):
     """Every state, zero-weight ones included, by brute force.
 
     The reference for `nonzero_states`: all splice choices times all flips,
-    each local sign looked up in the frozen table, and the splicing, the
-    orientation and the cusp tallies taken from the tests' reference walk
-    rather than from `diagram.scan`.
+    each local sign looked up in `weights` (the frozen table by default),
+    and the splicing, the orientation and the cusp tallies taken from the
+    tests' reference walk rather than from `diagram.scan`.
     """
     front = alphabet is FRONT_ALPHABET
-    weights, labels = (FRONT_WEIGHTS, "hc") if front else (DIAGRAM_WEIGHTS, "hv")
+    frozen, labels = (FRONT_WEIGHTS, "hc") if front else (DIAGRAM_WEIGHTS, "hv")
+    weights = frozen if weights is None else weights
     kinds = tuple(alphabet[:4])
     cups = sum(1 for ev in events if ev[0] == alphabet.birth)
     crossings = [ev for ev in events if ev[0] == alphabet.cross]
@@ -113,6 +115,74 @@ def test_states_match_brute_force():
         assert got == want, events
         counts[alphabet] += len(got)
     assert all(counts.values())
+
+
+def test_states_match_brute_force_on_candidate_tables():
+    """As above, under the candidate weight tables of `selection`.
+
+    A seeded sample of 64 of the 1,024 candidate diagram tables, each on
+    two seeded closures, and all 16 candidate front tables, each on three
+    seeded fronts of at most five components.  The tables pin other
+    patterns than the frozen ones, so other splice choices are pruned.
+    """
+    rng = random.Random(1616)
+    cases = []
+    for table in rng.sample(list(_candidate_diagram_tables()), 64):
+        for _ in range(2):
+            d = braid_closure(random_braid(rng, max_strands=4, max_letters=5))
+            cases.append((d.events, DIAGRAM_ALPHABET, table))
+    for table in _candidate_front_tables():
+        fronts = 0
+        while fronts < 3:
+            f = random_front(rng, max_crossings=4)
+            if f.component_count() <= 5:
+                cases.append((f.events, FRONT_ALPHABET, table))
+                fronts += 1
+    states = 0
+    for events, alphabet, table in cases:
+        want = [st for st in all_states(events, alphabet, table) if st.sign]
+        got = list(nonzero_states(events, alphabet, table))
+        assert got == want, (events, table)
+        states += len(got)
+    assert states > len(cases)
+
+
+def test_every_splice_scan_yields_a_state(monkeypatch):
+    """`nonzero_states` scans only the splice choices that carry a state.
+
+    On 150 seeded closures and 100 seeded fronts, the calls to `scan` in
+    `jaeger` number the distinct splice choices of the yielded states: no
+    choice is spliced and then dropped.
+    """
+    import knotpoly.jaeger as jaeger
+    scans = []
+
+    def counted(events, *args, **kw):
+        scans.append(events)
+        return scan(events, *args, **kw)
+    monkeypatch.setattr(jaeger, "scan", counted)
+    rng = random.Random(1617)
+    cases = [(braid_closure(random_braid(rng, max_strands=5, max_letters=6)).events,
+              DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS) for _ in range(150)]
+    cases += [(random_front(rng, max_crossings=5).events,
+               FRONT_ALPHABET, FRONT_WEIGHTS) for _ in range(100)]
+    total = 0
+    for events, alphabet, weights in cases:
+        scans.clear()
+        choices = {st.choices for st in nonzero_states(events, alphabet, weights)}
+        assert len(scans) == len(choices), events
+        total += len(scans)
+    assert total > len(cases)
+
+
+def test_pin_rejecting_a_survivor_is_an_invariant_failure(monkeypatch):
+    """A full splice choice that the parity forest keeps cannot fail
+    `_pin`; if it does, the enumerator raises rather than skip it."""
+    import knotpoly.jaeger as jaeger
+    monkeypatch.setattr(jaeger, "_pin", lambda sp, patterns: None)
+    d = braid_closure(parse_braid("braid 2: 1 1 1"))
+    with pytest.raises(AssertionError):
+        next(nonzero_states(d.events, DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS))
 
 
 def test_diagram_states_are_closed_diagrams():
@@ -479,17 +549,13 @@ def test_splice_scan_matches_reference_walk():
         assert sp.probes == probes
 
 
-@pytest.mark.parametrize("events", INVALID_EVENTS + (
+INVALID_DIAGRAMS = INVALID_EVENTS + (
     [("cup", 1), ("cap", 0)],                 # levels one past the end
     [("cup", 0), ("cap", 1)],
     [("cup", 0), ("x", 1, 1), ("cap", 0)],
     [("cup", 0), ("X", 0), ("cap", 0)],       # a front event in a diagram
-))
-def test_splice_scan_rejects_invalid_events(events):
-    assert_scan_rejects(events, DIAGRAM_ALPHABET)
-
-
-@pytest.mark.parametrize("events", (
+)
+INVALID_FRONTS = (
     [("L", 0)],                               # not closed
     [("R", 0)],                               # nothing to close
     [("L", 3)],                               # level out of range
@@ -497,9 +563,27 @@ def test_splice_scan_rejects_invalid_events(events):
     [("L", 0), ("R", 1)],
     [("L", 0), ("X", 1), ("R", 0)],
     [("L", 0), ("cap", 0)],                   # a diagram event in a front
-))
+)
+
+
+@pytest.mark.parametrize("events", INVALID_DIAGRAMS)
+def test_splice_scan_rejects_invalid_events(events):
+    assert_scan_rejects(events, DIAGRAM_ALPHABET)
+
+
+@pytest.mark.parametrize("events", INVALID_FRONTS)
 def test_splice_scan_rejects_invalid_fronts(events):
     assert_scan_rejects(events, FRONT_ALPHABET)
+
+
+@pytest.mark.parametrize("events, alphabet, weights", [
+    *((ev, DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS) for ev in INVALID_DIAGRAMS),
+    *((ev, FRONT_ALPHABET, FRONT_WEIGHTS) for ev in INVALID_FRONTS)])
+def test_nonzero_states_rejects_invalid_events_before_any_state(
+        events, alphabet, weights):
+    states = nonzero_states(events, alphabet, weights)
+    with pytest.raises(DiagramError):
+        next(states)
 
 
 def test_selection_report_matches_committed_file():
