@@ -47,12 +47,27 @@ So the BMW path shares `diagram.scan` (with `ends` = n), the descending
 traversal `skein.descend` and `diagram.reduce_diagram` with the skein
 engine, and its agreement with `kauffman_D` does not check that code.  Its
 checks that share none of it are the Kauffman-bracket oracle of the tests
-and the T(2,n) closed forms.
+and the T(2,n) closed forms.  The Hecke path shares none of the skein
+code; the tests also check it against the Burau matrix and against
+Jones's formula for the torus knots T(p,q).
+
+The product is kept flat: one integer per basis element and monomial,
+{(w, ez): k} in H_n (the a-degree is 0 until the trace) and
+{(brauer, ez, ea): k} in BMW_n.  Each structure constant R_b g_i^+-1 and
+each trace is flattened once, when it is built, into (basis', dz, da, k)
+entries, one per term of its coefficients, so a letter update and the
+final trace are integer multiply-adds on shifted keys, whatever the
+number of terms: no Laurent product is formed per letter.  (Every BMW
+constant seen so far is a signed monomial, one entry per basis element.)
 
 Tables (traces, basis tangles, structure constants, the tangle memo) are
 built on demand in a dict the caller passes, in memory only:
 `braid_invariants` passes its `SkeinCache`'s `tables`, so that callers
 sharing a cache share its tables.  Nothing is built at import.
+
+`poly --braid`, `check --braid` (`inequalities.mfw_check`) and the `search`
+rows take R and D from here; `search` re-verifies its flagged rows on the
+skein engines.
 """
 
 from __future__ import annotations
@@ -64,8 +79,6 @@ from .diagram import (BraidWord, braid_closure, reduce_diagram, _switch_events,
                       _smooth_h_events, _smooth_v_events)
 from .skein import DELTA, DELTA_D, SkeinCache, SkeinResult, descend, memo_value
 
-_ONE = LaurentPoly.one()
-
 
 def _add(out: dict, key, c: LaurentPoly) -> None:
     s = out[key] + c if key in out else c
@@ -75,39 +88,57 @@ def _add(out: dict, key, c: LaurentPoly) -> None:
         out.pop(key, None)
 
 
+def _flat(val: dict) -> tuple:
+    """{basis: LaurentPoly} as (basis, dz, da, k) entries, one per term
+    k z^dz a^da."""
+    return tuple((b, ez, ea, k) for b, c in val.items()
+                 for (ez, ea), k in c.terms.items())
+
+
+def _traced(x: dict, trace) -> LaurentPoly:
+    """The trace of a flat vector {(basis, ez, ea): k}, with `trace(basis)`
+    the (dz, da, k) entries of tr(basis)."""
+    acc: dict = {}
+    get = acc.get
+    for (b, ez, ea), c in x.items():
+        for dz, da, k in trace(b):
+            key = (ez + dz, ea + da)
+            acc[key] = get(key, 0) + c * k
+    return LaurentPoly(acc)
+
+
 # -- R in the Hecke algebra ---------------------------------------------------
 
 
 def _hecke_mul(x: dict, i: int, positive: bool) -> dict:
-    """x g_i, or x g_i^-1 = x g_i - z x, on the T_w basis."""
+    """x g_i, or x g_i^-1 = x g_i - z x, on the flat vector {(w, ez): k}."""
     out: dict = {}
-    for w, c in x.items():
-        _add(out, w[:i] + (w[i + 1], w[i]) + w[i + 2:], c)
-        if (w[i] > w[i + 1]) == positive:  # a descent for g_i, an ascent for g_i^-1
-            _add(out, w, c.shift(1, 0) if positive else -c.shift(1, 0))
-    return out
+    get = out.get
+    for (w, ez), c in x.items():
+        lo, hi = w[i], w[i + 1]
+        key = (w[:i] + (hi, lo) + w[i + 2:], ez)
+        out[key] = get(key, 0) + c
+        if (lo > hi) == positive:  # a descent for g_i, an ascent for g_i^-1
+            key = (w, ez + 1)
+            out[key] = get(key, 0) + (c if positive else -c)
+    return {key: c for key, c in out.items() if c}
 
 
-def _hecke_trace(w: tuple, traces: dict) -> LaurentPoly:
-    """tr(T_w), memoized per permutation in `traces`."""
-    n = len(w)
-    if n == 0:
-        return _ONE
+def _hecke_trace(w: tuple, traces: dict) -> tuple:
+    """tr(T_w) as (dz, da, k) entries, memoized per permutation in `traces`."""
     val = traces.get(w)
     if val is None:
+        n = len(w)
+        if n == 0:
+            return ((0, 0, 1),)
         p = w.index(n - 1)
-        u = w[:p] + w[p + 1:]
-        if p == n - 1:
-            val = DELTA * _hecke_trace(u, traces)
-        else:
-            y = {u: _ONE}
-            for i in range(n - 3, p - 1, -1):
-                y = _hecke_mul(y, i, True)
-            val = LaurentPoly()
-            for v, c in y.items():
-                val = val + c * _hecke_trace(v, traces)
-            val = val.shift(0, 1)
-        traces[w] = val
+        y = {(w[:p] + w[p + 1:], 0): 1}
+        for i in range(n - 3, p - 1, -1):
+            y = _hecke_mul(y, i, True)
+        sub = _traced({(v, ez, 0): c for (v, ez), c in y.items()},
+                      lambda v: _hecke_trace(v, traces))
+        sub = sub * DELTA if p == n - 1 else sub.shift(0, 1)
+        val = traces[w] = tuple((ez, ea, k) for (ez, ea), k in sub.terms.items())
     return val
 
 
@@ -116,14 +147,12 @@ def hecke_R(b: BraidWord, tables: Optional[dict] = None) -> LaurentPoly:
 
     `tables` keeps the traces for later calls (a `SkeinCache`'s `tables`).
     """
-    x = {tuple(range(b.strands)): _ONE}
+    x = {(tuple(range(b.strands)), 0): 1}
     for l in b.letters:
         x = _hecke_mul(x, abs(l) - 1, l > 0)
     traces = {} if tables is None else tables.setdefault("hecke_trace", {})
-    val = LaurentPoly()
-    for w, c in x.items():
-        val = val + c * _hecke_trace(w, traces)
-    return val
+    return _traced({(w, ez, 0): c for (w, ez), c in x.items()},
+                   lambda w: _hecke_trace(w, traces))
 
 
 # -- D in the BMW algebra -----------------------------------------------------
@@ -230,27 +259,28 @@ def bmw_D(b: BraidWord, tables: Optional[dict] = None) -> LaurentPoly:
             events = basis[br] = _basis_tangle(n, br)
         return events
 
-    identity = tuple(range(n, 2 * n)) + tuple(range(n))
-    x = {identity: _ONE}
-    for l in b.letters:
-        out: dict = {}
-        for br, c in x.items():
-            step = steps.get((br, l))
-            if step is None:
-                crossing = ("x", abs(l) - 1, 1 if l > 0 else -1)
-                step = steps[br, l] = _eval(n, tangle(br) + (crossing,), memo)
-            for br2, c2 in step.items():
-                _add(out, br2, c * c2)
-        x = out
-    val = LaurentPoly()
-    for br, c in x.items():
+    def trace(br: tuple) -> tuple:
         tr = traces.get(br)
         if tr is None:
             closure = (tuple(("cup", i) for i in range(n)) + tangle(br)
                        + tuple(("cap", i) for i in range(n - 1, -1, -1)))
-            tr = traces[br] = _eval(0, closure, memo).get((), LaurentPoly())
-        val = val + c * tr
-    return val
+            tr = traces[br] = tuple(e[1:] for e in _flat(_eval(0, closure, memo)))
+        return tr
+
+    x = {(tuple(range(n, 2 * n)) + tuple(range(n)), 0, 0): 1}  # the identity
+    for l in b.letters:
+        out: dict = {}
+        get = out.get
+        for (br, ez, ea), c in x.items():
+            step = steps.get((br, l))
+            if step is None:
+                crossing = ("x", abs(l) - 1, 1 if l > 0 else -1)
+                step = steps[br, l] = _flat(_eval(n, tangle(br) + (crossing,), memo))
+            for br2, dz, da, k in step:
+                key = (br2, ez + dz, ea + da)
+                out[key] = get(key, 0) + c * k
+        x = {key: c for key, c in out.items() if c}
+    return _traced(x, trace)
 
 
 def braid_invariants(b: BraidWord, cache: SkeinCache) -> SkeinResult:

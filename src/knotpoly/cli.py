@@ -6,14 +6,17 @@ Subcommands:
     front    tb / maslov of a front
     jaeger   state-sum certificate for a diagram
     lj       state-sum certificate for a front
-    check    bound report (front bounds or braid bound)
-    sum      connected-sum invariants
-    search   enumerate braid closures and report
+    check    bound report (front bounds on skein, the braid bound on the
+             algebra engines)
+    sum      connected-sum invariants, on skein
+    search   enumerate braid closures and report; rows on the algebra
+             engines, flagged rows re-verified on skein
 
 Exit codes: 0 success, 1 a verification failed (identity, bound, or a
-search row that the algebra engines do not confirm), 2 usage
-or parse error (`ParseError`, `DiagramError`, or an input with too many
-crossings for the skein recursion, named by its crossing count), 3 an I/O
+flagged search row that the skein engines do not confirm), 2 usage
+or parse error (`ParseError`, `DiagramError`, a braid word over the strand
+or letter ceiling, or an input with too many crossings for the skein
+recursion, named by its crossing count), 3 an I/O
 error (cache, config or output file, or a malformed cache record), 4 an
 internal error (any other exception, such as a broken engine invariant; a
 bug, not a verdict on the input).
@@ -90,7 +93,7 @@ def _crossing_count(args) -> int:
 def _cmd_poly(args) -> int:
     cache = _make_cache(args)
     if args.braid:
-        from . import algebra  # on first use: see `harness.search`
+        from . import algebra  # on first use: see `inequalities`
         res = algebra.braid_invariants(parse_braid(args.braid), cache)
     else:
         res = full_invariants(_input_diagram(args), cache)

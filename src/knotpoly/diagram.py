@@ -324,6 +324,13 @@ class ParseError(ValueError):
 # count is refused before anything is built.
 MAX_STRANDS = 8
 
+# The most letters a braid word may have.  On 2 strands the BMW product's
+# coefficients have O(L^2) terms, so `bmw_D` costs about L^3: `check --braid`
+# on the 2-strand word of 200 positive letters takes 0.5-0.7 s, on 400
+# letters 6.4 s (2-CPU VM, Python 3.11).  A longer word is refused before
+# anything is built.
+MAX_LETTERS = 200
+
 
 def parse_braid(text: str) -> BraidWord:
     """Parse `braid <n> : <int>+`; nonzero k means generator |k| with sign(k)."""
@@ -341,8 +348,12 @@ def parse_braid(text: str) -> BraidWord:
         raise ParseError("strand count must be positive")
     if n > MAX_STRANDS:
         raise ParseError(f"strand count {n} is above the ceiling of {MAX_STRANDS}")
+    tokens = rest.split()
+    if len(tokens) > MAX_LETTERS:
+        raise ParseError(f"braid of {len(tokens)} letters is above the "
+                         f"ceiling of {MAX_LETTERS}")
     letters = []
-    for pos, tok in enumerate(rest.split(), 1):
+    for pos, tok in enumerate(tokens, 1):
         try:
             l = int(tok)
         except ValueError:
@@ -586,6 +597,11 @@ def encode_events(events: Sequence[Event],
             code = table[e] = _event_code(e)
         codes.append(code)
     if dirs is not None:
-        codes.append(b"\xff")
-        codes.append(bytes([1 if d > 0 else 0 for d in dirs]))
+        codes.append(encode_dirs(dirs))
     return b"".join(codes)
+
+
+def encode_dirs(dirs: Sequence[int]) -> bytes:
+    """The orientation's part of `encode_events(events, dirs)`, which follows
+    the events' part."""
+    return b"\xff" + bytes([1 if d > 0 else 0 for d in dirs])

@@ -14,7 +14,9 @@ reversal is smaller, in the manner of bracelet generation (Sawada, SIAM J.
 Comput. 2001).
 
 Closures with more than one component are skipped; the report counts knot
-diagrams, not knot types.
+diagrams, not knot types.  Each knot row's R and D come from the algebra
+engines (`inequalities.mfw_check`), and each flagged row is computed again
+on the skein engines, which share no memo with the rows.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
-from .diagram import MAX_STRANDS, BraidWord, ParseError
+from .diagram import MAX_STRANDS, BraidWord, ParseError, braid_closure
 from .inequalities import BoundReport, CSV_HEADER, mfw_check
-from .skein import SkeinCache, SkeinResult
+from .skein import SkeinCache, full_invariants
 
 PREDICATES = ("ep_lt_ey", "bound_violation", "all")
 DEDUPS = ("none", "cyclic+inverse")
@@ -36,7 +38,7 @@ FORMATS = ("csv", "json")
 
 
 class VerificationError(Exception):
-    """A flagged row that the algebra engines do not confirm."""
+    """A flagged row that the skein engines do not confirm."""
 
 
 @dataclass
@@ -202,9 +204,10 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
     """Enumerate closures, compute invariants for the knots, emit the report.
 
     Returns the knot rows in enumeration order; when cfg.out is set the
-    report is also written in the configured format.  Flagged rows are
-    re-verified with the algebra engines, which share no memo with the
-    skein engines that made the rows; a disagreement is a
+    report is also written in the configured format.  The rows come from
+    the algebra engines (`mfw_check`); each flagged row is re-verified with
+    the skein engines' `full_invariants` on a memo of its own, which no row
+    reads or writes, and a disagreement in e_P or e_Y is a
     `VerificationError`.  Pool workers read the cache file, and the parent
     appends their new records, each key once.
     """
@@ -217,16 +220,12 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
     knots = [(letters, rep) for letters, rep in zip(words, rows)
              if rep is not None]
 
-    # imported on first use: where no bytecode cache is written, compiling
-    # algebra.py is about 5 ms, 13 % of the package import, and a process
-    # that re-verifies no row and runs no `poly --braid` need not pay it
-    from . import algebra
-    tables: dict = {}  # the algebra engines' tables, shared by the rows
+    verify: Optional[SkeinCache] = None  # made for the first flagged row
     for letters, rep in knots:
         if _flag(cfg.predicate, rep):
-            b = BraidWord(n, letters)
-            fresh = SkeinResult.of(algebra.hecke_R(b, tables),
-                                   algebra.bmw_D(b, tables), b.exponent_sum())
+            if verify is None:
+                verify = SkeinCache()  # the skein engines' own: no row reads it
+            fresh = full_invariants(braid_closure(BraidWord(n, letters)), verify)
             if (fresh.e_P, fresh.e_Y) != (rep.e_P, rep.e_Y):
                 raise VerificationError(f"re-verification failed for {rep.subject}")
 

@@ -14,6 +14,14 @@ bound on the closure:
 The slacks being nonnegative is the claim under test; reports record them,
 they are never assumed.  Bound b has an equivalent reading: a^(-|mu|) R has
 no negative powers of a.  Both forms are computed and cross-checked.
+
+The braid bound takes R and D of the closure from the algebra engines
+(`algebra.braid_invariants`), which multiply the word out one letter at a
+time; the front bounds, `additivity_audit` and `ep_ey_compare` take
+diagrams that are not braid closures and stay on the skein engines.
+`algebra` is imported on first use: where no bytecode cache is written,
+compiling it is about 5 ms, 13 % of the package import, and a process that
+checks no braid need not pay it.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import MorseDiagram, BraidWord, braid_closure, connected_sum, DiagramError
+from .diagram import MorseDiagram, BraidWord, connected_sum, DiagramError
 from .front import FrontWord, classical_invariants
 from .skein import SkeinCache, full_invariants
 
@@ -80,9 +88,9 @@ def check_front_bounds(f: FrontWord, cache: SkeinCache) -> BoundReport:
 
 
 def mfw_check(b: BraidWord, cache: SkeinCache) -> BoundReport:
-    """Braid bound for a closure (knot or link)."""
-    d = braid_closure(b)
-    res = full_invariants(d, cache)
+    """Braid bound for a closure (knot or link), on the algebra engines."""
+    from . import algebra  # on first use: see the module docstring
+    res = algebra.braid_invariants(b, cache)
     slack = res.e_P + b.exponent_sum() + b.strands
     return BoundReport(subject=b.text(), kind="braid",
                        e_P=res.e_P, e_Y=res.e_Y, mfw_slack=slack,

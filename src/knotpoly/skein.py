@@ -31,13 +31,13 @@ Diagrams are planar-reduced and level-normalized before memoization.
 Reduction reads only the events, so an engine entry (`homfly_R`,
 `kauffman_D`, `memo_value`) reduces its event list with thread numbers in
 place of dirs and reads the orientation through the returned thread map;
-the cache keeps that last reduction in memory, never persisted, so the
-orientations of one event list, and R then D of one diagram, reduce it
-once.  The entry also checks that the orientation has two entries of +-1
-per cup.  Connected-sum slices are split off and recombined
-multiplicatively (R(A # B) = R(A) R(B) / delta); zero-strand slices need
-no rule of their own, since in a reduced diagram a connected-sum slice
-always comes first.
+the cache keeps that last reduction and its event encoding in memory,
+never persisted, so the orientations of one event list, and R then D of
+one diagram, reduce and encode it once.  The entry also checks that the
+orientation has two entries of +-1 per cup.  Connected-sum slices are
+split off and recombined multiplicatively (R(A # B) = R(A) R(B) / delta);
+zero-strand slices need no rule of their own, since in a reduced diagram
+a connected-sum slice always comes first.
 The splitter can be disabled to keep an independent computation path.
 
 The writhe-normalized knot invariants are P = a^-w R and Y = a^-w D, with
@@ -45,8 +45,9 @@ e_P and e_Y their least a-degrees.
 
 Braid closures have a second path: `algebra.py` computes R in the Hecke
 algebra and D in the BMW algebra, one basis update per letter.  `poly
---braid` uses it, reading and writing the memo under this module's keys
-(`memo_value`), and `search` re-verifies its flagged rows with it.
+--braid`, `check --braid` and the `search` rows use it, reading and writing
+the memo under this module's keys (`memo_value`), and `search` re-verifies
+its flagged rows with this module's `full_invariants`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from typing import Optional, Protocol
 
 from .laurent import DeltaFraction, LaurentPoly, exact_divide
 from .diagram import (DIAGRAM_KINDS, DiagramError, MorseDiagram, Scan,
-                      reduce_diagram, encode_events, find_split, scan,
+                      reduce_diagram, encode_events, encode_dirs, find_split, scan,
                       _switch_events, _smooth_h_events, _smooth_v_events,
                       _cups_before)
 
@@ -93,8 +94,8 @@ class SkeinCache:
 
     - `tables`, the algebra engines' tables (`algebra.py`), built on demand;
     - `last_reduction`, the planar reduction of the last event list an
-      engine entry saw (`_entry_reduced`), with its thread map; None
-      before the first entry;
+      engine entry saw (`_entry_reduced`), with its thread map and the
+      reduced events' encoding; None before the first entry;
     - `substituted`, each R's image under the state-sum substitution
       (`jaeger`), keyed by R.
     """
@@ -236,12 +237,19 @@ def _split_dirs(events: tuple, dirs: Optional[tuple], pos: int):
 
 
 def _keyed(events: tuple, dirs: Optional[tuple], a_pow: int, circles: int,
-           kauffman: bool):
+           kauffman: bool, code: Optional[bytes] = None):
     """(events, dirs, a_pow, circles, memo key) of a reduction's result;
-    the key is None when nothing is left."""
+    the key is None when nothing is left.  `code` is `encode_events(events)`
+    when the caller has it."""
     if not events:
         return events, dirs, a_pow, circles, None
-    key = (b"D" if kauffman else b"R") + encode_events(events, dirs)
+    key = b"D" if kauffman else b"R"
+    if code is None:
+        key += encode_events(events, dirs)
+    elif dirs is None:
+        key += code
+    else:
+        key += code + encode_dirs(dirs)
     return events, dirs, a_pow, circles, key
 
 
@@ -267,24 +275,27 @@ def _entry_reduced(d: ClosedDiagram, kauffman: bool, cache: SkeinCache):
 
     Planar reduction never reads the dirs, so it runs on thread numbers in
     their place and returns a thread map, through which each orientation
-    is read.  The cache keeps the last event list's reduction: consecutive
-    entries on one event list (the orientations of one splice choice, R
-    then D of one diagram) reduce it once.
+    is read.  The cache keeps the last event list's reduction and the
+    reduced events' encoding: consecutive entries on one event list (the
+    orientations of one splice choice, R then D of one diagram) reduce and
+    encode it once, and each memo key appends only its dir bytes.
     """
     events = tuple(d.events)
     slot = cache.last_reduction
     if slot is None or slot[0] != events:
         threads = tuple(range(2 * sum(e[0] == "cup" for e in events)))
-        slot = (events, threads) + reduce_diagram(events, threads)
+        reduced, tmap, a_pow, circles = reduce_diagram(events, threads)
+        slot = (events, threads, reduced, tmap, a_pow, circles,
+                encode_events(reduced))
         cache.last_reduction = slot
-    _events, threads, reduced, tmap, a_pow, circles = slot
+    _events, threads, reduced, tmap, a_pow, circles, code = slot
     dirs = None
     if not kauffman:
         dirs = d.dirs
         if len(dirs) != len(threads) or not _UNITS.issuperset(dirs):
             raise DiagramError("orientation vector has wrong shape")
         dirs = tuple(map(dirs.__getitem__, tmap))
-    return _keyed(reduced, dirs, a_pow, circles, kauffman)
+    return _keyed(reduced, dirs, a_pow, circles, kauffman, code)
 
 
 def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,

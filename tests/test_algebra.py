@@ -1,6 +1,7 @@
 """The algebra engines against the skein engines, closed forms and the
 mirror property, and how `poly --braid` and `search` use them."""
 
+import math
 import os
 import random
 import re
@@ -10,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from knotpoly import algebra, harness
+from knotpoly import algebra, harness, skein
 from knotpoly.algebra import (bmw_D, hecke_R, braid_invariants, _basis_tangle,
                               _eval)
 from knotpoly.cli import main
-from knotpoly.diagram import (DIAGRAM_KINDS, MAX_STRANDS, BraidWord, DiagramError,
-                              ParseError, braid_closure, parse_braid, scan)
+from knotpoly.diagram import (DIAGRAM_KINDS, MAX_LETTERS, MAX_STRANDS, BraidWord,
+                              DiagramError, ParseError, braid_closure, parse_braid,
+                              scan)
 from knotpoly.harness import SearchConfig
 from knotpoly.laurent import LaurentPoly
 from knotpoly.skein import (DELTA, DELTA_D, SkeinCache, descend, full_invariants,
@@ -178,6 +180,103 @@ def test_torus_2_closed_forms():
         assert bmw_D(b, tables) == D[n] == kauffman_D(d, SkeinCache()), n
 
 
+def _hook_sum(p: int, q: int) -> tuple:
+    """R of T(p, q) from Jones's torus-knot formula (Ann. Math. 126, 1987),
+    a sum over the hook representations (p - k, 1^k) of H_p, in this
+    repository's variables with z = s - s^-1 (s in the first slot):
+
+        R = sum_k (-1)^k s^(q (p - 1 - 2k))
+              prod_(cells (i, j)) (a s^(j - i) - a^-1 s^(i - j)) / (s^h - s^-h)
+
+    with h the cell's hook length: the hook's quantum dimension under the
+    unknot a - a^-1 over s - s^-1, and s^(q (p - 1 - 2k)) the q/p-th power
+    of the full twist's eigenvalue on it, after the a^q of the torus
+    framing is traded for the writhe (p - 1) q of the braid.  Returned as
+    numerator and denominator over the common denominator of the hooks."""
+    def mono(c, es=0, ea=0):
+        return LaurentPoly.monomial(c, es, ea)
+    terms = []
+    for k in range(p):
+        num, den = mono((-1) ** k, q * (p - 1 - 2 * k)), LaurentPoly.one()
+        for i, j in [(0, j) for j in range(p - k)] + [(i, 0) for i in range(1, k + 1)]:
+            arm = p - k - 1 - j if i == 0 else 0
+            leg = k - i if j == 0 else 0
+            h = arm + leg + 1
+            num = num * (mono(1, j - i, 1) - mono(1, i - j, -1))
+            den = den * (mono(1, h) - mono(1, -h))
+        terms.append((num, den))
+    total_num, total_den = LaurentPoly(), LaurentPoly.one()
+    for num, den in terms:
+        total_num = total_num * den + num * total_den
+        total_den = total_den * den
+    return total_num, total_den
+
+
+_Z_AT_S = LaurentPoly({(1, 0): 1, (-1, 0): -1})  # s - s^-1
+
+
+def _at_s(R: LaurentPoly, m: int) -> LaurentPoly:
+    """z^m R at z = s - s^-1, for m at least R's least power of z."""
+    out = LaurentPoly()
+    for (ez, ea), c in R.terms.items():
+        out = out + _Z_AT_S ** (ez + m) * LaurentPoly.monomial(c, 0, ea)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_torus_knots_match_jones_formula(p):
+    """hecke_R on the closure of (sigma_1 ... sigma_(p-1))^q, coprime |q| <= 11."""
+    tables = {}
+    checked = 0
+    for q in range(-11, 12):
+        if math.gcd(p, q) != 1:
+            continue
+        sign = 1 if q > 0 else -1
+        R = hecke_R(BraidWord(p, [sign * i for i in range(1, p)] * abs(q)), tables)
+        num, den = _hook_sum(p, q)
+        m = max(0, -R.min_degree("first"))
+        assert _at_s(R, m) * den == num * _Z_AT_S ** m, (p, q)
+        checked += 1
+    assert checked == {2: 12, 3: 16, 4: 12}[p]
+
+
+def _poly_product(b: BraidWord, tables: dict) -> LaurentPoly:
+    """bmw_D's product and trace from the same tables, on a dict of
+    LaurentPoly coefficients with the general product."""
+    n = b.strands
+    steps, traces = tables["bmw_step"], tables["bmw_trace"]
+    x = {tuple(range(n, 2 * n)) + tuple(range(n)): LaurentPoly.one()}
+    for l in b.letters:
+        out = {}
+        for br, c in x.items():
+            for br2, dz, da, k in steps[br, l]:
+                term = c * LaurentPoly.monomial(k, dz, da)
+                out[br2] = out.get(br2, LaurentPoly()) + term
+        x = {br: c for br, c in out.items() if c}
+    total = LaurentPoly()
+    for br, c in x.items():
+        total = total + c * LaurentPoly({(dz, da): k for dz, da, k in traces[br]})
+    return total
+
+
+def test_flat_kernel_handles_non_monomial_constants():
+    """Every structure constant built so far is a signed monomial; the flat
+    product must not depend on it.  A step made two-term per entry gives
+    the dict-of-LaurentPoly product of the same tables."""
+    b = BraidWord(3, (1, -2, 1, 2, -1, -2))
+    tables = {}
+    plain = bmw_D(b, tables)
+    assert _poly_product(b, tables) == plain
+    steps = tables["bmw_step"]
+    identity = (3, 4, 5, 0, 1, 2)
+    key = next(k for k in steps if k[0] != identity and k[1] == -1)
+    steps[key] = tuple(e for br2, dz, da, k in steps[key]
+                       for e in ((br2, dz, da, k), (br2, dz + 1, da - 1, 2 * k)))
+    injected = bmw_D(b, tables)
+    assert injected != plain
+    assert injected == _poly_product(b, tables)
+
+
 def _mirrored(p: LaurentPoly) -> LaurentPoly:
     """p(-z, a^-1)."""
     return LaurentPoly({(ez, -ea): -c if ez % 2 else c
@@ -274,23 +373,31 @@ def _inject(monkeypatch, word: str) -> None:
 
 def test_search_reverifies_injected_witness(monkeypatch, cache):
     _inject(monkeypatch, WITNESS_BRAID)
-    # the row comes from the skein engines on the suite's shared memo
-    mfw_check = harness.mfw_check
-    monkeypatch.setattr(harness, "mfw_check", lambda b, _cache: mfw_check(b, cache))
+    # the row comes from the algebra engines on the search's memo
     calls = []
     for name in ("hecke_R", "bmw_D"):
         engine = getattr(algebra, name)
         monkeypatch.setattr(algebra, name,
                             lambda b, tables, engine=engine: calls.append(b) or engine(b, tables))
+    # the flagged row is re-verified on the skein engines, with a memo of its
+    # own (empty when it is handed over); the suite's shared memo stands in
+    verified = []
+
+    def skein_full(d, own):
+        verified.append((d.events, dict(own.mem)))
+        return full_invariants(d, cache)
+    monkeypatch.setattr(harness, "full_invariants", skein_full)
     reports = harness.search(SearchConfig(max_strands=5, max_letters=20))
     assert len(reports) == 1 and reports[0].witness
     assert [b.text() for b in calls] == [WITNESS_BRAID] * 2
+    assert verified == [(braid_closure(parse_braid(WITNESS_BRAID)).events, {})]
 
 
 def test_search_disagreeing_engine_is_verification_failure(monkeypatch, capsys,
                                                            tmp_path):
     _inject(monkeypatch, "braid 2: 1 1 1")
-    monkeypatch.setattr(algebra, "bmw_D", lambda b, tables: bmw_D(b).shift(0, 1))
+    monkeypatch.setattr(skein, "kauffman_D",
+                        lambda d, cache, *args: kauffman_D(d, cache, *args).shift(0, 1))
     out = tmp_path / "r.csv"
     assert main(["search", "--max-strands", "2", "--max-letters", "3",
                  "--predicate", "all", "--out", str(out)]) == 1
@@ -341,3 +448,66 @@ def test_strand_ceiling_admits_documented_inputs():
         counts += re.findall(r"braid (\d+):", text)
         counts += re.findall(r"max[_-]strands\W+(\d+)", text)
     assert counts and max(map(int, counts)) <= MAX_STRANDS
+
+
+# -- the letter ceiling -------------------------------------------------------
+
+
+def test_letter_ceiling_in_parse():
+    assert len(parse_braid("braid 2: " + "1 " * MAX_LETTERS).letters) == MAX_LETTERS
+    long = "braid 2: " + "1 " * (MAX_LETTERS + 1)
+    with pytest.raises(ParseError, match=f"braid of {MAX_LETTERS + 1} letters "
+                                         f"is above the ceiling of {MAX_LETTERS}"):
+        parse_braid(long)
+    # the count comes before the tokens are read
+    with pytest.raises(ParseError, match="1500 letters"):
+        parse_braid("braid 2: x " + "1 " * 1499)
+
+
+def test_letter_ceiling_is_usage_error_before_any_closure(monkeypatch, capsys):
+    import knotpoly.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure was built")
+    monkeypatch.setattr(cli, "braid_closure", refuse)
+    monkeypatch.setattr(algebra, "braid_closure", refuse)
+    monkeypatch.setattr(algebra, "braid_invariants", refuse)
+    long = "braid 2: " + " ".join(["1"] * 1500)
+    for argv in (["poly", "--braid", long], ["check", "--braid", long],
+                 ["jaeger", "--braid", long], ["sum", "--braid", long]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: braid of 1500 letters is above the "
+                                f"ceiling of {MAX_LETTERS}\n")
+
+
+def test_letter_ceiling_admits_documented_inputs():
+    """Every literal braid word in the tests, README and the benchmark
+    inputs and references."""
+    lengths = []
+    for path in [*(ROOT / "tests").glob("*.py"), ROOT / "README.md",
+                 *(ROOT / "perfbench").glob("*.py"),
+                 ROOT / "perfbench" / "reference.json"]:
+        text = path.read_text(encoding="utf-8")
+        lengths += [len(w.split()) for w in re.findall(r"braid \d+:([ \d-]*)", text)]
+    assert lengths and max(lengths) <= MAX_LETTERS
+
+
+# -- the two engines on the search rows ---------------------------------------
+
+
+@pytest.mark.parametrize("strands, letters, rows", [(3, 7, 2856), (5, 5, 384)])
+def test_search_report_bytes_match_skein_rows(monkeypatch, tmp_path, strands,
+                                              letters, rows):
+    """The report from the algebra engines' rows equals the one from the
+    skein engines' rows, byte for byte."""
+    cfg = dict(max_strands=strands, max_letters=letters)
+    algebra_out = tmp_path / "algebra.csv"
+    harness.search(SearchConfig(out=str(algebra_out), **cfg))
+    monkeypatch.setattr(algebra, "braid_invariants",
+                        lambda b, cache: full_invariants(braid_closure(b), cache))
+    skein_out = tmp_path / "skein.csv"
+    harness.search(SearchConfig(out=str(skein_out), **cfg))
+    assert algebra_out.read_bytes() == skein_out.read_bytes()
+    assert len(algebra_out.read_bytes().splitlines()) == 1 + rows

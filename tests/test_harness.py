@@ -348,9 +348,10 @@ def test_cli_any_other_exception_is_internal_error(monkeypatch, capsys):
 
 
 def test_cli_deep_recursion_is_usage_error(capsys):
-    """A 1,500-crossing closure outruns the skein recursion limit: exit 2,
-    one line naming the crossing count."""
-    assert main(["check", "--braid", "braid 2: " + " ".join(["1"] * 1500)]) == 2
+    """A 1,500-crossing connected sum outruns the skein recursion limit (each
+    split nests the rest of the sum one level deeper): exit 2, one line
+    naming the crossing count."""
+    assert main(["sum", "--braid", "braid 2: 1 1 1", "--copies", "500"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: input too deep for the skein recursion "

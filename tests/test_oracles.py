@@ -171,3 +171,20 @@ def test_search_knots_against_burau():
         assert _matches_burau(b, hecke_R(b, tables)), b.text()
         assert _matches_burau(b, homfly_R(braid_closure(b), cache)), b.text()
     assert len(knots) == 2856
+
+
+def test_five_strand_search_rows_against_the_oracles():
+    """The algebra engines, which make every `search` row, on the knot rows
+    of `search --max-strands 5 --max-letters 6 --dedup cyclic+inverse`."""
+    tables: dict = {}
+    knots = [b for b in enumerate_braids(SearchConfig(max_strands=5, max_letters=6,
+                                                      dedup="cyclic+inverse"))
+             if b.component_count() == 1]
+    for b in knots:
+        events = closure(b.strands, b.letters)
+        K = bracket(events)
+        R = hecke_R(b, tables)
+        assert _d_holds(K, bmw_D(b, tables)), b.text()
+        assert _r_holds(K, _closure_writhe(events), R), b.text()
+        assert _matches_burau(b, R), b.text()
+    assert len(knots) == 3568
