@@ -48,13 +48,19 @@ proof chain's one object per state is the rounding K_sigma.  The states of
 one splice choice share one event list, which the engine then reduces
 once, and R's image under the substitution is computed once per distinct R
 on a cache.
+
+The three front checks, `lj_both_sides`, `proof_chain_check` and
+`lemma_check`, read one state table per front and weight table
+(`_front_states`): the states are enumerated, each l_sigma's R evaluated
+and each term formed once, and the table stays on the `SkeinCache` until
+another front or table comes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, DeltaFraction, substitute_jaeger
 from .diagram import DIAGRAM_KINDS, MorseDiagram, Scan, scan
@@ -314,13 +320,15 @@ class Certificate:
                            for c, f, t in self.contributions]}
 
 
-def _rhs_image(r: LaurentPoly, cache: SkeinCache) -> DeltaFraction:
-    """R's image under the right-hand side's substitution, computed once
-    per distinct R on a cache (`SkeinCache.substituted`)."""
-    image = cache.substituted.get(r)
-    if image is None:
-        image = cache.substituted[r] = substitute_jaeger(r, "homfly_rhs")
-    return image
+def _rhs_image(r: LaurentPoly, cache: SkeinCache) -> tuple[LaurentPoly,
+                                                           DeltaFraction]:
+    """(R, R's image under the right-hand side's substitution), computed
+    once per distinct R on a cache (`SkeinCache.substituted`); the R
+    returned is the first one stored, so equal values are one object."""
+    entry = cache.substituted.get(r)
+    if entry is None:
+        entry = cache.substituted[r] = (r, substitute_jaeger(r, "homfly_rhs"))
+    return entry
 
 
 def jaeger_both_sides(d: ClosedDiagram, cache: SkeinCache,
@@ -330,7 +338,7 @@ def jaeger_both_sides(d: ClosedDiagram, cache: SkeinCache,
     contributions = []
     table = DIAGRAM_WEIGHTS if weights is None else weights
     for st in nonzero_states(d.events, DIAGRAM_ALPHABET, table):
-        rsub = _rhs_image(homfly_R(st, cache), cache)
+        _r, rsub = _rhs_image(homfly_R(st, cache), cache)
         # [K, state] (t a^-1)^r = sign (t a^-1)^r tau^(V+H)
         unit = LaurentPoly.monomial(st.sign, st.r_sigma, -st.r_sigma)
         term = rsub.scaled(unit, st.v_count + st.h_count)
@@ -343,38 +351,72 @@ def jaeger_both_sides(d: ClosedDiagram, cache: SkeinCache,
 # -- front states --------------------------------------------------------------
 
 
-def _morsified(states: Iterable[SpliceState]) -> Iterator[SpliceState]:
-    """Each front state with its events morsified, once per spliced event
-    list (the states of one splice choice share theirs)."""
+class _FrontStates(NamedTuple):
+    """One front's state table under one weight table (`_front_states`).
+
+    Per state, in `nonzero_states` order: the state as enumerated (its
+    events unmorsified), R(l_sigma) of its morsification, and its term
+    (a t^-1)^(#left-up + #right-down) [L, state] R(l_sigma).
+    """
+
+    events: tuple                     # the front's
+    weights: dict                     # a copy of the weight table
+    lhs: DeltaFraction                # D of the morsified front, substituted
+    states: list
+    r_values: list
+    terms: list
+
+
+def _front_states(f: FrontWord, cache: SkeinCache,
+                  table: dict) -> _FrontStates:
+    """The front's state table, enumerated once per front and weight table
+    on a cache.
+
+    The table sits in `SkeinCache.front_states` until another front or
+    table comes, and is dropped before the next one is built.  Each splice
+    choice is morsified once (its states share their event list), and each
+    state reaches `homfly_R` once, with its events morsified.
+    """
+    slot = cache.front_states
+    if slot is not None and slot.events == f.events and slot.weights == table:
+        return slot
+    cache.front_states = None
+    lhs = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
+    states, r_values, terms = [], [], []
     events = morse = None
-    for st in states:
+    # equal terms are kept as one object; R is interned by `_rhs_image`,
+    # so its id names its value here
+    term_of = {}
+    for st in nonzero_states(f.events, FRONT_ALPHABET, table):
         if st.events is not events:
             events = st.events
             morse = tuple(diagram_events_of(events, morsified=True))
-        yield replace(st, events=morse)
-
-
-def _front_term(st: SpliceState, cache: SkeinCache) -> DeltaFraction:
-    """(a t^-1)^(#left-up + #right-down) [L, state] R(st), for a state
-    with its events morsified."""
-    rsub = _rhs_image(homfly_R(st, cache), cache)
-    e = st.left_up + st.right_down
-    v = st.v_count
-    # sign (a t^-1)^e (t a^-2)^V tau^(V+H)
-    unit = LaurentPoly.monomial(st.sign, v - e, e - 2 * v)
-    return rsub.scaled(unit, v + st.h_count)
+        r, rsub = _rhs_image(homfly_R(replace(st, events=morse), cache), cache)
+        e = st.left_up + st.right_down
+        v = st.v_count
+        # sign (a t^-1)^e (t a^-2)^V tau^(V+H)
+        key = (id(r), st.sign, v - e, e - 2 * v, v + st.h_count)
+        term = term_of.get(key)
+        if term is None:
+            unit = LaurentPoly.monomial(st.sign, v - e, e - 2 * v)
+            term = term_of[key] = rsub.scaled(unit, v + st.h_count)
+        states.append(st)
+        r_values.append(r)
+        terms.append(term)
+    slot = cache.front_states = _FrontStates(f.events, dict(table), lhs,
+                                             states, r_values, terms)
+    return slot
 
 
 def lj_both_sides(f: FrontWord, cache: SkeinCache,
                   weights: Optional[dict] = None) -> Certificate:
     """Evaluate both sides of the front version of the state sum."""
-    lhs = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
     table = FRONT_WEIGHTS if weights is None else weights
-    states = _morsified(nonzero_states(f.events, FRONT_ALPHABET, table))
-    contributions = [(st.choices, st.flips, _front_term(st, cache))
-                     for st in states]
-    rhs = DeltaFraction.sum(t for _c, _f, t in contributions)
-    return Certificate(lhs=lhs, rhs=rhs, equal=lhs == rhs,
+    fs = _front_states(f, cache, table)
+    contributions = [(st.choices, st.flips, term)
+                     for st, term in zip(fs.states, fs.terms)]
+    rhs = DeltaFraction.sum(fs.terms)
+    return Certificate(lhs=fs.lhs, rhs=rhs, equal=fs.lhs == rhs,
                        contributions=contributions)
 
 
@@ -393,11 +435,11 @@ def lemma_check(f: FrontWord, cache: SkeinCache) -> list[LemmaRow]:
 
     Each nonvanishing contribution should be a genuine polynomial in a, with
     least degree at least 2(#left-up - V) + |mu| - mu for the state's mu.
+    The terms and tallies are read off the front's state table.
     """
+    fs = _front_states(f, cache, FRONT_WEIGHTS)
     rows = []
-    states = nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS)
-    for st in _morsified(states):
-        term = _front_term(st, cache)
+    for st, term in zip(fs.states, fs.terms):
         if term.is_zero():
             continue
         ea = term.numerator.min_degree("second")
@@ -418,31 +460,32 @@ def proof_chain_check(f: FrontWord, cache: SkeinCache) -> dict:
     nu_sigma - r(K_sigma) = #left-up + #right-down; plus the cusp-rounding
     relation D(l)(tau, a^2 t^-1) = (a^2 t^-1)^nu D(K)(tau, a^2 t^-1).
     K_sigma is built from the state's events and dirs, not from its tallies.
-    The states go one splice choice at a time, each l_sigma's R before each
-    K_sigma's, so that each event list meets the engine in one run.
+    R(l_sigma) and D of the morsified front come from the front's state
+    table; each splice choice is rounded once, and its K_sigma values meet
+    the engine in one run.
     """
     nu = f.cusp_count() // 2
     out = {"states": 0, "weight_ok": True, "nu_ok": True, "rot_ok": True,
            "r_factor_ok": True, "master_ok": None}
-    states = nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS)
-    for _choices, group in itertools.groupby(states, lambda st: st.choices):
-        group = list(group)
-        r_ls = [homfly_R(lsig, cache) for lsig in _morsified(group)]
-        for st, r_l in zip(group, r_ls):
-            out["states"] += 1
-            ksig = MorseDiagram(diagram_events_of(st.events), st.dirs)
-            nu_sig = len(ksig.cup_lows)  # l_sigma: two cusps per cup of K_sigma
-            if nu != nu_sig - st.v_count:
-                out["nu_ok"] = False
-            if nu_sig - ksig.rotation != st.left_up + st.right_down:
-                out["rot_ok"] = False
-            # front weight sign (t a^-2)^V tau^(V+H) = (t a^-2)^V (-1)^H tau^(V+H)
-            if st.sign != (-1) ** st.h_count:
-                out["weight_ok"] = False
-            if homfly_R(ksig, cache) != r_l.shift(0, -nu_sig):
-                out["r_factor_ok"] = False
-    d_l = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
+    fs = _front_states(f, cache, FRONT_WEIGHTS)
+    events = rounded = None
+    for st, r_l in zip(fs.states, fs.r_values):
+        if st.events is not events:  # the states of one choice share theirs
+            events = st.events
+            rounded = tuple(diagram_events_of(events))
+        out["states"] += 1
+        ksig = MorseDiagram(rounded, st.dirs)
+        nu_sig = len(ksig.cup_lows)  # l_sigma: two cusps per cup of K_sigma
+        if nu != nu_sig - st.v_count:
+            out["nu_ok"] = False
+        if nu_sig - ksig.rotation != st.left_up + st.right_down:
+            out["rot_ok"] = False
+        # front weight sign (t a^-2)^V tau^(V+H) = (t a^-2)^V (-1)^H tau^(V+H)
+        if st.sign != (-1) ** st.h_count:
+            out["weight_ok"] = False
+        if homfly_R(ksig, cache) != r_l.shift(0, -nu_sig):
+            out["r_factor_ok"] = False
     d_k = substitute_jaeger(kauffman_D(f.rounded(), cache), "kauffman_lhs")
     pre = LaurentPoly.monomial(1, -nu, 2 * nu)  # (a^2 t^-1)^nu
-    out["master_ok"] = d_l == d_k.scaled(pre, 0)
+    out["master_ok"] = fs.lhs == d_k.scaled(pre, 0)
     return out

@@ -89,22 +89,28 @@ class SkeinCache:
     append cut short: it is skipped, and cut off the file before this cache
     appends to it.
 
-    Three stores are kept in memory only.  They are never persisted and
+    Four stores are kept in memory only.  They are never persisted and
     change no memo key:
 
     - `tables`, the algebra engines' tables (`algebra.py`), built on demand;
     - `last_reduction`, the planar reduction of the last event list an
       engine entry saw (`_entry_reduced`), with its thread map and the
       reduced events' encoding; None before the first entry;
-    - `substituted`, each R's image under the state-sum substitution
-      (`jaeger`), keyed by R.
+    - `substituted`, each R with its image under the state-sum
+      substitution (`jaeger`), keyed by R;
+    - `front_states`, the state table of the last front and weight table
+      a front check saw (`jaeger._front_states`), keyed by the front's
+      events and a copy of the table, dropped before the next one is
+      built; None before the first front check.
     """
 
     def __init__(self, path: Optional[str] = None):
         self.mem: dict[bytes, LaurentPoly] = {}
         self.tables: dict[str, dict] = {}
         self.last_reduction: Optional[tuple] = None
-        self.substituted: dict[LaurentPoly, DeltaFraction] = {}
+        self.substituted: dict[LaurentPoly,
+                               tuple[LaurentPoly, DeltaFraction]] = {}
+        self.front_states: Optional[tuple] = None
         self.path = path
         self._fh = None
         if path:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -312,13 +313,13 @@ def test_proof_chain_relations(cache):
 def test_front_states_reach_the_engine_as_they_are(monkeypatch):
     """The front sums hand `homfly_R` each state with its events morsified.
 
-    On 50 seeded fronts: `lj_both_sides` and `lemma_check` build no
-    `FrontWord` and at most one `MorseDiagram` (the front's morsification);
-    `proof_chain_check` builds one `MorseDiagram` per state (K_sigma) plus
-    two per front (its morsification and rounding) and no `FrontWord`; and
-    for each state, `lj_both_sides` and `lemma_check` hand over a
-    `SpliceState` with the events and dirs of
-    `FrontWord(st.events, st.dirs).morsify()`.
+    On 50 seeded fronts, each check on a fresh cache hands over, once per
+    state, a `SpliceState` with the events and dirs of
+    `FrontWord(st.events, st.dirs).morsify()`, and builds no `FrontWord`;
+    `lj_both_sides` and `lemma_check` build one `MorseDiagram` (the front's
+    morsification), `proof_chain_check` one per state (K_sigma) plus two
+    (the front's morsification and rounding).  On one shared cache the
+    three checks together hand each state over exactly once.
     """
     import knotpoly.jaeger as jaeger
     rng = random.Random(1111)
@@ -339,21 +340,37 @@ def test_front_states_reach_the_engine_as_they_are(monkeypatch):
         handed.append(d)
         return homfly_R(d, *args, **kw)
     monkeypatch.setattr(jaeger, "homfly_R", recorded)
-    cache = SkeinCache()
+
+    def assert_handed_once(states, want, what):
+        got = [d for d in handed if type(d) is SpliceState]
+        assert len(got) == len(states), what
+        for d, st, m in zip(got, states, want):
+            assert (d.choices, d.flips) == (st.choices, st.flips), what
+            assert (d.events, d.dirs) == (m.events, m.dirs), what
+
+    checks = (lj_both_sides, proof_chain_check, lemma_check)
+    shared = SkeinCache()
+    last = None
     for f, states, want in zip(fronts, per_front, morsified):
-        for check in (lj_both_sides, lemma_check, proof_chain_check):
+        for check in checks:
             builds.update(MorseDiagram=0, FrontWord=0)
             handed.clear()
-            check(f, cache)
-            assert builds["FrontWord"] == 0, (check.__name__, f.events)
-            if check is proof_chain_check:
-                assert builds["MorseDiagram"] == len(states) + 2, f.events
-                continue
-            assert builds["MorseDiagram"] <= 1, (check.__name__, f.events)
-            assert len(handed) == len(states), (check.__name__, f.events)
-            for got, st, m in zip(handed, states, want):
-                assert type(got) is SpliceState and got.choices == st.choices
-                assert (got.events, got.dirs) == (m.events, m.dirs), f.events
+            check(f, SkeinCache())
+            what = (check.__name__, f.events)
+            assert builds["FrontWord"] == 0, what
+            k_sigmas = len(states) + 1 if check is proof_chain_check else 0
+            assert builds["MorseDiagram"] == 1 + k_sigmas, what
+            assert_handed_once(states, want, what)
+        builds.update(MorseDiagram=0, FrontWord=0)
+        handed.clear()
+        for check in checks:
+            check(f, shared)
+        if f.events == last:  # the table of the front before serves
+            assert_handed_once([], [], ("shared", f.events))
+            continue
+        last = f.events
+        assert builds == {"MorseDiagram": len(states) + 2, "FrontWord": 0}
+        assert_handed_once(states, want, ("shared", f.events))
 
 
 def test_front_sums_reduce_once_per_spliced_event_list(monkeypatch):
@@ -407,6 +424,127 @@ def test_front_sums_reduce_once_per_spliced_event_list(monkeypatch):
         choices += n_choices
     assert states > choices  # several orientations per splice choice
     assert runs < states  # the two checks evaluate R on 3 * states entries
+
+
+def shared_table_fronts():
+    """60 seeded fronts, then the first 6- and 7-component fronts of the
+    benchmark pool's shape (up to six crossings)."""
+    rng = random.Random(1821)
+    fronts = [random_front(rng, max_crossings=3) for _ in range(60)]
+    wanted = {6, 7}
+    while wanted:
+        f = random_front(rng, max_crossings=6)
+        if f.component_count() in wanted:
+            wanted.discard(f.component_count())
+            fronts.append(f)
+    return fronts
+
+
+def sharing_memo(warm: SkeinCache) -> SkeinCache:
+    """A fresh cache whose memo is `warm`'s: its other stores start empty."""
+    cache = SkeinCache()
+    cache.mem = warm.mem
+    return cache
+
+
+def front_check_output(check, f, cache, weights=None):
+    if check is lj_both_sides:
+        return check(f, cache, weights).to_json()
+    return check(f, cache)
+
+
+def test_front_checks_on_a_shared_cache_match_fresh_ones():
+    """The three front checks read one state table per front and cache; in
+    every order, on one cache across all fronts, each result equals the
+    same check's on a fresh cache (the memo is prewarmed in both)."""
+    fronts = shared_table_fronts()
+    assert {6, 7} <= {f.component_count() for f in fronts}
+    checks = (lj_both_sides, proof_chain_check, lemma_check)
+    warm = SkeinCache()
+    fresh = [{check: front_check_output(check, f, sharing_memo(warm))
+              for check in checks} for f in fronts]
+    for order in itertools.permutations(checks):
+        shared = sharing_memo(warm)
+        for f, want in zip(fronts, fresh):
+            for check in order:
+                got = front_check_output(check, f, shared)
+                assert got == want[check], (check.__name__, f.events)
+
+
+def test_front_states_are_enumerated_once_per_front_and_table(monkeypatch):
+    """On a shared cache a front's splice choices are scanned once per
+    (front, weight table), and each l_sigma reaches `homfly_R` once."""
+    import knotpoly.jaeger as jaeger
+    scans, handed = [], []
+
+    def counted_scan(*args, **kw):
+        scans.append(kw.get("choices"))
+        return scan(*args, **kw)
+    monkeypatch.setattr(jaeger, "scan", counted_scan)
+
+    def recorded(d, *args, **kw):
+        if type(d) is SpliceState:
+            handed.append((d.events, d.dirs))
+        return homfly_R(d, *args, **kw)
+    monkeypatch.setattr(jaeger, "homfly_R", recorded)
+
+    def one_pass(f, table):
+        """(scans, l_sigmas) of one enumeration of the front's states."""
+        scans.clear()
+        l_sigmas = [(FrontWord(st.events, st.dirs).morsify().events, st.dirs)
+                    for st in nonzero_states(f.events, FRONT_ALPHABET, table)]
+        return list(scans), l_sigmas
+
+    def run(*calls):
+        scans.clear()
+        handed.clear()
+        for call in calls:
+            call()
+        return list(scans), list(handed)
+    rng = random.Random(1919)
+    fronts = {}
+    for _ in range(30):
+        f = random_front(rng, max_crossings=4)
+        fronts[f.events] = f
+    other = next(t for t in _candidate_front_tables() if t != FRONT_WEIGHTS)
+    shared = SkeinCache()
+    spliced = 0
+    for f in fronts.values():
+        frozen, candidate = one_pass(f, FRONT_WEIGHTS), one_pass(f, other)
+        three = [functools.partial(check, f, shared) for check in
+                 (lj_both_sides, lemma_check, proof_chain_check)]
+        assert run(*three) == frozen, f.events
+        assert run(*reversed(three)) == ([], []), f.events
+        assert run(lambda: lj_both_sides(f, shared, other)) == candidate, f.events
+        assert run(*three[1:]) == frozen, f.events
+        spliced += len(frozen[0]) - 1
+    assert spliced > len(fronts)
+
+
+def test_candidate_tables_interleaved_on_one_cache():
+    """A candidate front table from `selection` and the frozen one take
+    turns on one front and cache; each certificate equals its fresh-cache
+    one, also after the caller edits the table it passed."""
+    rng = random.Random(2020)
+    fronts = [crossed_saucer_front()]
+    fronts += [random_front(rng, max_crossings=3) for _ in range(3)]
+    candidates = list(_candidate_front_tables())
+    warm = SkeinCache()
+    shared = sharing_memo(warm)
+    differs = 0
+    for f in fronts:
+        frozen = front_check_output(lj_both_sides, f, sharing_memo(warm))
+        for table in candidates:
+            want = front_check_output(lj_both_sides, f, sharing_memo(warm),
+                                      table)
+            differs += want != frozen
+            assert front_check_output(lj_both_sides, f, shared, table) == want
+            assert front_check_output(lj_both_sides, f, shared) == frozen
+            edited = dict(table)
+            assert front_check_output(lj_both_sides, f, shared, edited) == want
+            edited.update(FRONT_WEIGHTS)
+            assert front_check_output(lj_both_sides, f, shared, edited) == frozen
+    assert differs > 0
 
 
 def test_rhs_summation_order_invariant(cache):
