@@ -72,12 +72,11 @@ skein engines.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .laurent import LaurentPoly
 from .diagram import (BraidWord, braid_closure, reduce_diagram, _switch_events,
                       _smooth_h_events, _smooth_v_events)
-from .skein import DELTA, DELTA_D, SkeinCache, SkeinResult, descend, memo_value
+from .skein import (DELTA, SkeinCache, SkeinResult, _factor, descend,
+                    memo_value)
 
 
 def _add(out: dict, key, c: LaurentPoly) -> None:
@@ -142,7 +141,7 @@ def _hecke_trace(w: tuple, traces: dict) -> tuple:
     return val
 
 
-def hecke_R(b: BraidWord, tables: Optional[dict] = None) -> LaurentPoly:
+def hecke_R(b: BraidWord, tables: dict) -> LaurentPoly:
     """R of the closure of `b`, from the product of its letters in H_n.
 
     `tables` keeps the traces for later calls (a `SkeinCache`'s `tables`).
@@ -150,7 +149,7 @@ def hecke_R(b: BraidWord, tables: Optional[dict] = None) -> LaurentPoly:
     x = {(tuple(range(b.strands)), 0): 1}
     for l in b.letters:
         x = _hecke_mul(x, abs(l) - 1, l > 0)
-    traces = {} if tables is None else tables.setdefault("hecke_trace", {})
+    traces = tables.setdefault("hecke_trace", {})
     return _traced({(w, ez, 0): c for (w, ez), c in x.items()},
                    lambda w: _hecke_trace(w, traces))
 
@@ -166,7 +165,7 @@ def _eval(n: int, events: tuple, memo: dict) -> dict:
         val = memo[n, events] = _expand(n, events, memo)
     if not a_pow and not circles:
         return val
-    mult = (DELTA_D ** circles).shift(0, a_pow)
+    mult = _factor(True, a_pow, circles)
     return {b: c * mult for b, c in val.items()}
 
 
@@ -189,7 +188,7 @@ def _expand(n: int, events: tuple, memo: dict) -> dict:
     for e, t in enumerate([*range(n), *sc.right_ends]):
         f = first.setdefault(sc.component_of[t], e)
         brauer[e], brauer[f] = f, e
-    _add(acc, tuple(brauer), (DELTA_D ** (len(sc.components) - n)).shift(0, writhe))
+    _add(acc, tuple(brauer), _factor(True, writhe, len(sc.components) - n))
     return acc
 
 
@@ -241,14 +240,12 @@ def _basis_tangle(n: int, b: tuple) -> tuple:
     return events
 
 
-def bmw_D(b: BraidWord, tables: Optional[dict] = None) -> LaurentPoly:
+def bmw_D(b: BraidWord, tables: dict) -> LaurentPoly:
     """D of the closure of `b`, from the product of its letters in BMW_n.
 
     `tables` keeps the tangle memo, the basis tangles, the structure
     constants and the traces for later calls (a `SkeinCache`'s `tables`).
     """
-    if tables is None:
-        tables = {}
     memo, basis, steps, traces = (tables.setdefault(name, {}) for name in
                                   ("bmw_memo", "bmw_basis", "bmw_step", "bmw_trace"))
     n = b.strands

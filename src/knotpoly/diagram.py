@@ -212,17 +212,6 @@ def scan(events: Iterable[Event], alphabet: tuple,
                 passes, probes, active)
 
 
-def flipped_dirs(sc, flips: Sequence[bool]) -> tuple:
-    """`sc.dirs` with the components whose flip bit is set reversed.
-
-    `sc` has a Scan's dirs, components and component_of; one flip per component.
-    """
-    if len(flips) != len(sc.components):
-        raise DiagramError("one flip bit per component required")
-    flip_of = dict(zip(sc.components, flips))
-    return tuple(-d if flip_of[c] else d for d, c in zip(sc.dirs, sc.component_of))
-
-
 class MorseDiagram:
     """A validated closed diagram with a chosen orientation.
 
@@ -247,17 +236,8 @@ class MorseDiagram:
         self.writhe = sum(s * d[lo] * d[hi] for _, lo, hi, s in sc.crossings)
         self.rotation = sum(d[lo] for lo in self.cup_lows + self.cap_lows) // 2
 
-    def with_orientation(self, flips: Sequence[bool]) -> "MorseDiagram":
-        """Same diagram with components flipped; flips follows self.components order."""
-        return MorseDiagram(self.events, flipped_dirs(self, flips))
-
     def reversed(self) -> "MorseDiagram":
         return MorseDiagram(self.events, tuple(-d for d in self.dirs))
-
-    # -- queries -------------------------------------------------------------
-
-    def stats(self) -> tuple[int, int, int]:
-        return (self.writhe, self.rotation, len(self.components))
 
     def to_json(self) -> dict:
         return {"events": [list(ev) for ev in self.events]}

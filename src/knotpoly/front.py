@@ -31,9 +31,14 @@ terms of thread directions: left cusp up iff dir(lower) = -1, right cusp up
 iff dir(lower) = +1.
 
 A FrontWord is one `diagram.scan` of its events: each component's
-first-born thread runs right to left by default, and the cusp classes are
-read from the scan's lower threads.  The rounding and the morsification are
-built on demand with the front's dirs.
+first-born thread runs right to left by default.  The rounding and the
+morsification are built on demand with the front's dirs.
+
+Every orientation of a front, with its left-up and right-down cusp tallies,
+is a state of `jaeger.nonzero_states(f.events, FRONT_ALPHABET, {})`: under
+the empty weight table only the unspliced choice survives, and its states
+run over every flips vector in `itertools.product` order, the all-False one
+with the front's default dirs.
 """
 
 from __future__ import annotations
@@ -41,8 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .diagram import (MorseDiagram, DiagramError, LevelError, ParseError,
-                      flipped_dirs, scan)
+from .diagram import MorseDiagram, DiagramError, LevelError, ParseError, scan
 
 FrontEvent = tuple
 
@@ -96,10 +100,6 @@ class FrontWord:
 
     # -- structure -----------------------------------------------------------
 
-    @property
-    def components(self) -> tuple[int, ...]:
-        return tuple(self._scan.components)
-
     def component_count(self) -> int:
         return len(self._scan.components)
 
@@ -109,23 +109,8 @@ class FrontWord:
     def crossing_count(self) -> int:
         return len(self._scan.crossings)
 
-    def with_orientation(self, flips: Sequence[bool]) -> "FrontWord":
-        """Same front with components flipped; flips follows self.components order."""
-        return FrontWord(self.events, flipped_dirs(self._scan, flips))
-
     def reversed(self) -> "FrontWord":
         return FrontWord(self.events, tuple(-d for d in self.dirs))
-
-    # -- cusp orientation classes ---------------------------------------------
-
-    def cusp_classes(self) -> dict[str, int]:
-        """Counts of the four oriented cusp classes under the current dirs."""
-        d = self.dirs
-        sc = self._scan
-        lu = sum(1 for lo in sc.cup_lows if d[lo] == -1)
-        rd = sum(1 for lo in sc.cap_lows if d[lo] == -1)
-        return {"left_up": lu, "left_down": len(sc.cup_lows) - lu,
-                "right_down": rd, "right_up": len(sc.cap_lows) - rd}
 
     def to_json(self) -> dict:
         return {"events": [list(ev) for ev in self.events]}

@@ -41,13 +41,15 @@ and drops its whole subtree.  One `diagram.scan` per surviving choice
 splices and orients (each component's first-born thread at the alphabet's
 seed dir); its probes name the threads each site's pattern reads, and the
 patterns pin the orientation flips of the components they touch, so
-zero-weight states are never formed.  A state is the spliced, oriented
-object, with `events` and `dirs` as on any closed diagram here: it reaches
-`homfly_R` as it is, a front state with its events morsified, and the
-proof chain's one object per state is the rounding K_sigma.  The states of
-one splice choice share one event list, which the engine then reduces
-once, and R's image under the substitution is computed once per distinct R
-on a cache.
+zero-weight states are never formed.  Under an empty weight table only the
+unspliced choice survives, so the states are every orientation of the
+object, with their rotations and cusp tallies.  A state is the spliced,
+oriented object, with `events` and `dirs` as on any closed diagram here:
+it reaches `homfly_R` as it is, a front state with its events morsified,
+and the proof chain's one object per state is the rounding K_sigma.  The
+states of one splice choice share one event list, which the engine then
+reduces once, and R's image under the substitution is computed once per
+distinct R on a cache.
 
 The three front checks, `lj_both_sides`, `proof_chain_check` and
 `lemma_check`, read one state table per front and weight table
@@ -274,7 +276,8 @@ def nonzero_states(events: Sequence, alphabet: Alphabet,
     one `scan`.  Its probes pin the flips of the components they touch
     (`_pin`), and only the unpinned components run over both bits.  The
     scan of the unspliced events, which is choice 0 everywhere, validates
-    them before anything is yielded.
+    them before anything is yielded.  With `weights` empty, that choice is
+    the only one, and its states run over every flips vector.
     """
     pattern_of = {key[:-1]: (key[-1], coeff)
                   for key, coeff in weights.items() if coeff}

@@ -146,27 +146,8 @@ class LaurentPoly:
     # -- formatting and serialization ----------------------------------------
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.format()!r})"
-
-    def format(self, names: tuple[str, str] = ("z", "a")) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e1, e2, c in self.sorted_terms():
-            piece = []
-            if abs(c) != 1 or (e1 == 0 and e2 == 0):
-                piece.append(str(abs(c)))
-            for name, e in ((names[0], e1), (names[1], e2)):
-                if e == 1:
-                    piece.append(name)
-                elif e != 0:
-                    piece.append(f"{name}^{e}")
-            term = "*".join(piece)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
+        terms = {(e1, e2): c for e1, e2, c in self.sorted_terms()}
+        return f"LaurentPoly({terms!r})"
 
     def to_json(self) -> list[dict]:
         """Stable serialization: sorted by (ea, ez), coefficients as strings."""
@@ -201,9 +182,8 @@ def _var_index(var: str) -> int:
     raise ValueError(f"unknown variable selector: {var!r}")
 
 
-# x - x^-1 in the first and second variable respectively
+# x - x^-1 in the first variable
 TAU = LaurentPoly({(1, 0): 1, (-1, 0): -1})
-A_MINUS_AINV = LaurentPoly({(0, 1): 1, (0, -1): -1})
 
 
 @lru_cache(maxsize=None)
@@ -377,13 +357,10 @@ class DeltaFraction:
     def __add__(self, other: "DeltaFraction") -> "DeltaFraction":
         if not isinstance(other, DeltaFraction):
             return NotImplemented
-        d = max(self.denom_power, other.denom_power)
-        num = (self.numerator * TAU ** (d - self.denom_power)
-               + other.numerator * TAU ** (d - other.denom_power))
-        return DeltaFraction(num, d)
+        return DeltaFraction.sum((self, other))
 
     def __sub__(self, other: "DeltaFraction") -> "DeltaFraction":
-        return self + DeltaFraction(-other.numerator, other.denom_power)
+        return self + -other
 
     def __neg__(self) -> "DeltaFraction":
         return DeltaFraction(-self.numerator, self.denom_power)
@@ -406,10 +383,7 @@ class DeltaFraction:
         return hash((self.numerator, self.denom_power))
 
     def __repr__(self) -> str:
-        num = self.numerator.format(names=("t", "a"))
-        if self.denom_power == 0:
-            return f"DeltaFraction({num!r})"
-        return f"DeltaFraction({num!r} / (t - t^-1)^{self.denom_power})"
+        return f"DeltaFraction({self.numerator!r}, {self.denom_power})"
 
     def to_json(self) -> dict:
         return {"numerator": self.numerator.to_json(),

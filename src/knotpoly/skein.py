@@ -222,10 +222,6 @@ class SkeinStats:
     cache_hits: int = 0
     cache_misses: int = 0
 
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
 
 def _split_dirs(events: tuple, dirs: Optional[tuple], pos: int):
     """Split events (and orientation) at a connected-sum slice: close the

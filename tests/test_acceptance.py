@@ -238,5 +238,7 @@ def test_criterion_12_performance():
     res = full_invariants(d, SkeinCache(), stats)
     elapsed = time.time() - t0
     ok = elapsed < 60
+    lookups = stats.cache_hits + stats.cache_misses
+    hit_rate = stats.cache_hits / lookups if lookups else 0.0
     _report(12, ok, f"12-crossing diagram in {elapsed:.2f}s, "
-                    f"{stats.nodes} nodes, cache hit rate {stats.hit_rate():.2f}")
+                    f"{stats.nodes} nodes, cache hit rate {hit_rate:.2f}")

@@ -7,10 +7,10 @@ from knotpoly.diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
                               parse_braid, braid_closure, crossing_surgery,
                               connected_sum, encode_events, find_split,
                               reduce_diagram, _normalize_pass, _swap_adjacent)
-from knotpoly.front import FrontWord
+from knotpoly.jaeger import DIAGRAM_ALPHABET, nonzero_states
 
 from conftest import (INVALID_EVENTS, random_braid, random_front,
-                      random_surgered_closure)
+                      random_surgered_closure, reference_flip)
 
 
 def test_parse_braid_examples():
@@ -34,7 +34,8 @@ def test_parse_braid_errors(bad):
 
 
 def test_closure_examples():
-    assert braid_closure(parse_braid("braid 1:")).stats() == (0, 1, 1)
+    unknot = braid_closure(parse_braid("braid 1:"))
+    assert (unknot.writhe, unknot.rotation, len(unknot.components)) == (0, 1, 1)
 
     tref = braid_closure(parse_braid("braid 2: 1 1 1"))
     assert tref.writhe == 3 and abs(tref.rotation) == 2
@@ -46,25 +47,13 @@ def test_closure_examples():
 
 def test_stats_examples():
     inf = MorseDiagram([("cup", 0), ("x", 0, -1), ("cap", 0)])
-    assert inf.stats() == (1, 0, 1)
+    assert (inf.writhe, inf.rotation, len(inf.components)) == (1, 0, 1)
 
     unlink = MorseDiagram([("cup", 0), ("cap", 0), ("cup", 0), ("cap", 0)])
     assert unlink.writhe == 0 and len(unlink.components) == 2
-    rotations = {unlink.with_orientation(f).rotation
-                 for f in itertools.product((False, True), repeat=2)}
+    rotations = {MorseDiagram(st.events, st.dirs).rotation
+                 for st in nonzero_states(unlink.events, DIAGRAM_ALPHABET, {})}
     assert rotations == {-2, 0, 2}
-
-
-@pytest.mark.parametrize("flip_count", [1, 3], ids=["too_few", "too_many"])
-@pytest.mark.parametrize("two_component", [
-    lambda: braid_closure(parse_braid("braid 2: 1 1")),
-    lambda: FrontWord([("L", 0), ("R", 0), ("L", 0), ("R", 0)]),
-], ids=["diagram", "front"])
-def test_with_orientation_needs_one_flip_per_component(two_component, flip_count):
-    obj = two_component()
-    assert len(obj.components) == 2
-    with pytest.raises(DiagramError):
-        obj.with_orientation([True] * flip_count)
 
 
 def test_closure_invariants_random():
@@ -205,7 +194,8 @@ def _decorated(d: MorseDiagram, rng: random.Random) -> MorseDiagram:
         level, s = rng.randrange(widths[i] - 1), rng.choice((1, -1))
         events[i:i] = [("x", level, s), ("x", level, -s)]
     m = MorseDiagram([("cup", 0), ("cap", 0)] + events)
-    return m.with_orientation([rng.random() < 0.5 for _ in m.components])
+    return MorseDiagram(m.events, reference_flip(
+        m, [rng.random() < 0.5 for _ in m.components]))
 
 
 def test_thread_map_carries_the_orientation():

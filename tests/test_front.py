@@ -8,6 +8,7 @@ from knotpoly.diagram import ParseError, DiagramError
 from knotpoly.front import (FrontWord, parse_front, classical_invariants,
                             saucer_front, crossed_saucer_front)
 from knotpoly.skein import homfly_R, kauffman_D, full_invariants
+from knotpoly.jaeger import FRONT_ALPHABET, nonzero_states
 
 from conftest import A, random_front
 
@@ -110,24 +111,35 @@ def test_zigzag_stabilization_drops_tb():
             assert abs(ginv.maslov - inv.maslov) == 1
 
 
+def orientations(f: FrontWord) -> list:
+    """Every orientation of `f` as a state, by flips in product order."""
+    return list(nonzero_states(f.events, FRONT_ALPHABET, {}))
+
+
+def cusp_classes(f: FrontWord, st) -> dict:
+    """The four oriented cusp classes of `f` under the state's dirs."""
+    half = f.cusp_count() // 2  # left cusps, and right cusps
+    return {"left_up": st.left_up, "left_down": half - st.left_up,
+            "right_down": st.right_down, "right_up": half - st.right_down}
+
+
 def test_cusp_class_counts_examples():
-    exps = set()
-    for flips in ([False], [True]):
-        cc = saucer_front().with_orientation(flips).cusp_classes()
-        exps.add(cc["left_up"] + cc["right_down"])
+    exps = {st.left_up + st.right_down for st in orientations(saucer_front())}
     assert exps == {0, 2}
 
-    for flips in ([False], [True]):
-        cc = crossed_saucer_front().with_orientation(flips).cusp_classes()
-        assert cc["left_up"] + cc["right_down"] == 1
+    states = orientations(crossed_saucer_front())
+    assert len(states) == 2
+    for st in states:
+        assert st.left_up + st.right_down == 1
 
 
 def test_orientation_reversal_swaps_classes():
     rng = random.Random(92)
     for _ in range(50):
         f = random_front(rng)
-        cc = f.cusp_classes()
-        rr = f.reversed().cusp_classes()
+        states = orientations(f)
+        assert states[-1].dirs == f.reversed().dirs
+        cc, rr = cusp_classes(f, states[0]), cusp_classes(f, states[-1])
         assert rr["left_up"] == cc["left_down"]
         assert rr["left_down"] == cc["left_up"]
         assert rr["right_down"] == cc["right_up"]
@@ -138,8 +150,9 @@ def test_maslov_equals_cusp_class_difference():
     rng = random.Random(93)
     for _ in range(200):
         f = random_front(rng)
-        cc = f.cusp_classes()
-        assert classical_invariants(f).maslov == cc["left_up"] - cc["right_down"]
+        cc = orientations(f)[0]
+        assert cc.dirs == f.dirs
+        assert classical_invariants(f).maslov == cc.left_up - cc.right_down
 
 
 def test_reversal_fixes_tb_negates_maslov():

@@ -13,7 +13,8 @@ import knotpoly
 from knotpoly.laurent import LaurentPoly, DeltaFraction, TAU, substitute_jaeger
 from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               braid_closure, reduce_diagram, scan)
-from knotpoly.front import FrontWord, saucer_front, crossed_saucer_front
+from knotpoly.front import (FrontWord, classical_invariants, saucer_front,
+                            crossed_saucer_front)
 from knotpoly.cli import CACHE_ENV_VAR
 from knotpoly.skein import SkeinCache, homfly_R, kauffman_D
 from knotpoly.jaeger import (SpliceState, nonzero_states, jaeger_both_sides,
@@ -24,8 +25,8 @@ from knotpoly.selection import (_candidate_diagram_tables,
                                 _candidate_front_tables, selection_sweep)
 
 from conftest import (A, INVALID_EVENTS, assert_scan_rejects, random_braid,
-                      random_front, reference_flip, reference_splice,
-                      reference_walk)
+                      random_front, random_surgered_closure, reference_flip,
+                      reference_splice, reference_walk)
 
 ONE = LaurentPoly.one()
 INF_NEG = (("cup", 0), ("x", 0, -1), ("cap", 0))
@@ -83,13 +84,13 @@ def test_one_curl_state_census():
     inf = MorseDiagram(INF_NEG)
     states = [st for st in all_states(inf.events, DIAGRAM_ALPHABET) if st.sign]
     # a diagram state weighs sign * tau^(V+H)
-    census = sorted((st.choices[0], st.r_sigma,
-                     (TAU ** (st.v_count + st.h_count) * st.sign).format(("t", "a")))
-                    for st in states)
+    census = sorted(((st.choices[0], st.r_sigma,
+                      TAU ** (st.v_count + st.h_count) * st.sign)
+                     for st in states), key=lambda row: row[:2])
     assert census == [
-        (0, 0, "1"), (0, 0, "1"),
-        (1, -1, "t^-1 - t"),
-        (2, -2, "-t^-1 + t"),
+        (0, 0, ONE), (0, 0, ONE),
+        (1, -1, -TAU),   # t^-1 - t
+        (2, -2, TAU),    # -t^-1 + t
     ]
     total = len(list(all_states(inf.events, DIAGRAM_ALPHABET)))
     # 3 splices; unspliced and parallel-opened have 1 component, wall has 2
@@ -204,6 +205,37 @@ def test_diagram_states_are_closed_diagrams():
             assert homfly_R(st, c1) == homfly_R(rebuilt, c2), st
             states += 1
     assert states > 1000
+
+
+def test_empty_table_yields_every_orientation():
+    """Under an empty weight table only the unspliced choice survives, and
+    its states are every orientation: 2^components of them, by flips in
+    product order, each a valid orientation of the object with its
+    rotation and cusp tallies."""
+    rng = random.Random(1019)
+    for _ in range(150):
+        d = MorseDiagram(random_surgered_closure(rng).events)
+        states = list(nonzero_states(d.events, DIAGRAM_ALPHABET, {}))
+        assert [st.flips for st in states] == list(
+            itertools.product((False, True), repeat=len(d.components)))
+        for st in states:
+            assert st.choices == (0,) * len(d.cross_info) and st.sign == 1
+            assert st.dirs == reference_flip(d, st.flips)
+            assert MorseDiagram(st.events, st.dirs).rotation == st.r_sigma
+    for _ in range(150):
+        f = random_front(rng)
+        states = list(nonzero_states(f.events, FRONT_ALPHABET, {}))
+        assert [st.flips for st in states] == list(
+            itertools.product((False, True), repeat=f.component_count()))
+        for st in states:
+            assert FrontWord(st.events, st.dirs).rounded().rotation == st.r_sigma
+        plain, flipped = states[0], states[-1]
+        assert (plain.dirs, flipped.dirs) == (f.dirs, f.reversed().dirs)
+        assert plain.left_up - plain.right_down == classical_invariants(f).maslov
+        # reversal swaps left-up with left-down, right-down with right-up
+        half = f.cusp_count() // 2
+        assert (flipped.left_up, flipped.right_down) == (
+            half - plain.left_up, half - plain.right_down)
 
 
 def test_jaeger_identity_examples(cache):

@@ -157,7 +157,7 @@ def _matches_burau(b: BraidWord, R) -> bool:
 def test_witness_alexander():
     b = parse_braid(WITNESS_BRAID)
     assert centred(alexander(b.strands, b.letters)) == WITNESS_ALEXANDER
-    assert _matches_burau(b, hecke_R(b))
+    assert _matches_burau(b, hecke_R(b, {}))
     assert _matches_burau(b, homfly_R(braid_closure(b), SkeinCache()))
 
 
