@@ -73,9 +73,9 @@ skein engines.
 from __future__ import annotations
 
 from .laurent import LaurentPoly
-from .diagram import (BraidWord, braid_closure, reduce_diagram, _switch_events,
+from .diagram import (BraidWord, closure_events, reduce_diagram, _switch_events,
                       _smooth_h_events, _smooth_v_events)
-from .skein import (DELTA, SkeinCache, SkeinResult, _factor, descend,
+from .skein import (DELTA, Oriented, SkeinCache, SkeinResult, _factor, descend,
                     memo_value)
 
 
@@ -285,9 +285,10 @@ def braid_invariants(b: BraidWord, cache: SkeinCache) -> SkeinResult:
 
     R and D are looked up in the cache under the skein engines' keys for the
     reduced closure; on a miss the algebra values are stored there.  w is
-    the exponent sum, the closure's writhe.
+    the exponent sum, the closure's writhe.  The closure reaches the memo
+    unscanned, with its default orientation (`diagram.closure_events`).
     """
-    d = braid_closure(b)
+    d = Oriented(closure_events(b), (1, -1) * b.strands)
     R = memo_value(d, cache, lambda: hecke_R(b, cache.tables), kauffman=False)
     D = memo_value(d, cache, lambda: bmw_D(b, cache.tables), kauffman=True)
     return SkeinResult.of(R, D, b.exponent_sum())

@@ -348,14 +348,23 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(n, letters)
 
 
-def braid_closure(b: BraidWord) -> MorseDiagram:
-    """Standard closure: braid strands at the bottom, nested return strands above."""
+def closure_events(b: BraidWord) -> tuple:
+    """The events of the standard closure: braid strands at the bottom,
+    nested return strands above.
+
+    The k-th cup's lower thread is a braid strand and its upper thread a
+    return strand, and every cap joins one of each, so the scan's default
+    orientation is (1, -1) per cup: braid strands east, return strands west.
+    """
     n = b.strands
-    events: list[Event] = [("cup", i) for i in range(n)]
-    for l in b.letters:
-        events.append(("x", abs(l) - 1, 1 if l > 0 else -1))
-    events.extend(("cap", i) for i in range(n - 1, -1, -1))
-    return MorseDiagram(events)
+    return (*(("cup", i) for i in range(n)),
+            *(("x", abs(l) - 1, 1 if l > 0 else -1) for l in b.letters),
+            *(("cap", i) for i in range(n - 1, -1, -1)))
+
+
+def braid_closure(b: BraidWord) -> MorseDiagram:
+    """Standard closure, validated and oriented (`closure_events`)."""
+    return MorseDiagram(closure_events(b))
 
 
 # -- crossing surgery ---------------------------------------------------------

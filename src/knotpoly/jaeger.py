@@ -45,11 +45,13 @@ zero-weight states are never formed.  Under an empty weight table only the
 unspliced choice survives, so the states are every orientation of the
 object, with their rotations and cusp tallies.  A state is the spliced,
 oriented object, with `events` and `dirs` as on any closed diagram here:
-it reaches `homfly_R` as it is, a front state with its events morsified,
-and the proof chain's one object per state is the rounding K_sigma.  The
-states of one splice choice share one event list, which the engine then
-reduces once, and R's image under the substitution is computed once per
-distinct R on a cache.
+it reaches `homfly_R` as it is, a front state with its events morsified.
+The states of one splice choice share one event list, which the engine
+then reduces once, and R's image under the substitution is computed once
+per distinct R on a cache.  The proof chain's object per state is the
+rounding K_sigma: the choice's rounded events, scanned once per choice,
+with the state's dirs, which must be the scan's flipped on whole
+components.
 
 The three front checks, `lj_both_sides`, `proof_chain_check` and
 `lemma_check`, read one state table per front and weight table
@@ -61,13 +63,15 @@ another front or table comes.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, DeltaFraction, substitute_jaeger
-from .diagram import DIAGRAM_KINDS, MorseDiagram, Scan, scan
+from .diagram import DIAGRAM_KINDS, DiagramError, Scan, scan
 from .front import FRONT_KINDS, FrontWord, diagram_events_of
-from .skein import ClosedDiagram, SkeinCache, homfly_R, kauffman_D
+from .skein import (ClosedDiagram, Oriented, SkeinCache, homfly_R, kauffman_D,
+                    _UNITS)
 
 # weight = coeff * tau at the listed oriented pattern; all others vanish
 DIAGRAM_WEIGHTS: dict[tuple[int, str, tuple[int, int]], int] = {
@@ -455,6 +459,18 @@ def lemma_check(f: FrontWord, cache: SkeinCache) -> list[LemmaRow]:
     return rows
 
 
+def _check_flips(k_sigma: Scan, dirs: tuple) -> None:
+    """Check that `dirs` are `k_sigma`'s dirs flipped on whole components:
+    the orientations `scan` accepts, each thread's dir +-1 and opposite to
+    its cap mate's and its birth mate's."""
+    flip = list(map(operator.mul, dirs, k_sigma.dirs))
+    if len(dirs) != len(k_sigma.dirs) or not _UNITS.issuperset(flip):
+        raise DiagramError("orientation vector has wrong shape")
+    # a component is named by one of its threads
+    if flip != [flip[c] for c in k_sigma.component_of]:
+        raise DiagramError("inconsistent orientation assignment")
+
+
 def proof_chain_check(f: FrontWord, cache: SkeinCache) -> dict:
     """The per-state relations tying front states to diagram states.
 
@@ -462,31 +478,39 @@ def proof_chain_check(f: FrontWord, cache: SkeinCache) -> dict:
     [K, sigma] = (-1)^H tau^(V+H), nu = nu_sigma - V, and
     nu_sigma - r(K_sigma) = #left-up + #right-down; plus the cusp-rounding
     relation D(l)(tau, a^2 t^-1) = (a^2 t^-1)^nu D(K)(tau, a^2 t^-1).
-    K_sigma is built from the state's events and dirs, not from its tallies.
-    R(l_sigma) and D of the morsified front come from the front's state
-    table; each splice choice is rounded once, and its K_sigma values meet
-    the engine in one run.
+    K_sigma is read from its own events and dirs, not from the state's
+    tallies: each splice choice is rounded and scanned once, which
+    validates the rounded events and gives their cups, caps and
+    components; each state's dirs must be the scan's flipped on whole
+    components (else `DiagramError`), and nu_sigma and r(K_sigma) are read
+    from the cups and caps with those dirs.  R(l_sigma) and D of the
+    morsified front come from the front's state table, and the K_sigma
+    values of one choice meet the engine in one run.
     """
     nu = f.cusp_count() // 2
     out = {"states": 0, "weight_ok": True, "nu_ok": True, "rot_ok": True,
            "r_factor_ok": True, "master_ok": None}
     fs = _front_states(f, cache, FRONT_WEIGHTS)
-    events = rounded = None
+    events = None
     for st, r_l in zip(fs.states, fs.r_values):
         if st.events is not events:  # the states of one choice share theirs
             events = st.events
             rounded = tuple(diagram_events_of(events))
+            k_sigma = scan(rounded, DIAGRAM_KINDS)
+            lows = (*k_sigma.cup_lows, *k_sigma.cap_lows)
+            nu_sig = len(k_sigma.cup_lows)  # l_sigma: two cusps per cup
         out["states"] += 1
-        ksig = MorseDiagram(rounded, st.dirs)
-        nu_sig = len(ksig.cup_lows)  # l_sigma: two cusps per cup of K_sigma
+        dirs = st.dirs
+        _check_flips(k_sigma, dirs)
         if nu != nu_sig - st.v_count:
             out["nu_ok"] = False
-        if nu_sig - ksig.rotation != st.left_up + st.right_down:
+        rotation = sum([dirs[lo] for lo in lows]) // 2
+        if nu_sig - rotation != st.left_up + st.right_down:
             out["rot_ok"] = False
         # front weight sign (t a^-2)^V tau^(V+H) = (t a^-2)^V (-1)^H tau^(V+H)
         if st.sign != (-1) ** st.h_count:
             out["weight_ok"] = False
-        if homfly_R(ksig, cache) != r_l.shift(0, -nu_sig):
+        if homfly_R(Oriented(rounded, dirs), cache) != r_l.shift(0, -nu_sig):
             out["r_factor_ok"] = False
     d_k = substitute_jaeger(kauffman_D(f.rounded(), cache), "kauffman_lhs")
     pre = LaurentPoly.monomial(1, -nu, 2 * nu)  # (a^2 t^-1)^nu

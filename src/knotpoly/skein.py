@@ -34,7 +34,10 @@ place of dirs and reads the orientation through the returned thread map;
 the cache keeps that last reduction and its event encoding in memory,
 never persisted, so the orientations of one event list, and R then D of
 one diagram, reduce and encode it once.  The entry also checks that the
-orientation has two entries of +-1 per cup.  Connected-sum slices are
+orientation has two entries of +-1 per cup.  A memo hit on a diagram
+that lost c > 0 circles to reduction reads the memo value times delta^c
+(delta_D^c for D) from the cache's `circled` store, formed on the first
+such hit, and applies a^a_pow as a shift.  Connected-sum slices are
 split off and recombined multiplicatively (R(A # B) = R(A) R(B) / delta);
 zero-strand slices need no rule of their own, since in a reduced diagram
 a connected-sum slice always comes first.
@@ -56,7 +59,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from .laurent import DeltaFraction, LaurentPoly, exact_divide
 from .diagram import (DIAGRAM_KINDS, DiagramError, MorseDiagram, Scan,
@@ -80,6 +83,14 @@ class ClosedDiagram(Protocol):
     dirs: tuple
 
 
+class Oriented(NamedTuple):
+    """A closed diagram as its events and the dirs of its threads, handed
+    to the engines with no scan (a `ClosedDiagram`)."""
+
+    events: tuple
+    dirs: tuple
+
+
 class SkeinCache:
     """Memo store for computed polynomials, optionally file-backed.
 
@@ -89,7 +100,7 @@ class SkeinCache:
     append cut short: it is skipped, and cut off the file before this cache
     appends to it.
 
-    Four stores are kept in memory only.  They are never persisted and
+    Five stores are kept in memory only.  They are never persisted and
     change no memo key:
 
     - `tables`, the algebra engines' tables (`algebra.py`), built on demand;
@@ -101,7 +112,10 @@ class SkeinCache:
     - `front_states`, the state table of the last front and weight table
       a front check saw (`jaeger._front_states`), keyed by the front's
       events and a copy of the table, dropped before the next one is
-      built; None before the first front check.
+      built; None before the first front check;
+    - `circled`, each memo value that a memo hit with c > 0 removed
+      circles read, times delta^c (delta_D^c for D), keyed by (memo key,
+      c) and formed on the first such hit (`_eval_reduced`).
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -111,6 +125,7 @@ class SkeinCache:
         self.substituted: dict[LaurentPoly,
                                tuple[LaurentPoly, DeltaFraction]] = {}
         self.front_states: Optional[tuple] = None
+        self.circled: dict[tuple[bytes, int], LaurentPoly] = {}
         self.path = path
         self._fh = None
         if path:
@@ -319,7 +334,14 @@ def _eval_reduced(events: tuple, dirs: Optional[tuple], a_pow: int,
     cached = cache.get(key)
     if cached is not None:
         stats.cache_hits += 1
-        return _scaled(cached, kauffman, a_pow, circles)
+        if circles:
+            # one product per (memo value, circles); a^a_pow is a shift
+            times = cache.circled.get((key, circles))
+            if times is None:
+                times = cache.circled[key, circles] = _scaled(
+                    cached, kauffman, 0, circles)
+            cached = times
+        return cached.shift(0, a_pow)
     stats.cache_misses += 1
 
     pos = find_split(events) if allow_split else None

@@ -470,7 +470,7 @@ def test_letter_ceiling_is_usage_error_before_any_closure(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a closure was built")
     monkeypatch.setattr(cli, "braid_closure", refuse)
-    monkeypatch.setattr(algebra, "braid_closure", refuse)
+    monkeypatch.setattr(algebra, "closure_events", refuse)
     monkeypatch.setattr(algebra, "braid_invariants", refuse)
     long = "braid 2: " + " ".join(["1"] * 1500)
     for argv in (["poly", "--braid", long], ["check", "--braid", long],

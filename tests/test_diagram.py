@@ -4,7 +4,8 @@ import random
 import pytest
 
 from knotpoly.diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
-                              parse_braid, braid_closure, crossing_surgery,
+                              parse_braid, braid_closure, closure_events,
+                              crossing_surgery,
                               connected_sum, encode_events, find_split,
                               reduce_diagram, _normalize_pass, _swap_adjacent)
 from knotpoly.jaeger import DIAGRAM_ALPHABET, nonzero_states
@@ -64,6 +65,22 @@ def test_closure_invariants_random():
         assert d.writhe == b.exponent_sum()
         assert len(d.components) == b.component_count()
         assert d.rotation == b.strands
+
+
+def test_closure_events_carry_the_default_orientation():
+    """`algebra.braid_invariants` hands the memo `closure_events(b)` with
+    dirs (1, -1) per strand, unscanned: on seeded words on 1-8 strands,
+    links included, those are `braid_closure(b)`'s events and dirs."""
+    rng = random.Random(2020)
+    strands, components = set(), set()
+    for _ in range(400):
+        b = random_braid(rng, max_strands=8, max_letters=12)
+        d = braid_closure(b)
+        assert d.events == closure_events(b), b
+        assert d.dirs == (1, -1) * b.strands, b
+        strands.add(b.strands)
+        components.add(b.component_count())
+    assert strands == set(range(1, 9)) and max(components) >= 3
 
 
 def test_switch_involution_and_example():

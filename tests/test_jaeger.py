@@ -6,17 +6,18 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import knotpoly
 from knotpoly.laurent import LaurentPoly, DeltaFraction, TAU, substitute_jaeger
-from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
-                              braid_closure, reduce_diagram, scan)
-from knotpoly.front import (FrontWord, classical_invariants, saucer_front,
-                            crossed_saucer_front)
+from knotpoly.diagram import (DIAGRAM_KINDS, DiagramError, MorseDiagram,
+                              parse_braid, braid_closure, reduce_diagram, scan)
+from knotpoly.front import (FrontWord, classical_invariants, diagram_events_of,
+                            saucer_front, crossed_saucer_front)
 from knotpoly.cli import CACHE_ENV_VAR
-from knotpoly.skein import SkeinCache, homfly_R, kauffman_D
+from knotpoly.skein import Oriented, SkeinCache, homfly_R, kauffman_D
 from knotpoly.jaeger import (SpliceState, nonzero_states, jaeger_both_sides,
                              lj_both_sides, lemma_check, proof_chain_check,
                              DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, FRONT_ALPHABET,
@@ -29,6 +30,7 @@ from conftest import (A, INVALID_EVENTS, assert_scan_rejects, random_braid,
                       reference_splice, reference_walk)
 
 ONE = LaurentPoly.one()
+PROOF_FLAGS = ("weight_ok", "nu_ok", "rot_ok", "r_factor_ok", "master_ok")
 INF_NEG = (("cup", 0), ("x", 0, -1), ("cap", 0))
 
 
@@ -342,15 +344,97 @@ def test_proof_chain_relations(cache):
         assert pc["r_factor_ok"] and pc["master_ok"], f.events
 
 
+def reference_proof_chain_check(f, cache):
+    """`proof_chain_check` with a `MorseDiagram` built per state.
+
+    The reference for the checks' one scan per splice choice: each state's
+    K_sigma is validated, oriented and measured by its own build from the
+    rounded events and the state's dirs, and R(l_sigma) and D of the
+    morsified front are evaluated here, not read from the state table.
+    """
+    nu = f.cusp_count() // 2
+    out = {"states": 0, "weight_ok": True, "nu_ok": True, "rot_ok": True,
+           "r_factor_ok": True, "master_ok": None}
+    for st in nonzero_states(f.events, FRONT_ALPHABET, FRONT_WEIGHTS):
+        out["states"] += 1
+        ksig = MorseDiagram(diagram_events_of(st.events), st.dirs)
+        nu_sig = len(ksig.cup_lows)
+        if nu != nu_sig - st.v_count:
+            out["nu_ok"] = False
+        if nu_sig - ksig.rotation != st.left_up + st.right_down:
+            out["rot_ok"] = False
+        if st.sign != (-1) ** st.h_count:
+            out["weight_ok"] = False
+        r_l = homfly_R(FrontWord(st.events, st.dirs).morsify(), cache)
+        if homfly_R(ksig, cache) != r_l.shift(0, -nu_sig):
+            out["r_factor_ok"] = False
+    lhs = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
+    d_k = substitute_jaeger(kauffman_D(f.rounded(), cache), "kauffman_lhs")
+    pre = LaurentPoly.monomial(1, -nu, 2 * nu)  # (a^2 t^-1)^nu
+    out["master_ok"] = lhs == d_k.scaled(pre, 0)
+    return out
+
+
+def test_proof_chain_matches_the_per_state_build():
+    """On 100 seeded fronts and the 6- and 7-component ones of
+    `shared_table_fronts`, `proof_chain_check` gives the reference's dict,
+    on a fresh cache and on one shared cache."""
+    rng = random.Random(2121)
+    fronts = [random_front(rng, max_crossings=4) for _ in range(100)]
+    fronts += shared_table_fronts()[-2:]
+    assert {6, 7} <= {f.component_count() for f in fronts}
+    shared = SkeinCache()
+    for f in fronts:
+        want = reference_proof_chain_check(f, SkeinCache())
+        assert want["states"] > 0 and all(want[k] for k in want), f.events
+        assert proof_chain_check(f, SkeinCache()) == want, f.events
+        assert proof_chain_check(f, shared) == want, f.events
+
+
+def test_proof_chain_refuses_a_state_off_its_k_sigma():
+    """A state table in which one state has one thread's dir flipped, or a
+    dir missing, is a `DiagramError`: each state's dirs must orient its
+    K_sigma.  The fronts include the saucers, whose K_sigma reduce to
+    circles that the engine's memo never scans."""
+    rng = random.Random(2222)
+    fronts = [saucer_front(), crossed_saucer_front()]
+    fronts += [random_front(rng, max_crossings=3) for _ in range(15)]
+    import knotpoly.jaeger as jaeger
+    tampered = 0
+    for f in fronts:
+        cache = SkeinCache()
+        table = jaeger._front_states(f, cache, FRONT_WEIGHTS)
+        assert all(proof_chain_check(f, cache)[k] for k in PROOF_FLAGS)
+        picks = rng.sample(range(len(table.states)), min(3, len(table.states)))
+        for i in picks:
+            st = table.states[i]
+            t = rng.randrange(len(st.dirs))
+            flipped = st.dirs[:t] + (-st.dirs[t],) + st.dirs[t + 1:]
+            for dirs, match in ((flipped, "inconsistent orientation"),
+                                (st.dirs[:-1], "wrong shape")):
+                table.states[i] = replace(st, dirs=dirs)
+                with pytest.raises(DiagramError, match=match):
+                    proof_chain_check(f, cache)
+                tampered += 1
+            table.states[i] = st
+        assert cache.front_states is table
+        assert all(proof_chain_check(f, cache)[k] for k in PROOF_FLAGS)
+    assert tampered >= 2 * len(fronts)
+
+
 def test_front_states_reach_the_engine_as_they_are(monkeypatch):
-    """The front sums hand `homfly_R` each state with its events morsified.
+    """The front sums hand `homfly_R` each state with its events morsified,
+    and `proof_chain_check` each state's K_sigma with its events rounded.
 
     On 50 seeded fronts, each check on a fresh cache hands over, once per
     state, a `SpliceState` with the events and dirs of
     `FrontWord(st.events, st.dirs).morsify()`, and builds no `FrontWord`;
     `lj_both_sides` and `lemma_check` build one `MorseDiagram` (the front's
-    morsification), `proof_chain_check` one per state (K_sigma) plus two
-    (the front's morsification and rounding).  On one shared cache the
+    morsification), `proof_chain_check` two (the front's morsification and
+    rounding).  `proof_chain_check` also scans one K_sigma per splice
+    choice, the rounding of the choice's events, and hands over once per
+    state an `Oriented` with the events and dirs of
+    `FrontWord(st.events, st.dirs).rounded()`.  On one shared cache the
     three checks together hand each state over exactly once.
     """
     import knotpoly.jaeger as jaeger
@@ -360,12 +444,21 @@ def test_front_states_reach_the_engine_as_they_are(monkeypatch):
                  for f in fronts]
     morsified = [[FrontWord(st.events, st.dirs).morsify() for st in states]
                  for states in per_front]
+    rounded = [[FrontWord(st.events, st.dirs).rounded() for st in states]
+               for states in per_front]
     builds = {}
     for cls in (MorseDiagram, FrontWord):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
             builds[_name] += 1
             _init(self, *args, **kw)
         monkeypatch.setattr(cls, "__init__", counted)
+    k_scans = []
+
+    def counted_scan(events, alphabet, *args, **kw):
+        if alphabet[:4] == DIAGRAM_KINDS:
+            k_scans.append(tuple(events))
+        return scan(events, alphabet, *args, **kw)
+    monkeypatch.setattr(jaeger, "scan", counted_scan)
     handed = []
 
     def recorded(d, *args, **kw):
@@ -380,28 +473,46 @@ def test_front_states_reach_the_engine_as_they_are(monkeypatch):
             assert (d.choices, d.flips) == (st.choices, st.flips), what
             assert (d.events, d.dirs) == (m.events, m.dirs), what
 
+    def assert_k_sigmas(states, want, what):
+        """One scan per splice choice and one hand-over per state."""
+        per_choice = [next(group)[1].events for _c, group in itertools.groupby(
+            zip((st.choices for st in states), want), key=lambda p: p[0])]
+        assert k_scans == per_choice, what
+        assert len(k_scans) == len({st.choices for st in states}), what
+        got = [d for d in handed if type(d) is Oriented]
+        assert len(got) == len(states), what
+        for d, m in zip(got, want):
+            assert (d.events, d.dirs) == (m.events, m.dirs), what
+
     checks = (lj_both_sides, proof_chain_check, lemma_check)
     shared = SkeinCache()
     last = None
-    for f, states, want in zip(fronts, per_front, morsified):
+    for f, states, want, k_want in zip(fronts, per_front, morsified, rounded):
         for check in checks:
             builds.update(MorseDiagram=0, FrontWord=0)
             handed.clear()
+            k_scans.clear()
             check(f, SkeinCache())
             what = (check.__name__, f.events)
             assert builds["FrontWord"] == 0, what
-            k_sigmas = len(states) + 1 if check is proof_chain_check else 0
-            assert builds["MorseDiagram"] == 1 + k_sigmas, what
+            rounding = 1 if check is proof_chain_check else 0
+            assert builds["MorseDiagram"] == 1 + rounding, what
             assert_handed_once(states, want, what)
+            if rounding:
+                assert_k_sigmas(states, k_want, what)
+            else:
+                assert_k_sigmas([], [], what)
         builds.update(MorseDiagram=0, FrontWord=0)
         handed.clear()
+        k_scans.clear()
         for check in checks:
             check(f, shared)
+        assert_k_sigmas(states, k_want, ("shared", f.events))
         if f.events == last:  # the table of the front before serves
             assert_handed_once([], [], ("shared", f.events))
             continue
         last = f.events
-        assert builds == {"MorseDiagram": len(states) + 2, "FrontWord": 0}
+        assert builds == {"MorseDiagram": 2, "FrontWord": 0}
         assert_handed_once(states, want, ("shared", f.events))
 
 
@@ -505,13 +616,18 @@ def test_front_checks_on_a_shared_cache_match_fresh_ones():
 
 def test_front_states_are_enumerated_once_per_front_and_table(monkeypatch):
     """On a shared cache a front's splice choices are scanned once per
-    (front, weight table), and each l_sigma reaches `homfly_R` once."""
+    (front, weight table), and each l_sigma reaches `homfly_R` once.
+
+    Only the front-alphabet scans are counted: `proof_chain_check` scans
+    each choice's K_sigma, a diagram, once per call
+    (`test_front_states_reach_the_engine_as_they_are`)."""
     import knotpoly.jaeger as jaeger
     scans, handed = [], []
 
-    def counted_scan(*args, **kw):
-        scans.append(kw.get("choices"))
-        return scan(*args, **kw)
+    def counted_scan(events, alphabet, *args, **kw):
+        if alphabet == FRONT_ALPHABET:
+            scans.append(kw.get("choices"))
+        return scan(events, alphabet, *args, **kw)
     monkeypatch.setattr(jaeger, "scan", counted_scan)
 
     def recorded(d, *args, **kw):

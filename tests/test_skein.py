@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import inspect
@@ -12,15 +13,16 @@ from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               braid_closure, connected_sum, find_split,
                               reduce_diagram, _switch_events, _smooth_h_events,
                               _smooth_v_events, _cups_before)
-from knotpoly import skein
-from knotpoly.skein import (SkeinCache, SkeinStats, homfly_R, kauffman_D,
-                            full_invariants, memo_value, DELTA, DELTA_D,
-                            descend)
+from knotpoly import jaeger, skein
+from knotpoly.skein import (Oriented, SkeinCache, SkeinStats, homfly_R,
+                            kauffman_D, full_invariants, memo_value, DELTA,
+                            DELTA_D, descend)
 
 from conftest import (A, AINV, ZVAR, P_TREFOIL, Y_TREFOIL, INVALID_EVENTS,
                       FRONT_KINDS, DIAGRAM_KINDS, assert_scan_rejects,
-                      front_twin, random_braid, random_surgered_closure,
-                      reference_descend, reference_flip, reference_walk)
+                      front_twin, random_braid, random_front,
+                      random_surgered_closure, reference_descend,
+                      reference_flip, reference_walk)
 
 ONE = LaurentPoly.one()
 
@@ -417,3 +419,57 @@ def test_memo_keys_and_cache_file_golden(tmp_path):
     assert (stats.nodes, stats.cache_hits, stats.cache_misses) == (1631, 172, 1459)
     assert hashlib.sha256(keys).hexdigest() == MEMO_KEYS_SHA256
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_FILE_SHA256
+
+
+# two 5-strand knot closures whose cold skein recursion takes 4,744 and
+# 2,069 nodes
+DEEP_CLOSURES = ("braid 5: -2 -3 1 -3 -3 -2 3 -2 -2 -1 2 1 1 -3 -4 -2",
+                 "braid 5: 3 -1 -3 3 -4 3 -3 3 -4 -2 -1 2 3 -2")
+
+
+def test_circled_store_forms_one_product_per_memo_value(monkeypatch):
+    """On one shared cache, seeded diagram and front state sums and two
+    deep closures read each memo value times delta^c from the `circled`
+    store: each (memo key, c) is formed and stored once, later memo hits
+    read it, and every `homfly_R` and `kauffman_D` value equals the one on
+    a fresh cache."""
+    shared = SkeinCache()
+    writes, reads = collections.Counter(), collections.Counter()
+
+    class Counted(dict):
+        def __setitem__(self, key, value):
+            writes[key] += 1
+            super().__setitem__(key, value)
+
+        def get(self, key, default=None):
+            reads[key] += 1
+            return super().get(key, default)
+    shared.circled = Counted()
+    values = []
+    engines = {name: getattr(skein, name) for name in ("homfly_R", "kauffman_D")}
+    for module in (skein, jaeger):
+        for name, engine in engines.items():
+            def recorded(d, cache, *args, _engine=engine, **kw):
+                value = _engine(d, cache, *args, **kw)
+                values.append((_engine, Oriented(tuple(d.events),
+                                                 tuple(d.dirs)), value))
+                return value
+            monkeypatch.setattr(module, name, recorded)
+    rng = random.Random(2020)
+    for _ in range(25):
+        d = braid_closure(random_braid(rng, max_strands=4, max_letters=5))
+        assert jaeger.jaeger_both_sides(d, shared).equal
+    for _ in range(25):
+        f = random_front(rng, max_crossings=4)
+        assert jaeger.lj_both_sides(f, shared).equal
+        assert jaeger.proof_chain_check(f, shared)["r_factor_ok"]
+    for word in DEEP_CLOSURES:
+        full_invariants(braid_closure(parse_braid(word)), shared)
+    assert len(values) > 1000
+    for engine, d, value in values:
+        assert engine(d, SkeinCache()) == value, d
+    assert writes and set(writes.values()) == {1}
+    assert sum(reads.values()) > 2 * len(writes)
+    for (key, c), times in shared.circled.items():
+        assert c > 0
+        assert times == shared.mem[key] * skein._factor(key[:1] == b"D", 0, c)
