@@ -35,8 +35,17 @@ off below, so it equals a^w delta_D^k R_b, with w the writhe of its
 self-crossings and k its loops.  R_b is the descending tangle of b whose
 arcs do not cross themselves.
 
-R_b g_i^+-1 and the traces tr(R_b) come from the descending recursion of
-the skein engine, run on open tangles: the crossings first met on their
+The structure constants R_b g_i^+-1 are read off the matching b
+(`_one_term`).  A and B, the arcs through E_i and E_(i+1), cross in just
+one of R_b and R_b', b' being b with E_i and E_(i+1) swapped.  When the
+letter's crossing passes the earlier of the two over, as that crossing
+does, the constant is R_b'; when A = B it closes a curl, a^-+1 R_b.
+Otherwise the opposite sign gives that one term, and the Dubrovnik
+relation g_i - g_i^-1 = z (1 - e_i) (Birman-Wenzl) leaves R_b e_i to
+expand.  On the witness 1,709 of the 3,035 constants are one term.
+
+R_b e_i and the traces tr(R_b) come from the descending recursion of the
+skein engine, run on open tangles: the crossings first met on their
 under strand are switched, D(L+) - D(L-) = z (D(L_par) - D(L_turn)), and
 each smoothing recurses with one crossing fewer.  The trace of R_b is the
 same recursion on its closure, a tangle with no end points.  Tangles are
@@ -46,10 +55,13 @@ reduction rules are local, so they hold on open tangles too.
 So the BMW path shares `diagram.scan` (with `ends` = n), the descending
 traversal `skein.descend` and `diagram.reduce_diagram` with the skein
 engine, and its agreement with `kauffman_D` does not check that code.  Its
-checks that share none of it are the Kauffman-bracket oracle of the tests
-and the T(2,n) closed forms.  The Hecke path shares none of the skein
-code; the tests also check it against the Burau matrix and against
-Jones's formula for the torus knots T(p,q).
+checks that share none of it are the Kauffman-bracket oracle of the tests,
+D at the SO(4) point a = q^3, z = q - q^-1 (there q^-w times the square of
+the Jones polynomial, which the bracket oracle gives), and the T(2,n)
+closed forms.  The tests also compare each constant with the recursion on
+R_b followed by the crossing, for every (b, letter) up to 5 strands.  The
+Hecke path shares none of the skein code; the tests also check it against
+the Burau matrix and against Jones's formula for the torus knots T(p,q).
 
 The product is kept flat: one integer per basis element and monomial,
 {(w, ez): k} in H_n (the a-degree is 0 until the trace) and
@@ -57,8 +69,7 @@ The product is kept flat: one integer per basis element and monomial,
 each trace is flattened once, when it is built, into (basis', dz, da, k)
 entries, one per term of its coefficients, so a letter update and the
 final trace are integer multiply-adds on shifted keys, whatever the
-number of terms: no Laurent product is formed per letter.  (Every BMW
-constant seen so far is a signed monomial, one entry per basis element.)
+number of terms: no Laurent product is formed per letter.
 
 Tables (traces, basis tangles, structure constants, the tangle memo) are
 built on demand in a dict the caller passes, in memory only:
@@ -240,6 +251,75 @@ def _basis_tangle(n: int, b: tuple) -> tuple:
     return events
 
 
+def _tangle(n: int, b: tuple, basis: dict) -> tuple:
+    """R_b, memoized per matching in `basis`."""
+    events = basis.get(b)
+    if events is None:
+        events = basis[b] = _basis_tangle(n, b)
+    return events
+
+
+def _position(n: int, e: int) -> int:
+    """End point e's place around the boundary: S_0 ... S_(n-1) up the
+    left side, then E_(n-1) ... E_0 down the right."""
+    return e if e < n else 3 * n - 1 - e
+
+
+def _one_term(n: int, b: tuple, i: int, s: int):
+    """R_b g_i^s as (b', da) when it is the one term a^da R_b', else None.
+
+    Let A and B be the arcs of b through E_i and E_(i+1); the crossing
+    passes A over B when s = +1.  If A = B, the crossing closes A into a
+    curl of writhe -s, so the step is a^-s R_b.  Otherwise the step's
+    matching b' is b with E_i and E_(i+1) swapped.  Swapping two adjacent
+    end points makes two arcs interleave around the boundary exactly when
+    they did not, so A and B cross in just one of R_b and R_b', and there
+    the earlier of the two (the one with the first end point) passes
+    over.  If the new crossing passes that arc over too, the step is
+    R_b': the new crossing is R_b''s crossing of A and B, or it cancels
+    R_b's by a Reidemeister II move.  If not, the opposite sign does, and
+    None is returned.
+    """
+    e, f = n + i, n + i + 1
+    pa, pb = b[e], b[f]  # the other end points of A and B
+    if pa == f:
+        return b, -s
+    lo, hi = sorted((_position(n, e), _position(n, pa)))
+    if (lo < _position(n, f) < hi) != (lo < _position(n, pb) < hi):
+        first_a = min(e, pa) < min(f, pb)  # they cross in R_b
+    else:
+        first_a = min(f, pa) < min(e, pb)  # they cross in R_b'
+    if first_a != (s == 1):
+        return None
+    swapped = list(b)
+    swapped[pa], swapped[f], swapped[pb], swapped[e] = f, pa, e, pb
+    return tuple(swapped), 0
+
+
+def _step(n: int, b: tuple, l: int, basis: dict, memo: dict) -> tuple:
+    """The structure constant R_b g_i^+-1 of the letter l, flattened.
+
+    When it is not one term (`_one_term`), the opposite sign is, R_b', and
+    the Dubrovnik relation g_i - g_i^-1 = z (1 - e_i) gives
+
+        R_b g_i^s = R_b' + s z R_b - s z R_b e_i,
+
+    so only R_b e_i, the tangle R_b with a cap and a cup at E_i, runs the
+    descending recursion.  For each (b, i) at most one sign needs it, so
+    the step table is its memo.
+    """
+    i, s = abs(l) - 1, 1 if l > 0 else -1
+    one = _one_term(n, b, i, s)
+    if one is not None:
+        return ((one[0], 0, one[1], 1),)
+    acc = {(_one_term(n, b, i, -s)[0], 0, 0): 1, (b, 1, 0): s}
+    capped = _eval(n, _tangle(n, b, basis) + (("cap", i), ("cup", i)), memo)
+    for b2, dz, da, k in _flat(capped):
+        key = (b2, dz + 1, da)
+        acc[key] = acc.get(key, 0) - s * k
+    return tuple((b2, dz, da, k) for (b2, dz, da), k in acc.items() if k)
+
+
 def bmw_D(b: BraidWord, tables: dict) -> LaurentPoly:
     """D of the closure of `b`, from the product of its letters in BMW_n.
 
@@ -250,16 +330,10 @@ def bmw_D(b: BraidWord, tables: dict) -> LaurentPoly:
                                   ("bmw_memo", "bmw_basis", "bmw_step", "bmw_trace"))
     n = b.strands
 
-    def tangle(br: tuple) -> tuple:
-        events = basis.get(br)
-        if events is None:
-            events = basis[br] = _basis_tangle(n, br)
-        return events
-
     def trace(br: tuple) -> tuple:
         tr = traces.get(br)
         if tr is None:
-            closure = (tuple(("cup", i) for i in range(n)) + tangle(br)
+            closure = (tuple(("cup", i) for i in range(n)) + _tangle(n, br, basis)
                        + tuple(("cap", i) for i in range(n - 1, -1, -1)))
             tr = traces[br] = tuple(e[1:] for e in _flat(_eval(0, closure, memo)))
         return tr
@@ -271,8 +345,7 @@ def bmw_D(b: BraidWord, tables: dict) -> LaurentPoly:
         for (br, ez, ea), c in x.items():
             step = steps.get((br, l))
             if step is None:
-                crossing = ("x", abs(l) - 1, 1 if l > 0 else -1)
-                step = steps[br, l] = _flat(_eval(n, tangle(br) + (crossing,), memo))
+                step = steps[br, l] = _step(n, br, l, basis, memo)
             for br2, dz, da, k in step:
                 key = (br2, ez + dz, ea + da)
                 out[key] = get(key, 0) + c * k

@@ -37,8 +37,10 @@ one diagram, reduce and encode it once.  The entry also checks that the
 orientation has two entries of +-1 per cup.  A memo hit on a diagram
 that lost c > 0 circles to reduction reads the memo value times delta^c
 (delta_D^c for D) from the cache's `circled` store, formed on the first
-such hit, and applies a^a_pow as a shift.  Connected-sum slices are
-split off and recombined multiplicatively (R(A # B) = R(A) R(B) / delta);
+such hit, and applies a^a_pow as a shift.  When the factor is 1 the
+stored polynomial itself is returned, so no polynomial is changed once
+made.  Connected-sum slices are split off and recombined multiplicatively
+(R(A # B) = R(A) R(B) / delta);
 zero-strand slices need no rule of their own, since in a reduced diagram
 a connected-sum slice always comes first.
 The splitter can be disabled to keep an independent computation path.
@@ -277,9 +279,10 @@ def _factor(kauffman: bool, a_pow: int, circles: int) -> LaurentPoly:
 
 def _scaled(p: LaurentPoly, kauffman: bool, a_pow: int,
             circles: int) -> LaurentPoly:
-    """p times the reduction factor; a shift when no circle was removed."""
+    """p times the reduction factor; a shift when no circle was removed,
+    and p itself when the factor is 1."""
     if not circles:
-        return p.shift(0, a_pow)
+        return p.shift(0, a_pow) if a_pow else p
     return p * _factor(kauffman, a_pow, circles)
 
 
@@ -341,7 +344,7 @@ def _eval_reduced(events: tuple, dirs: Optional[tuple], a_pow: int,
                 times = cache.circled[key, circles] = _scaled(
                     cached, kauffman, 0, circles)
             cached = times
-        return cached.shift(0, a_pow)
+        return _scaled(cached, kauffman, a_pow, 0)
     stats.cache_misses += 1
 
     pos = find_split(events) if allow_split else None
@@ -422,7 +425,7 @@ def memo_value(d: ClosedDiagram, cache: SkeinCache, compute, *,
             if cached is None:
                 raise AssertionError("value not divisible by the reduction factor")
         else:
-            cached = compute().shift(0, -a_pow)
+            cached = _scaled(compute(), kauffman, -a_pow, 0)
         cache.put(key, cached)
     return _scaled(cached, kauffman, a_pow, circles)
 

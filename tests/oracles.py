@@ -17,8 +17,16 @@ D(L+) - D(L-) = z (D(L_par) - D(L_turn)) holds term by term, and
 delta_D = d.  With a = A^4 and z = A^-2 - A^2, P = a^-w R is the Jones
 polynomial (-A^3)^-w <K>.
 
-Polynomials in A are dicts {exponent: coefficient}; a knotpoly polynomial
-enters as its terms {(z exponent, a exponent): coefficient}.
+The SO(4) point of D (Turaev, "The Yang-Baxter equation and invariants of
+links", Invent. Math. 92, 1988; so(4) = sl(2) + sl(2)) is a second
+specialization, read off the first: D(z = q - q^-1, a = q^3) = q^-w J(q)^2
+for a diagram of writhe w, with J = R(z = q - q^-1, a = q^2).  J comes
+from the bracket: R(z = A^-2 - A^2, a = A^4) = (-1)^w A^w <K> by the
+conventions above, every z exponent of R has the parity of r for r
+components (R(unknot) = (a - a^-1) / z), and q = A^2 turns z = q - q^-1 into -(A^-2 - A^2).
+
+Polynomials in A (or q) are dicts {exponent: coefficient}; a knotpoly
+polynomial enters as its terms {(z exponent, a exponent): coefficient}.
 """
 
 
@@ -91,6 +99,48 @@ def bracket(events: list) -> dict:
         for e, c in power(LOOP, loops).items():
             out[e + exp] = out.get(e + exp, 0) + count * c
     return {e: c for e, c in out.items() if c}
+
+
+def components(events: list) -> int:
+    """The components of a closed event list, by union-find."""
+    parent: list = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    stack: list = []
+    for ev in events:
+        kind, i = ev[0], ev[1]
+        if kind == "cup":
+            parent.append(len(parent))
+            stack[i:i] = [parent[-1]] * 2
+        elif kind == "cap":
+            parent[find(stack[i])] = find(stack[i + 1])
+            del stack[i:i + 2]
+        else:
+            stack[i], stack[i + 1] = stack[i + 1], stack[i]
+    return sum(1 for x in range(len(parent)) if find(x) == x)
+
+
+def jones(K: dict, r: int, w: int) -> dict:
+    """J(q) = R(z = q - q^-1, a = q^2) of a closed diagram with bracket K,
+    r components and writhe w: (-1)^(r + w) A^w <K> at A = q^(1/2)."""
+    sign = (-1) ** ((r + w) % 2)
+    out = {}
+    for e, c in K.items():
+        assert (e + w) % 2 == 0, "A^w <K> has an odd power of A"
+        out[(e + w) // 2] = sign * c
+    return out
+
+
+def so4(K: dict, r: int, w: int) -> dict:
+    """D(z = q - q^-1, a = q^3) of a closed diagram with bracket K and r
+    components: q^-w J(q)^2, under any orientation, with w its writhe."""
+    J = jones(K, r, w)
+    return mul({-w: 1}, mul(J, J))
 
 
 def specialize(terms: dict, z: dict, a: tuple, m: int) -> dict:

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from knotpoly.algebra import braid_invariants
 from knotpoly.laurent import LaurentPoly, DeltaFraction, TAU
 from knotpoly.diagram import (BraidWord, MorseDiagram, parse_braid,
                               braid_closure, connected_sum)
@@ -153,15 +154,34 @@ def test_criterion_07_mfw(cache):
     _report(7, True, "1000 braids, slack always nonnegative")
 
 
+def _stacked(b1: BraidWord, b2: BraidWord) -> BraidWord:
+    """b2 above b1, shifted up by b1's strands less one: its closure is the
+    connected sum of theirs, with their writhes added."""
+    up = b1.strands - 1
+    return BraidWord(up + b2.strands,
+                     b1.letters + tuple(l + up if l > 0 else l - up for l in b2.letters))
+
+
 def test_criterion_08_additivity(cache):
+    """The skein split's R and D of each connected sum equal the algebra
+    engines' R and D of the stacked braid, which no split formula makes,
+    and e_P + 1 and e_Y + 1 add on those."""
     t0 = time.time()
     rng = random.Random(808)
+    algebra_cache = SkeinCache()  # a memo that only the algebra engines write
     pairs = 0
     while pairs < 20:
-        d1 = braid_closure(random_braid(rng, max_strands=3, max_letters=8, knot_only=True))
-        d2 = braid_closure(random_braid(rng, max_strands=3, max_letters=8, knot_only=True))
+        b1 = random_braid(rng, max_strands=3, max_letters=8, knot_only=True)
+        b2 = random_braid(rng, max_strands=3, max_letters=8, knot_only=True)
+        d1, d2 = braid_closure(b1), braid_closure(b2)
         audit = additivity_audit(d1, d2, cache)
         assert audit["e_P_additive"] and audit["e_Y_additive"]
+        split = full_invariants(connected_sum(d1, d2), cache)
+        r1, r2, rs = (braid_invariants(b, algebra_cache)
+                      for b in (b1, b2, _stacked(b1, b2)))
+        assert (rs.R, rs.D, rs.w) == (split.R, split.D, split.w)
+        assert rs.e_P + 1 == (r1.e_P + 1) + (r2.e_P + 1)
+        assert rs.e_Y + 1 == (r1.e_Y + 1) + (r2.e_Y + 1)
         pairs += 1
 
     base = braid_closure(parse_braid(EP3_BRAID))
@@ -173,7 +193,8 @@ def test_criterion_08_additivity(cache):
         eps.append(full_invariants(d, cache).e_P)
     elapsed = time.time() - t0
     ok = eps == [3, 7, 11] and elapsed < 600
-    _report(8, ok, f"20 pairs additive; e_P over d=1,2,3 is {eps}, {elapsed:.0f}s")
+    _report(8, ok, f"20 pairs additive, split equal to stacked braid; "
+                   f"e_P over d=1,2,3 is {eps}, {elapsed:.0f}s")
 
 
 def test_criterion_09_ep3_fixture(cache):

@@ -13,7 +13,7 @@ import pytest
 
 from knotpoly import algebra, harness, skein
 from knotpoly.algebra import (bmw_D, hecke_R, braid_invariants, _basis_tangle,
-                              _eval)
+                              _eval, _flat, _step)
 from knotpoly.cli import main
 from knotpoly.diagram import (DIAGRAM_KINDS, MAX_LETTERS, MAX_STRANDS, BraidWord,
                               DiagramError, ParseError, braid_closure, parse_braid,
@@ -50,6 +50,33 @@ def test_basis_tangles_expand_to_themselves(n):
         assert _eval(n, _basis_tangle(n, b), {}) == {b: LaurentPoly.one()}, b
         count += 1
     assert count == [1, 1, 3, 15, 105][n]  # (2n-1)!!
+
+
+def _recursion_step(n: int, b: tuple, l: int, memo: dict) -> tuple:
+    """R_b g_i^+-1 by the descending recursion on R_b followed by the
+    crossing: the reference for `_step`."""
+    crossing = ("x", abs(l) - 1, 1 if l > 0 else -1)
+    return _flat(_eval(n, _basis_tangle(n, b) + (crossing,), memo))
+
+
+def test_structure_constants_match_the_recursion():
+    """Every (b, letter) of BMW_n, n <= 5, term by term: the descending
+    rule and the Dubrovnik relation against the recursion."""
+    counts = []
+    for n in range(1, 6):
+        basis, memo, ref_memo = {}, {}, {}
+        one_term = 0
+        for m in _matchings(list(range(2 * n))):
+            b = tuple(m[e] for e in range(2 * n))
+            for l in [*range(1, n), *range(-1, -n, -1)]:
+                step = _step(n, b, l, basis, memo)
+                assert sorted(step) == sorted(_recursion_step(n, b, l, ref_memo)), (b, l)
+                one_term += len(step) == 1
+        counts.append((len(basis), one_term))
+    # (basis tangles built, one-term constants): 945 basis elements at 5
+    # strands, 8 letters each.  A curl is one term under either sign, any
+    # other (b, i) under exactly one; the one-term ones build no tangle.
+    assert counts == [(0, 0), (2, 4), (15, 36), (105, 360), (945, 4200)]
 
 
 def _random_tangle(rng: random.Random, n: int, length: int) -> tuple:
@@ -134,6 +161,17 @@ def _check_agreement(b: BraidWord, cache: SkeinCache, tables: dict) -> None:
 
 def test_witness_agrees_with_skein(cache):
     _check_agreement(parse_braid(WITNESS_BRAID), cache, {})
+
+
+def test_witness_table_sizes():
+    """The cold witness build: a structure constant per (basis element,
+    letter) the product reads, and a tangle memo under the 5,091 tangles
+    of the recursion run on every constant (2,428 with the descending rule
+    and the Dubrovnik relation)."""
+    tables = {}
+    bmw_D(parse_braid(WITNESS_BRAID), tables)
+    assert len(tables["bmw_step"]) == 3035
+    assert len(tables["bmw_memo"]) < 5091
 
 
 def test_criterion_07_sample_agrees_with_skein(cache):

@@ -4,32 +4,40 @@ engines: the skein engines and the algebra engines of `algebra.py` share
 agreement does not check that code.
 
 The Kauffman bracket checks D and R on braid closures, on the
-morsifications of fronts and on spliced diagram states; the Alexander
-polynomial of the reduced Burau matrix checks R on braid closures through
-the Conway polynomial."""
+morsifications of fronts and on spliced diagram states.  It checks D
+again at the SO(4) point, where D is q^-w times the square of the Jones
+polynomial: on the same diagrams, and on links under every orientation
+of their components.  The Alexander polynomial of the reduced Burau
+matrix checks R on braid closures through the Conway polynomial."""
 
 import random
+from functools import lru_cache
+
+import pytest
 
 from knotpoly.algebra import bmw_D, hecke_R
-from knotpoly.diagram import BraidWord, braid_closure, parse_braid
+from knotpoly.diagram import BraidWord, MorseDiagram, braid_closure, parse_braid
 from knotpoly.harness import SearchConfig, enumerate_braids
 from knotpoly.jaeger import DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, nonzero_states
 from knotpoly.skein import SkeinCache, homfly_R, kauffman_D
 
 from conftest import WITNESS_BRAID, random_braid, random_front, reference_walk
-from oracles import (add, alexander, bracket, centred, closure, conway, mul,
-                     power, specialize)
+from oracles import (add, alexander, bracket, centred, closure, components,
+                     conway, jones, mul, power, so4, specialize)
 
 Z_D = {1: 1, -1: -1}   # z = A - A^-1, with a = -A^3
 Z_R = {-2: 1, 2: -1}   # z = A^-2 - A^2, with a = A^4
+Z_Q = {1: 1, -1: -1}   # z = q - q^-1, with a = q^2 (R) or q^3 (D)
 # the Alexander polynomial of the witness closure
 WITNESS_ALEXANDER = {4: 1, 3: -5, 2: 8, 1: -4, 0: 1, -1: -4, -2: 8, -3: -5,
                      -4: 1}
 
 
-def _corpus() -> list:
+@lru_cache(maxsize=None)
+def _corpus() -> tuple:
     """Braid closures with at most 12 crossings: the first braids of
-    criterion 07's and criterion 11's corpora and seeded longer words."""
+    criterion 07's and criterion 11's corpora and seeded longer words,
+    each as (braid, closure events, bracket)."""
     rng7, rng11, rng = random.Random(77), random.Random(811), random.Random(2026)
     braids = [random_braid(rng7, max_strands=5, max_letters=10) for _ in range(30)]
     for _ in range(20):
@@ -39,7 +47,11 @@ def _corpus() -> list:
         b = random_braid(rng, max_strands=5, max_letters=12)
         if len(b.letters) >= 9:
             braids.append(b)
-    return braids
+    out = []
+    for b in braids:
+        events = closure(b.strands, b.letters)
+        out.append((b, events, bracket(events)))
+    return tuple(out)
 
 
 def _clearing(p) -> int:
@@ -66,21 +78,30 @@ def _r_holds(K: dict, w: int, R, eps: int = 1, eta: int = 1,
     return P == mul(mul(K, {-3 * w: (-1) ** (w % 2)}), power(z, m))
 
 
+def _at_q(p, a_power: int, target: dict) -> bool:
+    """p(z = q - q^-1, a = q^a_power) = target; negative z powers are
+    cleared by z^m on both sides."""
+    m = _clearing(p)
+    return specialize(p.terms, Z_Q, (1, a_power), m) == mul(target, power(Z_Q, m))
+
+
 def _closure_writhe(events) -> int:
     """The writhe of a braid closure: its strands all run one way."""
     return sum(ev[2] for ev in events if ev[0] == "x")
 
 
 def test_engines_against_the_bracket():
+    """D and R from both engines of each closure, and D at the SO(4)
+    point."""
     tables: dict = {}
     cache = SkeinCache()
-    for b in _corpus():
-        events = closure(b.strands, b.letters)
-        K = bracket(events)
+    for b, events, K in _corpus():
         d = braid_closure(b)
+        w = _closure_writhe(events)
+        so4_point = so4(K, components(events), w)
         for D in (bmw_D(b, tables), kauffman_D(d, cache)):
             assert _d_holds(K, D), b.text()
-        w = _closure_writhe(events)
+            assert _at_q(D, 3, so4_point), b.text()
         for R in (hecke_R(b, tables), homfly_R(d, cache)):
             assert _r_holds(K, w, R), b.text()
 
@@ -96,9 +117,11 @@ def test_front_morsifications_against_the_bracket():
         if sum(ev[0] == "x" for ev in m.events) > 10:
             continue
         K = bracket(list(m.events))
-        assert _d_holds(K, kauffman_D(m, cache)), m.events
+        D = kauffman_D(m, cache)
+        assert _d_holds(K, D), m.events
         w = reference_walk(m.events, dirs=m.dirs).writhe
         assert _r_holds(K, w, homfly_R(m, cache)), m.events
+        assert _at_q(D, 3, so4(K, components(m.events), w)), m.events
         checked += 1
 
 
@@ -110,11 +133,62 @@ def test_spliced_states_against_the_bracket():
         d = braid_closure(parse_braid(word))
         for st in nonzero_states(d.events, DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS):
             K = bracket(list(st.events))
-            assert _d_holds(K, kauffman_D(st, cache)), (word, st.choices)
+            D = kauffman_D(st, cache)
+            assert _d_holds(K, D), (word, st.choices)
             w = reference_walk(st.events, dirs=st.dirs).writhe
             assert _r_holds(K, w, homfly_R(st, cache)), (word, st.choices)
+            assert _at_q(D, 3, so4(K, components(st.events), w)), (word, st.choices)
             states += 1
     assert states > 100
+
+
+def _orientations(events):
+    """Each orientation of the components of a closed event list, as
+    (dirs, writhe) from the reference walk."""
+    ref = reference_walk(events)
+    comps = ref.components
+    for mask in range(1 << len(comps)):
+        flip = {c for k, c in enumerate(comps) if mask >> k & 1}
+        dirs = tuple(-d if c in flip else d for d, c in zip(ref.dirs, ref.component_of))
+        yield dirs, reference_walk(events, dirs=dirs).writhe
+
+
+def test_so4_point_on_links_under_every_orientation():
+    """R depends on the orientation and D does not: under each
+    orientation of a link's components, R at a = q^2 is the oracle's J and
+    D at the SO(4) point is q^-w J^2, with w that orientation's writhe."""
+    tables: dict = {}
+    cache = SkeinCache()
+    orientations = 0
+    for b, events, K in _corpus():
+        r = components(events)
+        if r == 1:
+            continue
+        D = bmw_D(b, tables)
+        for dirs, w in _orientations(events):
+            J = jones(K, r, w)
+            assert _at_q(homfly_R(MorseDiagram(events, dirs), cache), 2, J), b.text()
+            assert _at_q(D, 3, so4(K, r, w)), b.text()
+            orientations += 1
+    assert orientations == 360
+
+
+@pytest.mark.parametrize("word, constants", [("braid 3: 1 -2 1 -2 2 2", (21, 9)),
+                                              ("braid 4: 1 -2 3 -2 1 -3 2 2", (55, 19))])
+def test_so4_point_fails_a_flipped_structure_constant(word, constants):
+    """Flipping the sign of any one BMW structure constant that a product
+    reads, one term or many, breaks the SO(4) identity of its closure."""
+    b = parse_braid(word)
+    events = closure(b.strands, b.letters)
+    expected = so4(bracket(events), components(events), _closure_writhe(events))
+    tables: dict = {}
+    assert _at_q(bmw_D(b, tables), 3, expected)
+    steps = tables["bmw_step"]
+    assert (len(steps), sum(len(step) > 1 for step in steps.values())) == constants
+    for key, step in list(steps.items()):
+        steps[key] = tuple((br, dz, da, -k) for br, dz, da, k in step)
+        assert not _at_q(bmw_D(b, tables), 3, expected), key
+        steps[key] = step
 
 
 def test_conventions_pinned():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from knotpoly.laurent import LaurentPoly
+from knotpoly.laurent import DeltaFraction, LaurentPoly
 from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               braid_closure, connected_sum, find_split,
                               reduce_diagram, _switch_events, _smooth_h_events,
@@ -473,3 +473,58 @@ def test_circled_store_forms_one_product_per_memo_value(monkeypatch):
     for (key, c), times in shared.circled.items():
         assert c > 0
         assert times == shared.mem[key] * skein._factor(key[:1] == b"D", 0, c)
+
+
+def _polys(x):
+    """Every LaurentPoly in x: a polynomial, a DeltaFraction, a certificate,
+    a result, lemma rows, or a container of these."""
+    if isinstance(x, LaurentPoly):
+        yield x
+    elif isinstance(x, dict):
+        for item in x.items():
+            yield from _polys(item)
+    elif isinstance(x, (list, tuple)):
+        for item in x:
+            yield from _polys(item)
+    elif isinstance(x, DeltaFraction):
+        yield x.numerator
+    elif hasattr(x, "__dataclass_fields__"):
+        yield from _polys(list(vars(x).values()))
+
+
+def test_no_engine_mutates_a_polynomial():
+    """A memo hit whose reduction factor is 1 hands out the memo's own
+    polynomial, so no engine or state sum may change a polynomial it was
+    given or returned.  Two rounds on one cache, the second all hits: the
+    terms of every value returned, stored in the cache's stores or
+    interned in the module stay as they were."""
+    from knotpoly.algebra import braid_invariants
+    cache = SkeinCache()
+    words = ("braid 1:", "braid 2: 1 1 1", "braid 3: 1 -2 1 -2",
+             "braid 3: 1 1 2 -1 2", "braid 4: 1 -2 3 -2 1", "braid 2: 1 -1")
+    closures = [braid_closure(parse_braid(w)) for w in words]
+    closures.append(connected_sum(closures[1], closures[2]))
+    fronts = [random_front(random.Random(seed), max_crossings=4) for seed in range(6)]
+
+    def round_():
+        out = []
+        for d in closures:
+            out += [homfly_R(d, cache), kauffman_D(d, cache),
+                    full_invariants(d, cache), jaeger.jaeger_both_sides(d, cache)]
+        for w in words:
+            out.append(braid_invariants(parse_braid(w), cache))
+        for f in fronts:
+            out += [jaeger.lj_both_sides(f, cache), jaeger.proof_chain_check(f, cache),
+                    jaeger.lemma_check(f, cache)]
+        return out
+
+    first = round_()
+    kept = [first, cache.mem, cache.circled, cache.substituted, cache.front_states,
+            DELTA, DELTA_D, skein._DELTA_NUM, skein._DELTA_D_NUM,
+            [skein._unknot_power(k, c) for k in (False, True) for c in range(8)]]
+    terms = [(p, dict(p.terms)) for p in _polys(kept)]
+    assert len(terms) > 500
+    second = round_()
+    assert second == first
+    changed = [p for p, t in terms if p.terms != t]
+    assert not changed
