@@ -64,15 +64,32 @@ Hecke path shares none of the skein code; the tests also check it against
 the Burau matrix and against Jones's formula for the torus knots T(p,q).
 
 The product is kept flat: one integer per basis element and monomial,
-{(w, ez): k} in H_n (the a-degree is 0 until the trace) and
+{(w, ez, 0): k} in H_n (the a-degree is 0 until the trace) and
 {(brauer, ez, ea): k} in BMW_n.  Each structure constant R_b g_i^+-1 and
 each trace is flattened once, when it is built, into (basis', dz, da, k)
 entries, one per term of its coefficients, so a letter update and the
 final trace are integer multiply-adds on shifted keys, whatever the
 number of terms: no Laurent product is formed per letter.
 
-Tables (traces, basis tangles, structure constants, the tangle memo) are
-built on demand in a dict the caller passes, in memory only:
+The last letter is not multiplied out.  The product of the head (all
+letters but the last) is contracted with the traced steps tr(T_w g_i^+-1)
+and tr(R_b g_i^+-1), one table entry per (basis element, letter), each
+the sum of its structure constant's terms times their traces.  A traced
+step reads the trace of every basis element its constant reaches, also
+of those whose coefficient then cancels in the product: on the witness,
+526 traced steps reach 540 traces, where tracing the product reached
+466.  Each engine keeps the last head it multiplied out, with its product,
+and reuses that product when the next word has the same strands and head:
+`search` visits its words in lexicographic order, so words that differ
+only in the last letter come one after the other.
+
+Tables are built on demand in a dict the caller passes, in memory only:
+`hecke_trace`, `hecke_step_trace` and `hecke_head` for R; `bmw_memo` (the
+tangle memo), `bmw_basis` (basis tangles), `bmw_step` (structure
+constants), `bmw_trace`, `bmw_step_trace` and `bmw_head` for D.  A head
+entry holds one product vector, replaced, never changed, by the next
+head.  On the cold witness the BMW tables hold 2,663 memo tangles, 798
+basis tangles, 3,035 constants, 540 traces and 526 traced steps.
 `braid_invariants` passes its `SkeinCache`'s `tables`, so that callers
 sharing a cache share its tables.  Nothing is built at import.
 
@@ -105,6 +122,11 @@ def _flat(val: dict) -> tuple:
                  for (ez, ea), k in c.terms.items())
 
 
+def _entries(p: LaurentPoly) -> tuple:
+    """p as (dz, da, k) entries, one per term k z^dz a^da."""
+    return tuple((ez, ea, k) for (ez, ea), k in p.terms.items())
+
+
 def _traced(x: dict, trace) -> LaurentPoly:
     """The trace of a flat vector {(basis, ez, ea): k}, with `trace(basis)`
     the (dz, da, k) entries of tr(basis)."""
@@ -121,15 +143,15 @@ def _traced(x: dict, trace) -> LaurentPoly:
 
 
 def _hecke_mul(x: dict, i: int, positive: bool) -> dict:
-    """x g_i, or x g_i^-1 = x g_i - z x, on the flat vector {(w, ez): k}."""
+    """x g_i, or x g_i^-1 = x g_i - z x, on the flat vector {(w, ez, 0): k}."""
     out: dict = {}
     get = out.get
-    for (w, ez), c in x.items():
+    for (w, ez, _), c in x.items():
         lo, hi = w[i], w[i + 1]
-        key = (w[:i] + (hi, lo) + w[i + 2:], ez)
+        key = (w[:i] + (hi, lo) + w[i + 2:], ez, 0)
         out[key] = get(key, 0) + c
         if (lo > hi) == positive:  # a descent for g_i, an ascent for g_i^-1
-            key = (w, ez + 1)
+            key = (w, ez + 1, 0)
             out[key] = get(key, 0) + (c if positive else -c)
     return {key: c for key, c in out.items() if c}
 
@@ -142,27 +164,63 @@ def _hecke_trace(w: tuple, traces: dict) -> tuple:
         if n == 0:
             return ((0, 0, 1),)
         p = w.index(n - 1)
-        y = {(w[:p] + w[p + 1:], 0): 1}
+        y = {(w[:p] + w[p + 1:], 0, 0): 1}
         for i in range(n - 3, p - 1, -1):
             y = _hecke_mul(y, i, True)
-        sub = _traced({(v, ez, 0): c for (v, ez), c in y.items()},
-                      lambda v: _hecke_trace(v, traces))
+        sub = _traced(y, lambda v: _hecke_trace(v, traces))
         sub = sub * DELTA if p == n - 1 else sub.shift(0, 1)
-        val = traces[w] = tuple((ez, ea, k) for (ez, ea), k in sub.terms.items())
+        val = traces[w] = _entries(sub)
     return val
+
+
+def _head_product(b: BraidWord, tables: dict, name: str, x: dict, mul) -> dict:
+    """The product of the identity `x` and every letter of `b` but the last.
+
+    `tables[name]` keeps the last head (strands and letters) with its
+    product, which is reused when the next word has the same head: `search`
+    visits the words in lexicographic order, so siblings that differ in
+    their last letter come one after the other.  The kept vector is never
+    changed, only replaced.
+    """
+    head = (b.strands, b.letters[:-1])
+    kept = tables.get(name)
+    if kept is not None and kept[0] == head:
+        return kept[1]
+    for l in head[1]:
+        x = mul(x, l)
+    tables[name] = (head, x)
+    return x
 
 
 def hecke_R(b: BraidWord, tables: dict) -> LaurentPoly:
     """R of the closure of `b`, from the product of its letters in H_n.
 
-    `tables` keeps the traces for later calls (a `SkeinCache`'s `tables`).
+    The last letter is not multiplied out: the head's product is contracted
+    with the traces tr(T_w g_i^+-1).  `tables` keeps the traces, the traced
+    steps and the last head's product for later calls (a `SkeinCache`'s
+    `tables`).
     """
-    x = {(tuple(range(b.strands)), 0): 1}
-    for l in b.letters:
-        x = _hecke_mul(x, abs(l) - 1, l > 0)
-    traces = tables.setdefault("hecke_trace", {})
-    return _traced({(w, ez, 0): c for (w, ez), c in x.items()},
-                   lambda w: _hecke_trace(w, traces))
+    traces, step_traces = (tables.setdefault(name, {}) for name in
+                           ("hecke_trace", "hecke_step_trace"))
+
+    def trace(w: tuple) -> tuple:
+        return _hecke_trace(w, traces)
+
+    x = _head_product(b, tables, "hecke_head", {(tuple(range(b.strands)), 0, 0): 1},
+                      lambda x, l: _hecke_mul(x, abs(l) - 1, l > 0))
+    if not b.letters:
+        return _traced(x, trace)
+    last = b.letters[-1]
+
+    def step_trace(w: tuple) -> tuple:
+        """tr(T_w g_i^+-1) of the last letter, memoized per (w, letter)."""
+        st = step_traces.get((w, last))
+        if st is None:
+            y = _hecke_mul({(w, 0, 0): 1}, abs(last) - 1, last > 0)
+            st = step_traces[w, last] = _entries(_traced(y, trace))
+        return st
+
+    return _traced(x, step_trace)
 
 
 # -- D in the BMW algebra -----------------------------------------------------
@@ -203,19 +261,21 @@ def _expand(n: int, events: tuple, memo: dict) -> dict:
     return acc
 
 
-def _cap_pairs(n: int, pairs: list, events: list) -> list:
+def _cap_pairs(n: int, pairs: list, events: list, sign) -> list:
     """Cap the pairs of end points (0..n-1), innermost first; return the
     stack of end points left.
 
     Each pair's upper strand moves down to its partner, crossing exactly
-    the strands between them, whose arcs must cross the pair's arc.
+    the strands between them, whose arcs must cross the pair's arc.  Each
+    crossing's sign is `sign(lower, upper)` of the end points on the two
+    levels it swaps.
     """
     stack = list(range(n))
     for j, k in sorted(pairs, key=lambda p: p[1] - p[0]):
         p, q = stack.index(j), stack.index(k)
         for pos in range(q - 1, p, -1):
+            events.append(("x", pos, sign(stack[pos], stack[pos + 1])))
             stack[pos], stack[pos + 1] = stack[pos + 1], stack[pos]
-            events.append(("x", pos, 1))
         events.append(("cap", p))
         del stack[p:p + 2]
     return stack
@@ -228,27 +288,31 @@ def _basis_tangle(n: int, b: tuple) -> tuple:
     takes the through strands to the order of their right ends, then the
     right pairs are cupped (the mirror image of capping them).  Two arcs
     cross at most once, and only when their end points interleave around
-    the boundary, so no arc crosses itself.  The crossing signs are then set
-    so that each crossing is first met on its over strand.
+    the boundary, so no arc crosses itself.  Each crossing is +1, the
+    strand entering at the lower level passing over, when that strand's arc
+    is the earlier one (the one with the first end point), so that each
+    crossing is first met on its over strand; the cups read the levels
+    mirrored, since their events run in the opposite order.
     """
+    first = [min(e, f) for e, f in enumerate(b)]  # each end point's arc
     events: list = []
-    left = _cap_pairs(n, [(e, b[e]) for e in range(n) if e < b[e] < n], events)
+    left = _cap_pairs(n, [(e, b[e]) for e in range(n) if e < b[e] < n], events,
+                      lambda lo, hi: 1 if first[lo] < first[hi] else -1)
     right_events: list = []
     right = _cap_pairs(n, [(e - n, b[e] - n) for e in range(n, 2 * n) if e < b[e]],
-                       right_events)
+                       right_events,
+                       lambda lo, hi: 1 if first[n + hi] < first[n + lo] else -1)
     rank = {e: r for r, e in enumerate(right)}
-    stack = [rank[b[e] - n] for e in left]
+    stack = left  # the through strands, by their left end points
     for top in range(len(stack) - 1, 0, -1):  # bubble sort: one crossing per inversion
         for i in range(top):
-            if stack[i] > stack[i + 1]:
-                stack[i], stack[i + 1] = stack[i + 1], stack[i]
-                events.append(("x", i, 1))
+            lo, hi = stack[i], stack[i + 1]
+            if rank[b[lo] - n] > rank[b[hi] - n]:
+                stack[i], stack[i + 1] = hi, lo
+                events.append(("x", i, 1 if lo < hi else -1))
     events += [("cup",) + ev[1:] if ev[0] == "cap" else ev
                for ev in reversed(right_events)]
-    events = tuple(events)
-    for ev_idx, *_ in descend(events, ends=n)[1]:
-        events = _switch_events(events, ev_idx)
-    return events
+    return tuple(events)
 
 
 def _tangle(n: int, b: tuple, basis: dict) -> tuple:
@@ -323,12 +387,22 @@ def _step(n: int, b: tuple, l: int, basis: dict, memo: dict) -> tuple:
 def bmw_D(b: BraidWord, tables: dict) -> LaurentPoly:
     """D of the closure of `b`, from the product of its letters in BMW_n.
 
-    `tables` keeps the tangle memo, the basis tangles, the structure
-    constants and the traces for later calls (a `SkeinCache`'s `tables`).
+    The last letter is not multiplied out: the head's product is contracted
+    with the traces tr(R_b g_i^+-1).  `tables` keeps the tangle memo, the
+    basis tangles, the structure constants, the traces, the traced steps
+    and the last head's product for later calls (a `SkeinCache`'s
+    `tables`).
     """
-    memo, basis, steps, traces = (tables.setdefault(name, {}) for name in
-                                  ("bmw_memo", "bmw_basis", "bmw_step", "bmw_trace"))
+    memo, basis, steps, traces, step_traces = (
+        tables.setdefault(name, {}) for name in
+        ("bmw_memo", "bmw_basis", "bmw_step", "bmw_trace", "bmw_step_trace"))
     n = b.strands
+
+    def step(br: tuple, l: int) -> tuple:
+        st = steps.get((br, l))
+        if st is None:
+            st = steps[br, l] = _step(n, br, l, basis, memo)
+        return st
 
     def trace(br: tuple) -> tuple:
         tr = traces.get(br)
@@ -338,19 +412,30 @@ def bmw_D(b: BraidWord, tables: dict) -> LaurentPoly:
             tr = traces[br] = tuple(e[1:] for e in _flat(_eval(0, closure, memo)))
         return tr
 
-    x = {(tuple(range(n, 2 * n)) + tuple(range(n)), 0, 0): 1}  # the identity
-    for l in b.letters:
+    def mul(x: dict, l: int) -> dict:
         out: dict = {}
         get = out.get
         for (br, ez, ea), c in x.items():
-            step = steps.get((br, l))
-            if step is None:
-                step = steps[br, l] = _step(n, br, l, basis, memo)
-            for br2, dz, da, k in step:
+            for br2, dz, da, k in step(br, l):
                 key = (br2, ez + dz, ea + da)
                 out[key] = get(key, 0) + c * k
-        x = {key: c for key, c in out.items() if c}
-    return _traced(x, trace)
+        return {key: c for key, c in out.items() if c}
+
+    identity = tuple(range(n, 2 * n)) + tuple(range(n))
+    x = _head_product(b, tables, "bmw_head", {(identity, 0, 0): 1}, mul)
+    if not b.letters:
+        return _traced(x, trace)
+    last = b.letters[-1]
+
+    def step_trace(br: tuple) -> tuple:
+        """tr(R_br g_i^+-1) of the last letter, memoized per (br, letter)."""
+        st = step_traces.get((br, last))
+        if st is None:
+            st = step_traces[br, last] = _entries(_traced(
+                {(br2, dz, da): k for br2, dz, da, k in step(br, last)}, trace))
+        return st
+
+    return _traced(x, step_trace)
 
 
 def braid_invariants(b: BraidWord, cache: SkeinCache) -> SkeinResult:

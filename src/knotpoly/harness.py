@@ -14,7 +14,8 @@ reversal is smaller, in the manner of bracelet generation (Sawada, SIAM J.
 Comput. 2001).
 
 Closures with more than one component are skipped; the report counts knot
-diagrams, not knot types.  Each knot row's R and D come from the algebra
+diagrams, not knot types.  A word whose length does not have the parity of
+n - 1 is skipped before it is parsed: its permutation cannot be an n-cycle.  Each knot row's R and D come from the algebra
 engines (`inequalities.mfw_check`), and each flagged row is computed again
 on the skein engines, which share no memo with the rows.
 """
@@ -156,6 +157,10 @@ def _flag(predicate: str, report: BoundReport) -> bool:
 
 def _row_for_word(n: int, letters: tuple[int, ...],
                   cache: SkeinCache) -> Optional[BoundReport]:
+    # each letter is a transposition and an n-cycle has the parity of n - 1,
+    # so a word of the other parity closes to a link
+    if (len(letters) - n + 1) % 2:
+        return None
     b = BraidWord(n, letters)
     if b.component_count() != 1:
         return None

@@ -13,11 +13,11 @@ import pytest
 
 from knotpoly import algebra, harness, skein
 from knotpoly.algebra import (bmw_D, hecke_R, braid_invariants, _basis_tangle,
-                              _eval, _flat, _step)
+                              _eval, _flat, _hecke_mul, _hecke_trace, _step, _traced)
 from knotpoly.cli import main
 from knotpoly.diagram import (DIAGRAM_KINDS, MAX_LETTERS, MAX_STRANDS, BraidWord,
                               DiagramError, ParseError, braid_closure, parse_braid,
-                              scan)
+                              scan, _switch_events)
 from knotpoly.harness import SearchConfig
 from knotpoly.laurent import LaurentPoly
 from knotpoly.skein import (DELTA, DELTA_D, SkeinCache, descend, full_invariants,
@@ -50,6 +50,19 @@ def test_basis_tangles_expand_to_themselves(n):
         assert _eval(n, _basis_tangle(n, b), {}) == {b: LaurentPoly.one()}, b
         count += 1
     assert count == [1, 1, 3, 15, 105][n]  # (2n-1)!!
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_basis_tangle_signs_match_the_descending_switch(n):
+    """The signs `_basis_tangle` reads off the matching are the ones of the
+    construction that emits every crossing +1 and then switches each one
+    that `descend` finds first met on its under strand."""
+    for m in _matchings(list(range(2 * n))):
+        tangle = _basis_tangle(n, tuple(m[e] for e in range(2 * n)))
+        switched = tuple(("x", ev[1], 1) if ev[0] == "x" else ev for ev in tangle)
+        for ev_idx, *_ in descend(switched, ends=n)[1]:
+            switched = _switch_events(switched, ev_idx)
+        assert tangle == switched, m
 
 
 def _recursion_step(n: int, b: tuple, l: int, memo: dict) -> tuple:
@@ -166,12 +179,82 @@ def test_witness_agrees_with_skein(cache):
 def test_witness_table_sizes():
     """The cold witness build: a structure constant per (basis element,
     letter) the product reads, and a tangle memo under the 5,091 tangles
-    of the recursion run on every constant (2,428 with the descending rule
-    and the Dubrovnik relation)."""
+    of the recursion run on every constant (2,663 with the descending rule
+    and the Dubrovnik relation).  The last letter is traced per basis
+    element: 526 traced steps, whose constants reach 540 traces, where
+    tracing the product reached 466."""
     tables = {}
     bmw_D(parse_braid(WITNESS_BRAID), tables)
     assert len(tables["bmw_step"]) == 3035
     assert len(tables["bmw_memo"]) < 5091
+    assert (len(tables["bmw_trace"]), len(tables["bmw_step_trace"])) == (540, 526)
+
+
+def _reference_invariants(b: BraidWord, ref: dict) -> tuple:
+    """R and D of the closure of `b` with every letter multiplied out and
+    the product traced term by term, on tables of the test's own (`ref`),
+    which the engines never see."""
+    n = b.strands
+    x = {(tuple(range(n)), 0, 0): 1}
+    for l in b.letters:
+        x = _hecke_mul(x, abs(l) - 1, l > 0)
+    hecke_traces = ref.setdefault("hecke_trace", {})
+    R = _traced(x, lambda w: _hecke_trace(w, hecke_traces))
+    basis, memo = ref.setdefault("basis", {}), ref.setdefault("memo", {})
+    y = {tuple(range(n, 2 * n)) + tuple(range(n)): LaurentPoly.one()}
+    for l in b.letters:
+        out = {}
+        for br, c in y.items():
+            for br2, dz, da, k in _step(n, br, l, basis, memo):
+                out[br2] = out.get(br2, LaurentPoly()) + c * LaurentPoly.monomial(k, dz, da)
+        y = {br: c for br, c in out.items() if c}
+    D = LaurentPoly()
+    for br, c in y.items():
+        closure = (tuple(("cup", i) for i in range(n)) + _basis_tangle(n, br)
+                   + tuple(("cap", i) for i in range(n - 1, -1, -1)))
+        for k in _eval(0, closure, memo).values():  # one entry, the empty matching
+            D = D + c * k
+    return R, D
+
+
+def _reference_corpus() -> list:
+    """Seeded words on 1-5 strands with 0-14 letters, each with its siblings
+    (the same head, every last letter) in a row, then all of them again on
+    one strand more; and the empty and one-letter words."""
+    rng = random.Random(2222)
+    words = [BraidWord(n, ()) for n in range(1, 6)]
+    words += [BraidWord(n, (l,)) for n in range(2, 6) for l in (1 - n, n - 1)]
+    for n in range(1, 6):
+        gens = [i for i in range(1 - n, n) if i]
+        for length in ([14] + [rng.randint(0, 14) for _ in range(4)]) if gens else [0]:
+            head = tuple(rng.choice(gens) for _ in range(length - 1)) if length else ()
+            family = [head + (l,) for l in gens] if length else [()]
+            words += [BraidWord(n, letters) for letters in family]
+            if n < 5:  # the head again, on a wider basis
+                words += [BraidWord(n + 1, letters) for letters in family]
+    return words
+
+
+def test_traced_last_step_and_head_reuse_match_the_full_product():
+    """On one shared `tables`, each R and D equals the reference; a later
+    call leaves every returned value and every kept head product as it
+    was."""
+    tables, refs = {}, {}
+    returned, kept = [], []
+    reused = 0
+    for b in _reference_corpus():
+        before = {name: tables.get(name) for name in ("hecke_head", "bmw_head")}
+        R, D = hecke_R(b, tables), bmw_D(b, tables)
+        assert (R, D) == _reference_invariants(b, refs.setdefault(b.strands, {})), b
+        returned += [(R, dict(R.terms)), (D, dict(D.terms))]
+        for name, prev in before.items():
+            head, x = tables[name]
+            assert head == (b.strands, b.letters[:-1])
+            reused += prev is not None and prev[1] is x
+            kept.append((x, dict(x)))
+    assert all(p.terms == terms for p, terms in returned)
+    assert all(x == copy for x, copy in kept)
+    assert (len(returned), reused) == (2 * 159, 2 * 113)
 
 
 def test_criterion_07_sample_agrees_with_skein(cache):
@@ -310,6 +393,8 @@ def test_flat_kernel_handles_non_monomial_constants():
     key = next(k for k in steps if k[0] != identity and k[1] == -1)
     steps[key] = tuple(e for br2, dz, da, k in steps[key]
                        for e in ((br2, dz, da, k), (br2, dz + 1, da - 1, 2 * k)))
+    # the kept head product and the traced steps were read off the old constant
+    del tables["bmw_head"], tables["bmw_step_trace"]
     injected = bmw_D(b, tables)
     assert injected != plain
     assert injected == _poly_product(b, tables)

@@ -64,6 +64,36 @@ def test_orbit_reps_match_brute_force(n, length):
     assert words == brute
 
 
+def test_parity_skip_drops_only_links(monkeypatch):
+    """Every word with n <= 4 and at most 6 letters: a word whose length
+    does not have the parity of n - 1 closes to a link, and `_row_for_word`
+    drops it without building a `BraidWord`; the others reach it."""
+    built = []
+
+    class Counted(harness.BraidWord):
+        def __init__(self, n, letters):
+            built.append(letters)
+            super().__init__(n, letters)
+    monkeypatch.setattr(harness, "BraidWord", Counted)
+    monkeypatch.setattr(harness, "mfw_check", lambda b, cache: b)
+    skipped = 0
+    for n in range(1, 5):
+        gens = [i for i in range(-(n - 1), n) if i != 0]
+        for length in range(7):
+            for letters in itertools.product(gens, repeat=length):
+                built.clear()
+                row = harness._row_for_word(n, letters, None)
+                if (length - n + 1) % 2:
+                    assert row is None and not built, (n, letters)
+                    assert harness.BraidWord(n, letters).component_count() != 1
+                    skipped += 1
+                else:
+                    assert built == [letters]
+                    knot = harness.BraidWord(n, letters).component_count() == 1
+                    assert (row is not None) == knot, (n, letters)
+    assert skipped == (1 + 4 + 16 + 64) + (4 + 64 + 1024) + (1 + 36 + 1296 + 46656)
+
+
 def test_search_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

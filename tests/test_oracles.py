@@ -15,8 +15,10 @@ from functools import lru_cache
 
 import pytest
 
+from knotpoly import skein
 from knotpoly.algebra import bmw_D, hecke_R
-from knotpoly.diagram import BraidWord, MorseDiagram, braid_closure, parse_braid
+from knotpoly.diagram import (BraidWord, MorseDiagram, braid_closure, parse_braid,
+                              _smooth_h_events, _smooth_v_events)
 from knotpoly.harness import SearchConfig, enumerate_braids
 from knotpoly.jaeger import DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, nonzero_states
 from knotpoly.skein import SkeinCache, homfly_R, kauffman_D
@@ -187,8 +189,23 @@ def test_so4_point_fails_a_flipped_structure_constant(word, constants):
     assert (len(steps), sum(len(step) > 1 for step in steps.values())) == constants
     for key, step in list(steps.items()):
         steps[key] = tuple((br, dz, da, -k) for br, dz, da, k in step)
+        # the kept head product and the traced steps read the constant too
+        del tables["bmw_head"], tables["bmw_step_trace"]
         assert not _at_q(bmw_D(b, tables), 3, expected), key
         steps[key] = step
+
+
+def test_so4_point_fails_a_flipped_smoothing_sign(monkeypatch):
+    """`kauffman_D` with its smoothing term of the wrong sign, (D(L_turn) -
+    D(L_par)) for (D(L_par) - D(L_turn)), fails the SO(4) identity on the
+    bracket corpus."""
+    monkeypatch.setattr(skein, "_smooth_h_events", _smooth_v_events)
+    monkeypatch.setattr(skein, "_smooth_v_events", _smooth_h_events)
+    cache = SkeinCache()
+    failed = [b.text() for b, events, K in _corpus()
+              if not _at_q(kauffman_D(braid_closure(b), cache), 3,
+                           so4(K, components(events), _closure_writhe(events)))]
+    assert failed
 
 
 def test_conventions_pinned():
