@@ -44,13 +44,19 @@ Otherwise the opposite sign gives that one term, and the Dubrovnik
 relation g_i - g_i^-1 = z (1 - e_i) (Birman-Wenzl) leaves R_b e_i to
 expand.  On the witness 1,709 of the 3,035 constants are one term.
 
-R_b e_i and the traces tr(R_b) come from the descending recursion of the
-skein engine, run on open tangles: the crossings first met on their
-under strand are switched, D(L+) - D(L-) = z (D(L_par) - D(L_turn)), and
-each smoothing recurses with one crossing fewer.  The trace of R_b is the
-same recursion on its closure, a tangle with no end points.  Tangles are
-planar-reduced with `diagram.reduce_diagram` before they are memoized: the
-reduction rules are local, so they hold on open tangles too.
+R_b e_i comes from the descending recursion of the skein engine, run on
+open tangles: the crossings first met on their under strand are switched,
+D(L+) - D(L-) = z (D(L_par) - D(L_turn)), and each smoothing recurses with
+one crossing fewer.  Tangles are planar-reduced with
+`diagram.reduce_diagram` before they are memoized: the reduction rules are
+local, so they hold on open tangles too.
+
+Both engines trace by closing the last strand, tr_n = tr_(n-1) E_n
+(Birman-Wenzl): E_n of R_b, on n strands, is the same recursion run on
+R_b with its last strand closed, an (n-1)-strand tangle, whose expansion
+on the basis of BMW_(n-1) is traced in turn (`_bmw_trace`), as
+`_hecke_trace` does for T_w.  The traces are memoized per matching, so
+each basis element of fewer strands is traced once.
 
 So the BMW path shares `diagram.scan` (with `ends` = n), the descending
 traversal `skein.descend` and `diagram.reduce_diagram` with the skein
@@ -59,9 +65,11 @@ checks that share none of it are the Kauffman-bracket oracle of the tests,
 D at the SO(4) point a = q^3, z = q - q^-1 (there q^-w times the square of
 the Jones polynomial, which the bracket oracle gives), and the T(2,n)
 closed forms.  The tests also compare each constant with the recursion on
-R_b followed by the crossing, for every (b, letter) up to 5 strands.  The
-Hecke path shares none of the skein code; the tests also check it against
-the Burau matrix and against Jones's formula for the torus knots T(p,q).
+R_b followed by the crossing, for every (b, letter) up to 5 strands, and
+each trace with the recursion on the closure of R_b, every strand closed
+at once, for every b up to 5 strands.  The Hecke path shares none of the
+skein code; the tests also check it against the Burau matrix and against
+Jones's formula for the torus knots T(p,q).
 
 The product is kept flat: one integer per basis element and monomial,
 {(w, ez, 0): k} in H_n (the a-degree is 0 until the trace) and
@@ -77,19 +85,20 @@ and tr(R_b g_i^+-1), one table entry per (basis element, letter), each
 the sum of its structure constant's terms times their traces.  A traced
 step reads the trace of every basis element its constant reaches, also
 of those whose coefficient then cancels in the product: on the witness,
-526 traced steps reach 540 traces, where tracing the product reached
-466.  Each engine keeps the last head it multiplied out, with its product,
-and reuses that product when the next word has the same strands and head:
-`search` visits its words in lexicographic order, so words that differ
-only in the last letter come one after the other.
+526 traced steps reach 540 traces of 5 strands, where tracing the
+product reached 466.  Each engine keeps the last head it multiplied out,
+with its product, and reuses that product when the next word has the
+same strands and head: `search` visits its words in lexicographic order,
+so words that differ only in the last letter come one after the other.
 
 Tables are built on demand in a dict the caller passes, in memory only:
 `hecke_trace`, `hecke_step_trace` and `hecke_head` for R; `bmw_memo` (the
 tangle memo), `bmw_basis` (basis tangles), `bmw_step` (structure
 constants), `bmw_trace`, `bmw_step_trace` and `bmw_head` for D.  A head
 entry holds one product vector, replaced, never changed, by the next
-head.  On the cold witness the BMW tables hold 2,663 memo tangles, 798
-basis tangles, 3,035 constants, 540 traces and 526 traced steps.
+head.  On the cold witness the BMW tables hold 2,182 memo tangles, 922
+basis tangles, 3,035 constants, 664 traces (the 540 of 5 strands and all
+124 matchings on 1-4 strands) and 526 traced steps.
 `braid_invariants` passes its `SkeinCache`'s `tables`, so that callers
 sharing a cache share its tables.  Nothing is built at import.
 
@@ -384,6 +393,25 @@ def _step(n: int, b: tuple, l: int, basis: dict, memo: dict) -> tuple:
     return tuple((b2, dz, da, k) for (b2, dz, da), k in acc.items() if k)
 
 
+def _bmw_trace(b: tuple, basis: dict, memo: dict, traces: dict) -> tuple:
+    """tr(R_b) as (dz, da, k) entries, memoized per matching in `traces`.
+
+    Closing the last strand of R_b, on m strands, gives its expansion on
+    the (m-1)-strand basis, whose trace is tr(R_b) (tr_m = tr_(m-1) E_m).
+    """
+    val = traces.get(b)
+    if val is None:
+        m = len(b) // 2
+        if m == 0:
+            return ((0, 0, 1),)
+        closed = _eval(m - 1, (("cup", m - 1),) + _tangle(m, b, basis)
+                       + (("cap", m - 1),), memo)
+        val = traces[b] = _entries(_traced(
+            {(b2, ez, ea): k for b2, ez, ea, k in _flat(closed)},
+            lambda b2: _bmw_trace(b2, basis, memo, traces)))
+    return val
+
+
 def bmw_D(b: BraidWord, tables: dict) -> LaurentPoly:
     """D of the closure of `b`, from the product of its letters in BMW_n.
 
@@ -405,12 +433,7 @@ def bmw_D(b: BraidWord, tables: dict) -> LaurentPoly:
         return st
 
     def trace(br: tuple) -> tuple:
-        tr = traces.get(br)
-        if tr is None:
-            closure = (tuple(("cup", i) for i in range(n)) + _tangle(n, br, basis)
-                       + tuple(("cap", i) for i in range(n - 1, -1, -1)))
-            tr = traces[br] = tuple(e[1:] for e in _flat(_eval(0, closure, memo)))
-        return tr
+        return _bmw_trace(br, basis, memo, traces)
 
     def mul(x: dict, l: int) -> dict:
         out: dict = {}

@@ -15,9 +15,10 @@ Comput. 2001).
 
 Closures with more than one component are skipped; the report counts knot
 diagrams, not knot types.  A word whose length does not have the parity of
-n - 1 is skipped before it is parsed: its permutation cannot be an n-cycle.  Each knot row's R and D come from the algebra
-engines (`inequalities.mfw_check`), and each flagged row is computed again
-on the skein engines, which share no memo with the rows.
+n - 1 is skipped before it is parsed: its permutation cannot be an
+n-cycle.  Each knot row's R and D come from the algebra engines
+(`inequalities.mfw_check`), and each flagged row is computed again on the
+skein engines, which share no memo with the rows.
 """
 
 from __future__ import annotations

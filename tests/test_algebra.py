@@ -13,7 +13,8 @@ import pytest
 
 from knotpoly import algebra, harness, skein
 from knotpoly.algebra import (bmw_D, hecke_R, braid_invariants, _basis_tangle,
-                              _eval, _flat, _hecke_mul, _hecke_trace, _step, _traced)
+                              _bmw_trace, _eval, _flat, _hecke_mul, _hecke_trace,
+                              _step, _traced)
 from knotpoly.cli import main
 from knotpoly.diagram import (DIAGRAM_KINDS, MAX_LETTERS, MAX_STRANDS, BraidWord,
                               DiagramError, ParseError, braid_closure, parse_braid,
@@ -90,6 +91,29 @@ def test_structure_constants_match_the_recursion():
     # strands, 8 letters each.  A curl is one term under either sign, any
     # other (b, i) under exactly one; the one-term ones build no tangle.
     assert counts == [(0, 0), (2, 4), (15, 36), (105, 360), (945, 4200)]
+
+
+def _closure_trace(n: int, b: tuple, memo: dict) -> tuple:
+    """tr(R_b) by the descending recursion on the closure of R_b, every
+    strand closed at once: the reference for `_bmw_trace`."""
+    closure = (tuple(("cup", i) for i in range(n)) + _basis_tangle(n, b)
+               + tuple(("cap", i) for i in range(n - 1, -1, -1)))
+    return tuple(sorted(e[1:] for e in _flat(_eval(0, closure, memo))))
+
+
+def test_traces_match_the_closure():
+    """Every matching of BMW_n, n <= 5: the trace by closing the last strand
+    and tracing the expansion on the (n-1)-strand basis against the
+    recursion on the full closure."""
+    basis, memo, traces, ref_memo = {}, {}, {}, {}
+    count = 0
+    for n in range(6):
+        for m in _matchings(list(range(2 * n))):
+            b = tuple(m[e] for e in range(2 * n))
+            assert (tuple(sorted(_bmw_trace(b, basis, memo, traces)))
+                    == _closure_trace(n, b, ref_memo)), b
+            count += 1
+    assert (count, len(traces)) == (1070, 1069)  # the empty matching is not kept
 
 
 def _random_tangle(rng: random.Random, n: int, length: int) -> tuple:
@@ -180,14 +204,19 @@ def test_witness_table_sizes():
     """The cold witness build: a structure constant per (basis element,
     letter) the product reads, and a tangle memo under the 5,091 tangles
     of the recursion run on every constant (2,663 with the descending rule
-    and the Dubrovnik relation).  The last letter is traced per basis
-    element: 526 traced steps, whose constants reach 540 traces, where
-    tracing the product reached 466."""
+    and the Dubrovnik relation, fewer once each trace closes one strand at
+    a time).  The last letter is traced per basis element: 526 traced
+    steps, whose constants reach 540 traces on 5 strands; closing the last
+    strand reaches all 124 matchings on 1-4 strands, whose basis tangles
+    join the 798 of the steps."""
     tables = {}
     bmw_D(parse_braid(WITNESS_BRAID), tables)
     assert len(tables["bmw_step"]) == 3035
-    assert len(tables["bmw_memo"]) < 5091
-    assert (len(tables["bmw_trace"]), len(tables["bmw_step_trace"])) == (540, 526)
+    assert len(tables["bmw_memo"]) < 2663
+    assert len(tables["bmw_basis"]) == 922
+    traces = tables["bmw_trace"]
+    assert (sum(len(b) == 10 for b in traces), sum(len(b) < 10 for b in traces),
+            len(tables["bmw_step_trace"])) == (540, 124, 526)
 
 
 def _reference_invariants(b: BraidWord, ref: dict) -> tuple:
