@@ -4,7 +4,7 @@ from .laurent import (LaurentPoly, DeltaFraction, TAU, exact_divide,
                       exact_divide_delta, substitute_jaeger)
 from .diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
                       MAX_STRANDS, MAX_LETTERS, parse_braid, braid_closure,
-                      crossing_surgery, connected_sum, reduce_diagram)
+                      connected_sum, reduce_diagram)
 from .front import (FrontWord, LegendrianInvariants, parse_front,
                     classical_invariants, saucer_front, crossed_saucer_front)
 from .skein import (SkeinCache, SkeinResult, SkeinStats, homfly_R,

@@ -69,36 +69,44 @@ R_b followed by the crossing, for every (b, letter) up to 5 strands, and
 each trace with the recursion on the closure of R_b, every strand closed
 at once, for every b up to 5 strands.  The Hecke path shares none of the
 skein code; the tests also check it against the Burau matrix and against
-Jones's formula for the torus knots T(p,q).
+Jones's formula for the torus knots T(p,q), and each constant T_w g_i^+-1
+against a letter product of their own.
 
-The product is kept flat: one integer per basis element and monomial,
-{(w, ez, 0): k} in H_n (the a-degree is 0 until the trace) and
-{(brauer, ez, ea): k} in BMW_n.  Each structure constant R_b g_i^+-1 and
-each trace is flattened once, when it is built, into (basis', dz, da, k)
-entries, one per term of its coefficients, so a letter update and the
-final trace are integer multiply-adds on shifted keys, whatever the
-number of terms: no Laurent product is formed per letter.
+One vector format serves the products, the expansions and the tangle
+memo: a flat vector {(basis, ez, ea): k}, one integer per basis element
+and monomial k z^ez a^ea, with w in H_n (ez alone, the a-degree being 0
+until the trace) and the matching b in BMW_n.  A structure constant,
+T_w g_i^+-1 (`_hecke_step`) or R_b g_i^+-1 (`_step`), is a tuple of
+(basis', dz, da, k) entries, one per term, and a trace a tuple of
+(dz, da, k) entries, so a letter update (`_mul`) and a trace (`_traced`)
+are integer multiply-adds on shifted keys, whatever the number of terms:
+no Laurent product is formed per letter.
 
-The last letter is not multiplied out.  The product of the head (all
-letters but the last) is contracted with the traced steps tr(T_w g_i^+-1)
-and tr(R_b g_i^+-1), one table entry per (basis element, letter), each
-the sum of its structure constant's terms times their traces.  A traced
-step reads the trace of every basis element its constant reaches, also
-of those whose coefficient then cancels in the product: on the witness,
-526 traced steps reach 540 traces of 5 strands, where tracing the
-product reached 466.  Each engine keeps the last head it multiplied out,
-with its product, and reuses that product when the next word has the
-same strands and head: `search` visits its words in lexicographic order,
-so words that differ only in the last letter come one after the other.
+Both engines run one product-and-trace loop, `_closure_poly`, and differ
+only in the identity, the constants and the trace they hand it.  The last
+letter is not multiplied out.  The product of the head (all letters but
+the last) is contracted with the traced steps tr(T_w g_i^+-1) and
+tr(R_b g_i^+-1), one table entry per (basis element, letter), each the sum
+of its structure constant's terms times their traces.  A traced step reads the
+trace of every basis element its constant reaches, also of those whose
+coefficient then cancels in the product: on the witness, 526 traced steps
+reach 540 traces of 5 strands, where tracing the product reached 466.
+`_closure_poly` keeps the last head it multiplied out, with its product,
+and reuses that product when the next word has the same strands and head:
+`search` visits its words in lexicographic order, so words that differ
+only in the last letter come one after the other.
 
-Tables are built on demand in a dict the caller passes, in memory only:
-`hecke_trace`, `hecke_step_trace` and `hecke_head` for R; `bmw_memo` (the
-tangle memo), `bmw_basis` (basis tangles), `bmw_step` (structure
-constants), `bmw_trace`, `bmw_step_trace` and `bmw_head` for D.  A head
-entry holds one product vector, replaced, never changed, by the next
-head.  On the cold witness the BMW tables hold 2,182 memo tangles, 922
-basis tangles, 3,035 constants, 664 traces (the 540 of 5 strands and all
-124 matchings on 1-4 strands) and 526 traced steps.
+Tables are built on demand in a dict the caller passes, in memory only.
+`_closure_poly` keeps each engine's structure constants (`hecke_step`,
+`bmw_step`), traced steps (`hecke_step_trace`, `bmw_step_trace`) and last
+head (`hecke_head`, `bmw_head`); the engines keep their traces
+(`hecke_trace`, `bmw_trace`), and D its tangle memo (`bmw_memo`) and basis
+tangles (`bmw_basis`).  A head entry holds one product vector, replaced,
+never changed, by the next head.  On the cold witness the Hecke tables
+hold 478 constants, 100 traces and 67 traced steps; the BMW tables hold
+2,182 memo tangles, 922 basis tangles, 3,035 constants, 664 traces (the
+540 of 5 strands and all 124 matchings on 1-4 strands) and 526 traced
+steps.
 `braid_invariants` passes its `SkeinCache`'s `tables`, so that callers
 sharing a cache share its tables.  Nothing is built at import.
 
@@ -116,24 +124,21 @@ from .skein import (DELTA, Oriented, SkeinCache, SkeinResult, _factor, descend,
                     memo_value)
 
 
-def _add(out: dict, key, c: LaurentPoly) -> None:
-    s = out[key] + c if key in out else c
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
-def _flat(val: dict) -> tuple:
-    """{basis: LaurentPoly} as (basis, dz, da, k) entries, one per term
-    k z^dz a^da."""
-    return tuple((b, ez, ea, k) for b, c in val.items()
-                 for (ez, ea), k in c.terms.items())
-
-
 def _entries(p: LaurentPoly) -> tuple:
     """p as (dz, da, k) entries, one per term k z^dz a^da."""
     return tuple((ez, ea, k) for (ez, ea), k in p.terms.items())
+
+
+def _mul(x: dict, step, letter: int) -> dict:
+    """x times one letter, on the flat vector {(basis, ez, ea): k}, with
+    `step(basis, letter)` the (basis', dz, da, k) entries of basis * letter."""
+    out: dict = {}
+    get = out.get
+    for (b, ez, ea), c in x.items():
+        for b2, dz, da, k in step(b, letter):
+            key = (b2, ez + dz, ea + da)
+            out[key] = get(key, 0) + c * k
+    return {key: c for key, c in out.items() if c}
 
 
 def _traced(x: dict, trace) -> LaurentPoly:
@@ -148,41 +153,7 @@ def _traced(x: dict, trace) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
-# -- R in the Hecke algebra ---------------------------------------------------
-
-
-def _hecke_mul(x: dict, i: int, positive: bool) -> dict:
-    """x g_i, or x g_i^-1 = x g_i - z x, on the flat vector {(w, ez, 0): k}."""
-    out: dict = {}
-    get = out.get
-    for (w, ez, _), c in x.items():
-        lo, hi = w[i], w[i + 1]
-        key = (w[:i] + (hi, lo) + w[i + 2:], ez, 0)
-        out[key] = get(key, 0) + c
-        if (lo > hi) == positive:  # a descent for g_i, an ascent for g_i^-1
-            key = (w, ez + 1, 0)
-            out[key] = get(key, 0) + (c if positive else -c)
-    return {key: c for key, c in out.items() if c}
-
-
-def _hecke_trace(w: tuple, traces: dict) -> tuple:
-    """tr(T_w) as (dz, da, k) entries, memoized per permutation in `traces`."""
-    val = traces.get(w)
-    if val is None:
-        n = len(w)
-        if n == 0:
-            return ((0, 0, 1),)
-        p = w.index(n - 1)
-        y = {(w[:p] + w[p + 1:], 0, 0): 1}
-        for i in range(n - 3, p - 1, -1):
-            y = _hecke_mul(y, i, True)
-        sub = _traced(y, lambda v: _hecke_trace(v, traces))
-        sub = sub * DELTA if p == n - 1 else sub.shift(0, 1)
-        val = traces[w] = _entries(sub)
-    return val
-
-
-def _head_product(b: BraidWord, tables: dict, name: str, x: dict, mul) -> dict:
+def _head_product(b: BraidWord, tables: dict, name: str, x: dict, step) -> dict:
     """The product of the identity `x` and every letter of `b` but the last.
 
     `tables[name]` keeps the last head (strands and letters) with its
@@ -196,69 +167,101 @@ def _head_product(b: BraidWord, tables: dict, name: str, x: dict, mul) -> dict:
     if kept is not None and kept[0] == head:
         return kept[1]
     for l in head[1]:
-        x = mul(x, l)
+        x = _mul(x, step, l)
     tables[name] = (head, x)
     return x
 
 
-def hecke_R(b: BraidWord, tables: dict) -> LaurentPoly:
-    """R of the closure of `b`, from the product of its letters in H_n.
+def _closure_poly(b: BraidWord, tables: dict, engine: str, identity: tuple,
+                  constant, trace) -> LaurentPoly:
+    """The trace of the product of the letters of `b`, from the structure
+    constants `constant(basis, letter)` and the traces `trace(basis)`.
+    `tables` keeps the constants, the traced steps and the last head's
+    product under `engine` + "_step", "_step_trace" and "_head"."""
+    steps, step_traces = (tables.setdefault(engine + name, {})
+                          for name in ("_step", "_step_trace"))
 
-    The last letter is not multiplied out: the head's product is contracted
-    with the traces tr(T_w g_i^+-1).  `tables` keeps the traces, the traced
-    steps and the last head's product for later calls (a `SkeinCache`'s
-    `tables`).
-    """
-    traces, step_traces = (tables.setdefault(name, {}) for name in
-                           ("hecke_trace", "hecke_step_trace"))
+    def step(basis: tuple, l: int) -> tuple:
+        st = steps.get((basis, l))
+        if st is None:
+            st = steps[basis, l] = constant(basis, l)
+        return st
 
-    def trace(w: tuple) -> tuple:
-        return _hecke_trace(w, traces)
-
-    x = _head_product(b, tables, "hecke_head", {(tuple(range(b.strands)), 0, 0): 1},
-                      lambda x, l: _hecke_mul(x, abs(l) - 1, l > 0))
+    x = _head_product(b, tables, engine + "_head", {(identity, 0, 0): 1}, step)
     if not b.letters:
         return _traced(x, trace)
     last = b.letters[-1]
 
-    def step_trace(w: tuple) -> tuple:
-        """tr(T_w g_i^+-1) of the last letter, memoized per (w, letter)."""
-        st = step_traces.get((w, last))
+    def step_trace(basis: tuple) -> tuple:
+        """tr(basis * last), memoized per (basis, letter)."""
+        st = step_traces.get((basis, last))
         if st is None:
-            y = _hecke_mul({(w, 0, 0): 1}, abs(last) - 1, last > 0)
-            st = step_traces[w, last] = _entries(_traced(y, trace))
+            st = step_traces[basis, last] = _entries(
+                _traced(_mul({(basis, 0, 0): 1}, step, last), trace))
         return st
 
     return _traced(x, step_trace)
+
+
+# -- R in the Hecke algebra ---------------------------------------------------
+
+
+def _hecke_step(w: tuple, l: int) -> tuple:
+    """T_w g_i^+-1 of the letter l as (w', dz, 0, k) entries: T_(w s_i), and
+    z T_w (g_i) or -z T_w (g_i^-1 = g_i - z) at a descent of g_i or an
+    ascent of g_i^-1."""
+    i = abs(l) - 1
+    lo, hi = w[i], w[i + 1]
+    swapped = (w[:i] + (hi, lo) + w[i + 2:], 0, 0, 1)
+    if (lo > hi) != (l > 0):
+        return (swapped,)
+    return (swapped, (w, 1, 0, 1 if l > 0 else -1))
+
+
+def _hecke_trace(w: tuple, traces: dict) -> tuple:
+    """tr(T_w) as (dz, da, k) entries, memoized per permutation in `traces`."""
+    val = traces.get(w)
+    if val is None:
+        n = len(w)
+        if n == 0:
+            return ((0, 0, 1),)
+        p = w.index(n - 1)
+        y = {(w[:p] + w[p + 1:], 0, 0): 1}
+        for i in range(n - 2, p, -1):
+            y = _mul(y, _hecke_step, i)
+        sub = _traced(y, lambda v: _hecke_trace(v, traces))
+        sub = sub * DELTA if p == n - 1 else sub.shift(0, 1)
+        val = traces[w] = _entries(sub)
+    return val
+
+
+def hecke_R(b: BraidWord, tables: dict) -> LaurentPoly:
+    """R of the closure of `b`, from the product of its letters in H_n, on
+    the tables kept for later calls in `tables` (a `SkeinCache`'s)."""
+    traces = tables.setdefault("hecke_trace", {})
+    return _closure_poly(b, tables, "hecke", tuple(range(b.strands)), _hecke_step,
+                         lambda w: _hecke_trace(w, traces))
 
 
 # -- D in the BMW algebra -----------------------------------------------------
 
 
 def _eval(n: int, events: tuple, memo: dict) -> dict:
-    """The tangle on the R_b basis: {brauer: coefficient}."""
+    """The tangle on the R_b basis: {(brauer, ez, ea): k}."""
     events, _, a_pow, circles = reduce_diagram(events)
     val = memo.get((n, events))
     if val is None:
         val = memo[n, events] = _expand(n, events, memo)
     if not a_pow and not circles:
         return val
-    mult = _factor(True, a_pow, circles)
-    return {b: c * mult for b, c in val.items()}
+    # times a^a_pow delta_D^circles, a factor that keeps each basis element
+    mult = _entries(_factor(True, a_pow, circles))
+    return _mul(val, lambda b, _: [(b, dz, da, k) for dz, da, k in mult], 0)
 
 
 def _expand(n: int, events: tuple, memo: dict) -> dict:
     """The descending recursion on a reduced tangle."""
     sc, viols, writhe = descend(events, ends=n)
-    acc: dict = {}
-    cur = events
-    for ev_idx, _lo, _hi, s, _eps in viols:
-        # D(L+) - D(L-) = z (D(L_par) - D(L_turn)); L+ is s = +1
-        for b, c in _eval(n, _smooth_h_events(cur, ev_idx), memo).items():
-            _add(acc, b, c.shift(1, 0) * s)
-        for b, c in _eval(n, _smooth_v_events(cur, ev_idx), memo).items():
-            _add(acc, b, c.shift(1, 0) * -s)
-        cur = _switch_events(cur, ev_idx)
     # the descending tangle: the arcs' matching of the end points (S_e is e,
     # E_e is n + e), and loops, the components after the n arcs
     brauer = [0] * (2 * n)
@@ -266,8 +269,19 @@ def _expand(n: int, events: tuple, memo: dict) -> dict:
     for e, t in enumerate([*range(n), *sc.right_ends]):
         f = first.setdefault(sc.component_of[t], e)
         brauer[e], brauer[f] = f, e
-    _add(acc, tuple(brauer), _factor(True, writhe, len(sc.components) - n))
-    return acc
+    acc = {(tuple(brauer), dz, da): k for dz, da, k
+           in _entries(_factor(True, writhe, len(sc.components) - n))}
+    get = acc.get
+    cur = events
+    for ev_idx, _lo, _hi, s, _eps in viols:
+        # D(L+) - D(L-) = z (D(L_par) - D(L_turn)); L+ is s = +1
+        for smoothed, sign in ((_smooth_h_events(cur, ev_idx), s),
+                               (_smooth_v_events(cur, ev_idx), -s)):
+            for (b, ez, ea), c in _eval(n, smoothed, memo).items():
+                key = (b, ez + 1, ea)
+                acc[key] = get(key, 0) + sign * c
+        cur = _switch_events(cur, ev_idx)
+    return {key: c for key, c in acc.items() if c}
 
 
 def _cap_pairs(n: int, pairs: list, events: list, sign) -> list:
@@ -387,7 +401,7 @@ def _step(n: int, b: tuple, l: int, basis: dict, memo: dict) -> tuple:
         return ((one[0], 0, one[1], 1),)
     acc = {(_one_term(n, b, i, -s)[0], 0, 0): 1, (b, 1, 0): s}
     capped = _eval(n, _tangle(n, b, basis) + (("cap", i), ("cup", i)), memo)
-    for b2, dz, da, k in _flat(capped):
+    for (b2, dz, da), k in capped.items():
         key = (b2, dz + 1, da)
         acc[key] = acc.get(key, 0) - s * k
     return tuple((b2, dz, da, k) for (b2, dz, da), k in acc.items() if k)
@@ -407,58 +421,19 @@ def _bmw_trace(b: tuple, basis: dict, memo: dict, traces: dict) -> tuple:
         closed = _eval(m - 1, (("cup", m - 1),) + _tangle(m, b, basis)
                        + (("cap", m - 1),), memo)
         val = traces[b] = _entries(_traced(
-            {(b2, ez, ea): k for b2, ez, ea, k in _flat(closed)},
-            lambda b2: _bmw_trace(b2, basis, memo, traces)))
+            closed, lambda b2: _bmw_trace(b2, basis, memo, traces)))
     return val
 
 
 def bmw_D(b: BraidWord, tables: dict) -> LaurentPoly:
-    """D of the closure of `b`, from the product of its letters in BMW_n.
-
-    The last letter is not multiplied out: the head's product is contracted
-    with the traces tr(R_b g_i^+-1).  `tables` keeps the tangle memo, the
-    basis tangles, the structure constants, the traces, the traced steps
-    and the last head's product for later calls (a `SkeinCache`'s
-    `tables`).
-    """
-    memo, basis, steps, traces, step_traces = (
-        tables.setdefault(name, {}) for name in
-        ("bmw_memo", "bmw_basis", "bmw_step", "bmw_trace", "bmw_step_trace"))
+    """D of the closure of `b`, from the product of its letters in BMW_n, on
+    the tables kept for later calls in `tables` (a `SkeinCache`'s)."""
+    memo, basis, traces = (tables.setdefault(name, {}) for name in
+                           ("bmw_memo", "bmw_basis", "bmw_trace"))
     n = b.strands
-
-    def step(br: tuple, l: int) -> tuple:
-        st = steps.get((br, l))
-        if st is None:
-            st = steps[br, l] = _step(n, br, l, basis, memo)
-        return st
-
-    def trace(br: tuple) -> tuple:
-        return _bmw_trace(br, basis, memo, traces)
-
-    def mul(x: dict, l: int) -> dict:
-        out: dict = {}
-        get = out.get
-        for (br, ez, ea), c in x.items():
-            for br2, dz, da, k in step(br, l):
-                key = (br2, ez + dz, ea + da)
-                out[key] = get(key, 0) + c * k
-        return {key: c for key, c in out.items() if c}
-
-    identity = tuple(range(n, 2 * n)) + tuple(range(n))
-    x = _head_product(b, tables, "bmw_head", {(identity, 0, 0): 1}, mul)
-    if not b.letters:
-        return _traced(x, trace)
-    last = b.letters[-1]
-
-    def step_trace(br: tuple) -> tuple:
-        """tr(R_br g_i^+-1) of the last letter, memoized per (br, letter)."""
-        st = step_traces.get((br, last))
-        if st is None:
-            st = step_traces[br, last] = _entries(_traced(
-                {(br2, dz, da): k for br2, dz, da, k in step(br, last)}, trace))
-        return st
-
-    return _traced(x, step_trace)
+    return _closure_poly(b, tables, "bmw", tuple(range(n, 2 * n)) + tuple(range(n)),
+                         lambda br, l: _step(n, br, l, basis, memo),
+                         lambda br: _bmw_trace(br, basis, memo, traces))
 
 
 def braid_invariants(b: BraidWord, cache: SkeinCache) -> SkeinResult:

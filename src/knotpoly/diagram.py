@@ -388,24 +388,6 @@ def _cups_before(events: tuple, ev_idx: int) -> int:
     return sum(1 for ev in events[:ev_idx] if ev[0] == "cup")
 
 
-def crossing_surgery(d: MorseDiagram, cross_number: int, action: str) -> MorseDiagram:
-    """switch | smooth_oriented | smooth_horizontal | smooth_vertical."""
-    if not 0 <= cross_number < len(d.cross_info):
-        raise DiagramError(f"no crossing {cross_number}")
-    ev_idx, lo, hi, s = d.cross_info[cross_number]
-    if action == "switch":
-        return MorseDiagram(_switch_events(d.events, ev_idx), d.dirs)
-    if action == "smooth_horizontal":
-        return MorseDiagram(_smooth_h_events(d.events, ev_idx))
-    if action == "smooth_vertical":
-        return MorseDiagram(_smooth_v_events(d.events, ev_idx))
-    if action == "smooth_oriented":
-        if d.dirs[lo] * d.dirs[hi] == 1:
-            return MorseDiagram(_smooth_h_events(d.events, ev_idx), d.dirs)
-        raise DiagramError("oriented smoothing requires parallel strands here")
-    raise DiagramError(f"unknown surgery action {action!r}")
-
-
 def connected_sum(d1: MorseDiagram, d2: MorseDiagram) -> MorseDiagram:
     """Join two knot diagrams; writhe and crossing count add."""
     if len(d1.components) != 1 or len(d2.components) != 1:

@@ -5,7 +5,8 @@ import pytest
 
 from knotpoly.laurent import LaurentPoly
 from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
-                              braid_closure, crossing_surgery, scan)
+                              braid_closure, scan, _switch_events,
+                              _smooth_h_events, _smooth_v_events)
 from knotpoly.front import FrontWord
 from knotpoly.cli import CACHE_ENV_VAR
 from knotpoly.skein import SkeinCache, full_invariants, DELTA, DELTA_D
@@ -81,9 +82,14 @@ def random_surgered_closure(rng: random.Random) -> MorseDiagram:
     for _ in range(rng.randint(0, 4)):
         if not d.cross_info:
             break
-        c = rng.randrange(len(d.cross_info))
+        ev_idx = d.cross_info[rng.randrange(len(d.cross_info))][0]
         act = rng.choice(["switch", "smooth_horizontal", "smooth_vertical"])
-        d = crossing_surgery(d, c, act)
+        if act == "switch":
+            d = MorseDiagram(_switch_events(d.events, ev_idx), d.dirs)
+        else:
+            smooth = {"smooth_horizontal": _smooth_h_events,
+                      "smooth_vertical": _smooth_v_events}[act]
+            d = MorseDiagram(smooth(d.events, ev_idx))
     return d
 
 

@@ -1,6 +1,7 @@
 """The algebra engines against the skein engines, closed forms and the
 mirror property, and how `poly --braid` and `search` use them."""
 
+import itertools
 import math
 import os
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from knotpoly import algebra, harness, skein
 from knotpoly.algebra import (bmw_D, hecke_R, braid_invariants, _basis_tangle,
-                              _bmw_trace, _eval, _flat, _hecke_mul, _hecke_trace,
+                              _bmw_trace, _eval, _hecke_step, _hecke_trace,
                               _step, _traced)
 from knotpoly.cli import main
 from knotpoly.diagram import (DIAGRAM_KINDS, MAX_LETTERS, MAX_STRANDS, BraidWord,
@@ -48,7 +49,7 @@ def test_basis_tangles_expand_to_themselves(n):
     count = 0
     for m in _matchings(list(range(2 * n))):
         b = tuple(m[e] for e in range(2 * n))
-        assert _eval(n, _basis_tangle(n, b), {}) == {b: LaurentPoly.one()}, b
+        assert _eval(n, _basis_tangle(n, b), {}) == {(b, 0, 0): 1}, b
         count += 1
     assert count == [1, 1, 3, 15, 105][n]  # (2n-1)!!
 
@@ -70,7 +71,8 @@ def _recursion_step(n: int, b: tuple, l: int, memo: dict) -> tuple:
     """R_b g_i^+-1 by the descending recursion on R_b followed by the
     crossing: the reference for `_step`."""
     crossing = ("x", abs(l) - 1, 1 if l > 0 else -1)
-    return _flat(_eval(n, _basis_tangle(n, b) + (crossing,), memo))
+    return tuple((b2, dz, da, k) for (b2, dz, da), k
+                 in _eval(n, _basis_tangle(n, b) + (crossing,), memo).items())
 
 
 def test_structure_constants_match_the_recursion():
@@ -98,7 +100,8 @@ def _closure_trace(n: int, b: tuple, memo: dict) -> tuple:
     strand closed at once: the reference for `_bmw_trace`."""
     closure = (tuple(("cup", i) for i in range(n)) + _basis_tangle(n, b)
                + tuple(("cap", i) for i in range(n - 1, -1, -1)))
-    return tuple(sorted(e[1:] for e in _flat(_eval(0, closure, memo))))
+    return tuple(sorted((dz, da, k)
+                        for (_, dz, da), k in _eval(0, closure, memo).items()))
 
 
 def test_traces_match_the_closure():
@@ -114,6 +117,37 @@ def test_traces_match_the_closure():
                     == _closure_trace(n, b, ref_memo)), b
             count += 1
     assert (count, len(traces)) == (1070, 1069)  # the empty matching is not kept
+
+
+def _hecke_mul(x: dict, i: int, positive: bool) -> dict:
+    """x g_i, or x g_i^-1 = x g_i - z x, on the flat vector {(w, ez, 0): k}:
+    the reference for `_hecke_step`, and the product of
+    `_reference_invariants`."""
+    out: dict = {}
+    get = out.get
+    for (w, ez, _), c in x.items():
+        lo, hi = w[i], w[i + 1]
+        key = (w[:i] + (hi, lo) + w[i + 2:], ez, 0)
+        out[key] = get(key, 0) + c
+        if (lo > hi) == positive:  # a descent for g_i, an ascent for g_i^-1
+            key = (w, ez + 1, 0)
+            out[key] = get(key, 0) + (c if positive else -c)
+    return {key: c for key, c in out.items() if c}
+
+
+def test_hecke_constants_match_the_reference():
+    """Every (w, letter) of H_n, n <= 5: `_hecke_step` against `_hecke_mul`
+    on the basis element T_w."""
+    count = 0
+    for n in range(1, 6):
+        for w in itertools.permutations(range(n)):
+            for l in [*range(1, n), *range(-1, -n, -1)]:
+                step = _hecke_step(w, l)
+                assert ({(w2, dz, da): k for w2, dz, da, k in step}
+                        == _hecke_mul({(w, 0, 0): 1}, abs(l) - 1, l > 0)), (w, l)
+                assert len(step) == len({e[:3] for e in step}), (w, l)
+                count += 1
+    assert count == 2 * 2 + 6 * 4 + 24 * 6 + 120 * 8
 
 
 def _random_tangle(rng: random.Random, n: int, length: int) -> tuple:
@@ -201,15 +235,19 @@ def test_witness_agrees_with_skein(cache):
 
 
 def test_witness_table_sizes():
-    """The cold witness build: a structure constant per (basis element,
-    letter) the product reads, and a tangle memo under the 5,091 tangles
-    of the recursion run on every constant (2,663 with the descending rule
-    and the Dubrovnik relation, fewer once each trace closes one strand at
-    a time).  The last letter is traced per basis element: 526 traced
+    """The cold witness build.  R: a Hecke constant per (permutation,
+    letter) the product reads, 100 traces and 67 traced steps.  D: a
+    structure constant per (basis element, letter) the product reads, and
+    a tangle memo under the 5,091 tangles of the recursion run on every
+    constant (2,663 with the descending rule and the Dubrovnik relation,
+    fewer once each trace closes one strand at a time).  The last letter is traced per basis element: 526 traced
     steps, whose constants reach 540 traces on 5 strands; closing the last
     strand reaches all 124 matchings on 1-4 strands, whose basis tangles
     join the 798 of the steps."""
     tables = {}
+    hecke_R(parse_braid(WITNESS_BRAID), tables)
+    assert (len(tables["hecke_step"]), len(tables["hecke_trace"]),
+            len(tables["hecke_step_trace"])) == (478, 100, 67)
     bmw_D(parse_braid(WITNESS_BRAID), tables)
     assert len(tables["bmw_step"]) == 3035
     assert len(tables["bmw_memo"]) < 2663
@@ -222,7 +260,9 @@ def test_witness_table_sizes():
 def _reference_invariants(b: BraidWord, ref: dict) -> tuple:
     """R and D of the closure of `b` with every letter multiplied out and
     the product traced term by term, on tables of the test's own (`ref`),
-    which the engines never see."""
+    which the engines never see.  R is multiplied out with the test's
+    `_hecke_mul`, D on a dict of LaurentPoly coefficients, so neither
+    shares the engines' product code."""
     n = b.strands
     x = {(tuple(range(n)), 0, 0): 1}
     for l in b.letters:
@@ -241,8 +281,8 @@ def _reference_invariants(b: BraidWord, ref: dict) -> tuple:
     for br, c in y.items():
         closure = (tuple(("cup", i) for i in range(n)) + _basis_tangle(n, br)
                    + tuple(("cap", i) for i in range(n - 1, -1, -1)))
-        for k in _eval(0, closure, memo).values():  # one entry, the empty matching
-            D = D + c * k
+        for (_, dz, da), k in _eval(0, closure, memo).items():  # the empty matching
+            D = D + c * LaurentPoly.monomial(k, dz, da)
     return R, D
 
 

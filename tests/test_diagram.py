@@ -5,9 +5,9 @@ import pytest
 
 from knotpoly.diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
                               parse_braid, braid_closure, closure_events,
-                              crossing_surgery,
                               connected_sum, encode_events, find_split,
-                              reduce_diagram, _normalize_pass, _swap_adjacent)
+                              reduce_diagram, _normalize_pass, _swap_adjacent,
+                              _smooth_h_events, _smooth_v_events, _switch_events)
 from knotpoly.jaeger import DIAGRAM_ALPHABET, nonzero_states
 
 from conftest import (INVALID_EVENTS, random_braid, random_front,
@@ -83,42 +83,30 @@ def test_closure_events_carry_the_default_orientation():
     assert strands == set(range(1, 9)) and max(components) >= 3
 
 
+def _first_crossing(d: MorseDiagram) -> int:
+    return d.cross_info[0][0]
+
+
 def test_switch_involution_and_example():
     tref = braid_closure(parse_braid("braid 2: 1 1 1"))
-    sw = crossing_surgery(tref, 0, "switch")
+    sw = MorseDiagram(_switch_events(tref.events, _first_crossing(tref)), tref.dirs)
     assert sw.writhe == 1
-    assert crossing_surgery(sw, 0, "switch").events == tref.events
-
-
-def test_smooth_oriented_examples():
-    d1 = braid_closure(parse_braid("braid 2: 1"))
-    assert len(crossing_surgery(d1, 0, "smooth_oriented").components) == 2
-
-    # antiparallel crossing: the parallel-type smoothing is refused
-    inf = MorseDiagram([("cup", 0), ("x", 0, -1), ("cap", 0)])
-    with pytest.raises(DiagramError):
-        crossing_surgery(inf, 0, "smooth_oriented")
+    assert _switch_events(sw.events, _first_crossing(sw)) == tref.events
 
 
 def test_resolutions_of_two_crossing_diagrams():
+    def resolutions(d):
+        ev_idx = _first_crossing(d)
+        return [len(MorseDiagram(smooth(d.events, ev_idx)).components)
+                for smooth in (_smooth_v_events, _smooth_h_events)]
+
     # a self-crossing: the two resolutions differ in component count
     plat = MorseDiagram([("cup", 0), ("x", 0, -1), ("x", 0, -1), ("cap", 0)])
-    kv = len(crossing_surgery(plat, 0, "smooth_vertical").components)
-    kh = len(crossing_surgery(plat, 0, "smooth_horizontal").components)
-    assert {kv, kh} == {1, 2}
+    assert set(resolutions(plat)) == {1, 2}
 
     # a crossing between two components merges them either way
     hopf = braid_closure(parse_braid("braid 2: 1 1"))
-    assert len(crossing_surgery(hopf, 0, "smooth_vertical").components) == 1
-    assert len(crossing_surgery(hopf, 0, "smooth_horizontal").components) == 1
-
-
-def test_surgery_bad_index():
-    d = braid_closure(parse_braid("braid 2: 1"))
-    with pytest.raises(DiagramError):
-        crossing_surgery(d, 5, "switch")
-    with pytest.raises(DiagramError):
-        crossing_surgery(d, 0, "frob")
+    assert resolutions(hopf) == [1, 1]
 
 
 def test_connected_sum_structure():
