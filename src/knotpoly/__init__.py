@@ -13,8 +13,7 @@ from .jaeger import (SpliceState, Certificate, nonzero_states,
                      jaeger_both_sides, lj_both_sides, lemma_check,
                      proof_chain_check, DIAGRAM_ALPHABET, FRONT_ALPHABET,
                      DIAGRAM_WEIGHTS, FRONT_WEIGHTS)
-from .inequalities import (BoundReport, check_front_bounds, mfw_check,
-                           additivity_audit, ep_ey_compare)
+from .inequalities import BoundReport, check_front_bounds, mfw_check
 from .harness import SearchConfig, enumerate_braids, search, load_config
 
 __version__ = "0.1.0"

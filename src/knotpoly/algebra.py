@@ -46,8 +46,8 @@ expand.  On the witness 1,709 of the 3,035 constants are one term.
 
 R_b e_i comes from the descending recursion of the skein engine, run on
 open tangles: the crossings first met on their under strand are switched,
-D(L+) - D(L-) = z (D(L_par) - D(L_turn)), and each smoothing recurses with
-one crossing fewer.  Tangles are planar-reduced with
+and each smoothing of D's relation, from the skein step `skein.smoothings`,
+recurses with one crossing fewer.  Tangles are planar-reduced with
 `diagram.reduce_diagram` before they are memoized: the reduction rules are
 local, so they hold on open tangles too.
 
@@ -59,18 +59,19 @@ on the basis of BMW_(n-1) is traced in turn (`_bmw_trace`), as
 each basis element of fewer strands is traced once.
 
 So the BMW path shares `diagram.scan` (with `ends` = n), the descending
-traversal `skein.descend` and `diagram.reduce_diagram` with the skein
-engine, and its agreement with `kauffman_D` does not check that code.  Its
-checks that share none of it are the Kauffman-bracket oracle of the tests,
-D at the SO(4) point a = q^3, z = q - q^-1 (there q^-w times the square of
-the Jones polynomial, which the bracket oracle gives), and the T(2,n)
-closed forms.  The tests also compare each constant with the recursion on
-R_b followed by the crossing, for every (b, letter) up to 5 strands, and
-each trace with the recursion on the closure of R_b, every strand closed
-at once, for every b up to 5 strands.  The Hecke path shares none of the
-skein code; the tests also check it against the Burau matrix and against
-Jones's formula for the torus knots T(p,q), and each constant T_w g_i^+-1
-against a letter product of their own.
+traversal `skein.descend`, the skein step `skein.smoothings` and
+`diagram.reduce_diagram` with the skein engine, and its agreement with
+`kauffman_D` does not check that code.  Its checks that share none of it
+are the Kauffman-bracket oracle of the tests, D at the SO(4) point a = q^3,
+z = q - q^-1 (there q^-w times the square of the Jones polynomial, which
+the bracket oracle gives), and the T(2,n) closed forms.  The tests also
+compare each constant with the recursion on R_b followed by the crossing,
+for every (b, letter) up to 5 strands, and each trace with the recursion on
+the closure of R_b, every strand closed at once, for every b up to 5
+strands.  The Hecke path shares none of the skein code; the tests also
+check it against the Burau matrix and against Jones's formula for the torus
+knots T(p,q), and each constant T_w g_i^+-1 against a letter product of
+their own.
 
 One vector format serves the products, the expansions and the tangle
 memo: a flat vector {(basis, ez, ea): k}, one integer per basis element
@@ -118,10 +119,9 @@ skein engines.
 from __future__ import annotations
 
 from .laurent import LaurentPoly
-from .diagram import (BraidWord, closure_events, reduce_diagram, _switch_events,
-                      _smooth_h_events, _smooth_v_events)
+from .diagram import BraidWord, closure_events, reduce_diagram
 from .skein import (DELTA, Oriented, SkeinCache, SkeinResult, _factor, descend,
-                    memo_value)
+                    memo_value, smoothings)
 
 
 def _entries(p: LaurentPoly) -> tuple:
@@ -272,15 +272,10 @@ def _expand(n: int, events: tuple, memo: dict) -> dict:
     acc = {(tuple(brauer), dz, da): k for dz, da, k
            in _entries(_factor(True, writhe, len(sc.components) - n))}
     get = acc.get
-    cur = events
-    for ev_idx, _lo, _hi, s, _eps in viols:
-        # D(L+) - D(L-) = z (D(L_par) - D(L_turn)); L+ is s = +1
-        for smoothed, sign in ((_smooth_h_events(cur, ev_idx), s),
-                               (_smooth_v_events(cur, ev_idx), -s)):
-            for (b, ez, ea), c in _eval(n, smoothed, memo).items():
-                key = (b, ez + 1, ea)
-                acc[key] = get(key, 0) + sign * c
-        cur = _switch_events(cur, ev_idx)
+    for smoothed, _dirs, sign in smoothings(events, None, viols):
+        for (b, ez, ea), c in _eval(n, smoothed, memo).items():
+            key = (b, ez + 1, ea)
+            acc[key] = get(key, 0) + sign * c
     return {key: c for key, c in acc.items() if c}
 
 

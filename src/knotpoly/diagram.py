@@ -236,9 +236,6 @@ class MorseDiagram:
         self.writhe = sum(s * d[lo] * d[hi] for _, lo, hi, s in sc.crossings)
         self.rotation = sum(d[lo] for lo in self.cup_lows + self.cap_lows) // 2
 
-    def reversed(self) -> "MorseDiagram":
-        return MorseDiagram(self.events, tuple(-d for d in self.dirs))
-
     def to_json(self) -> dict:
         return {"events": [list(ev) for ev in self.events]}
 

@@ -109,14 +109,8 @@ class FrontWord:
     def crossing_count(self) -> int:
         return len(self._scan.crossings)
 
-    def reversed(self) -> "FrontWord":
-        return FrontWord(self.events, tuple(-d for d in self.dirs))
-
     def to_json(self) -> dict:
         return {"events": [list(ev) for ev in self.events]}
-
-    def text(self) -> str:
-        return "front: " + "; ".join(f"{k} {i + 1}" for k, i in self.events)
 
     def __repr__(self) -> str:
         return f"FrontWord({self.cusp_count()} cusps, {self.crossing_count()} crossings)"

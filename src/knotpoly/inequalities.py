@@ -17,8 +17,8 @@ no negative powers of a.  Both forms are computed and cross-checked.
 
 The braid bound takes R and D of the closure from the algebra engines
 (`algebra.braid_invariants`), which multiply the word out one letter at a
-time; the front bounds, `additivity_audit` and `ep_ey_compare` take
-diagrams that are not braid closures and stay on the skein engines.
+time; the front bounds take morsified fronts, which are not braid
+closures, and stay on the skein engines.
 `algebra` is imported on first use: where no bytecode cache is written,
 compiling it is about 5 ms, 13 % of the package import, and a process that
 checks no braid need not pay it.
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import MorseDiagram, BraidWord, connected_sum, DiagramError
+from .diagram import BraidWord, DiagramError
 from .front import FrontWord, classical_invariants
 from .skein import SkeinCache, full_invariants
 
@@ -96,22 +96,3 @@ def mfw_check(b: BraidWord, cache: SkeinCache) -> BoundReport:
                        e_P=res.e_P, e_Y=res.e_Y, mfw_slack=slack,
                        witness=res.e_P < res.e_Y)
 
-
-def additivity_audit(d1: MorseDiagram, d2: MorseDiagram,
-                     cache: SkeinCache) -> dict:
-    """Check that e_P + 1 and e_Y + 1 add under connected sum."""
-    r1 = full_invariants(d1, cache)
-    r2 = full_invariants(d2, cache)
-    rs = full_invariants(connected_sum(d1, d2), cache)
-    return {
-        "e_P": (r1.e_P, r2.e_P, rs.e_P),
-        "e_Y": (r1.e_Y, r2.e_Y, rs.e_Y),
-        "e_P_additive": rs.e_P + 1 == (r1.e_P + 1) + (r2.e_P + 1),
-        "e_Y_additive": rs.e_Y + 1 == (r1.e_Y + 1) + (r2.e_Y + 1),
-    }
-
-
-def ep_ey_compare(d: MorseDiagram, cache: SkeinCache) -> dict:
-    """e_P versus e_Y; witness means e_P < e_Y."""
-    res = full_invariants(d, cache)
-    return {"e_P": res.e_P, "e_Y": res.e_Y, "witness": res.e_P < res.e_Y}

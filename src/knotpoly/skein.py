@@ -18,7 +18,9 @@ a descending diagram: along a fixed traversal every crossing met first on the
 under strand is switched (collected in one telescoping pass) and the
 smoothed remainders recurse with one crossing fewer.  A descending diagram
 with writhe w and k components is an unlink with curls and evaluates to
-a^w * delta^k (delta the unknot value).
+a^w * delta^k (delta the unknot value).  The skein step `smoothings` holds
+the two relations' smoothings, the one place they are written; the BMW
+engine of `algebra.py` runs its tangle recursion through it too.
 
 Each memo miss makes one `descend`: a `diagram.scan` of the events, which
 validates the diagram and orients it, and one walk of its threads, which
@@ -233,6 +235,29 @@ def descend(events: tuple, dirs: Optional[tuple] = None,
     return sc, viols, writhe
 
 
+def smoothings(events: tuple, dirs: Optional[tuple], viols: list):
+    """The skein step: for the violations `descend` found, each smoothing
+    as (events, dirs, coefficient), on the events with the earlier
+    violations switched.  The value is the descending diagram's plus z
+    times the sum of the smoothings' values times their coefficients.
+
+    With `dirs`, R's oriented smoothing, coefficient the oriented sign;
+    with None, D's L_par and L_turn, coefficients s and -s.
+    """
+    cur = events
+    for ev_idx, lo, hi, s, eps in viols:
+        if dirs is None:
+            yield _smooth_h_events(cur, ev_idx), None, s
+            yield _smooth_v_events(cur, ev_idx), None, -s
+        elif dirs[lo] * dirs[hi] == 1:
+            yield _smooth_h_events(cur, ev_idx), dirs, eps
+        else:
+            pos = 2 * _cups_before(cur, ev_idx)
+            yield (_smooth_v_events(cur, ev_idx),
+                   dirs[:pos] + (dirs[hi], dirs[lo]) + dirs[pos:], eps)
+        cur = _switch_events(cur, ev_idx)
+
+
 @dataclass
 class SkeinStats:
     nodes: int = 0
@@ -360,31 +385,13 @@ def _eval_reduced(events: tuple, dirs: Optional[tuple], a_pow: int,
             raise AssertionError("connected-sum factor not divisible")
     else:
         sc, viols, writhe = descend(events, dirs)
-        k = len(sc.components)
-        cur = events
         acc = LaurentPoly()
-        for ev_idx, lo, hi, s, eps in viols:
-            if kauffman:
-                h = _skein_eval(_smooth_h_events(cur, ev_idx), None,
-                                kauffman=True, cache=cache, stats=stats,
-                                allow_split=allow_split)
-                v = _skein_eval(_smooth_v_events(cur, ev_idx), None,
-                                kauffman=True, cache=cache, stats=stats,
-                                allow_split=allow_split)
-                acc = acc + (h - v).shift(1, 0) * s
-            else:
-                if sc.dirs[lo] * sc.dirs[hi] == 1:
-                    sm_ev, sm_dirs = _smooth_h_events(cur, ev_idx), dirs
-                else:
-                    sm_ev = _smooth_v_events(cur, ev_idx)
-                    pos = 2 * _cups_before(cur, ev_idx)
-                    sm_dirs = dirs[:pos] + (sc.dirs[hi], sc.dirs[lo]) + dirs[pos:]
-                sm = _skein_eval(sm_ev, sm_dirs, kauffman=False, cache=cache,
-                                 stats=stats, allow_split=allow_split)
-                acc = acc + sm.shift(1, 0) * eps
-            cur = _switch_events(cur, ev_idx)
+        for sm_ev, sm_dirs, c in smoothings(events, dirs, viols):
+            acc = acc + _skein_eval(sm_ev, sm_dirs, kauffman=kauffman,
+                                    cache=cache, stats=stats,
+                                    allow_split=allow_split) * c
         # all violations switched: a descending diagram, a^w * delta^k
-        val = _unknot_power(kauffman, k).shift(-k, writhe) + acc
+        val = _factor(kauffman, writhe, len(sc.components)) + acc.shift(1, 0)
 
     cache.put(key, val)
     return _scaled(val, kauffman, a_pow, circles)

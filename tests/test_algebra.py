@@ -518,7 +518,9 @@ def _records(path) -> dict:
 
 
 @pytest.mark.parametrize("word", ["braid 2: 1 1 1", "braid 4: 1 1 -2 1 3 -2 3",
-                                  "braid 3: 1 -2 1 -2 2 2"])
+                                  "braid 3: 1 -2 1 -2 2 2",
+                                  # one and two free circles lost to reduction
+                                  "braid 3: 1 1", "braid 4: 1 1 1"])
 def test_poly_cache_records_are_skein_records(tmp_path, monkeypatch, capsys, word):
     """`poly --braid --cache F` writes R and D under the skein engines' keys
     for the reduced closure, with the skein values; a second run reads them

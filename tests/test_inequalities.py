@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from knotpoly.diagram import DiagramError, parse_braid, braid_closure
+from knotpoly.diagram import DiagramError, parse_braid, braid_closure, connected_sum
 from knotpoly.front import FrontWord, saucer_front, crossed_saucer_front, classical_invariants
-from knotpoly.inequalities import (BoundReport, check_front_bounds, mfw_check,
-                                   additivity_audit, ep_ey_compare, CSV_HEADER)
+from knotpoly.inequalities import BoundReport, check_front_bounds, mfw_check, CSV_HEADER
 from knotpoly.skein import full_invariants, SkeinCache
 
 from conftest import (P_TREFOIL, TREFOIL_TB6_FRONT, random_braid, random_front)
@@ -55,14 +54,25 @@ def test_mfw_examples(cache):
         assert rep.mfw_slack >= 0, b.text()
 
 
+def _summands_and_sum(d1, d2, cache):
+    """full_invariants of d1, d2 and their connected sum."""
+    return (full_invariants(d, cache) for d in (d1, d2, connected_sum(d1, d2)))
+
+
+def _additive(r1, r2, rs) -> bool:
+    """e_P + 1 and e_Y + 1 of the sum are those of the summands added."""
+    return (rs.e_P + 1 == (r1.e_P + 1) + (r2.e_P + 1)
+            and rs.e_Y + 1 == (r1.e_Y + 1) + (r2.e_Y + 1))
+
+
 def test_additivity_examples(cache, paper_trefoil):
-    audit = additivity_audit(paper_trefoil, paper_trefoil, cache)
-    assert audit["e_P_additive"] and audit["e_Y_additive"]
-    assert audit["e_P"][2] == -9 and audit["e_Y"][2] == -11
+    r1, r2, rs = _summands_and_sum(paper_trefoil, paper_trefoil, cache)
+    assert _additive(r1, r2, rs)
+    assert rs.e_P == -9 and rs.e_Y == -11
 
     unknot = braid_closure(parse_braid("braid 1:"))
-    audit = additivity_audit(paper_trefoil, unknot, cache)
-    assert audit["e_P"][2] == -5 and audit["e_Y"][2] == -6
+    _r1, _r2, rs = _summands_and_sum(paper_trefoil, unknot, cache)
+    assert rs.e_P == -5 and rs.e_Y == -6
 
 
 def test_additivity_random_pairs(cache):
@@ -70,15 +80,14 @@ def test_additivity_random_pairs(cache):
     for _ in range(8):
         d1 = braid_closure(random_braid(rng, max_strands=3, max_letters=6, knot_only=True))
         d2 = braid_closure(random_braid(rng, max_strands=3, max_letters=6, knot_only=True))
-        audit = additivity_audit(d1, d2, cache)
-        assert audit["e_P_additive"] and audit["e_Y_additive"]
+        assert _additive(*_summands_and_sum(d1, d2, cache))
 
 
 def test_ep_ey_compare(cache, paper_trefoil):
-    out = ep_ey_compare(paper_trefoil, cache)
-    assert out == {"e_P": -5, "e_Y": -6, "witness": False}
-    unknot = braid_closure(parse_braid("braid 1:"))
-    assert ep_ey_compare(unknot, cache) == {"e_P": -1, "e_Y": -1, "witness": False}
+    res = full_invariants(paper_trefoil, cache)
+    assert (res.e_P, res.e_Y, res.e_P < res.e_Y) == (-5, -6, False)
+    res = full_invariants(braid_closure(parse_braid("braid 1:")), cache)
+    assert (res.e_P, res.e_Y, res.e_P < res.e_Y) == (-1, -1, False)
 
 
 def test_front_bounds_random(cache):

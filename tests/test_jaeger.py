@@ -232,7 +232,8 @@ def test_empty_table_yields_every_orientation():
         for st in states:
             assert FrontWord(st.events, st.dirs).rounded().rotation == st.r_sigma
         plain, flipped = states[0], states[-1]
-        assert (plain.dirs, flipped.dirs) == (f.dirs, f.reversed().dirs)
+        reversed_f = FrontWord(f.events, tuple(-x for x in f.dirs))
+        assert (plain.dirs, flipped.dirs) == (f.dirs, reversed_f.dirs)
         assert plain.left_up - plain.right_down == classical_invariants(f).maslov
         # reversal swaps left-up with left-down, right-down with right-up
         half = f.cusp_count() // 2

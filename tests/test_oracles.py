@@ -1,7 +1,7 @@
 """R and D against oracles of `oracles.py`, which share no code with the
 engines: the skein engines and the algebra engines of `algebra.py` share
-`diagram.scan`, the descending walk and the planar reduction, so their
-agreement does not check that code.
+`diagram.scan`, the descending walk, the skein step and the planar
+reduction, so their agreement does not check that code.
 
 The Kauffman bracket checks D and R on braid closures, on the
 morsifications of fronts and on spliced diagram states.  It checks D
@@ -196,16 +196,19 @@ def test_so4_point_fails_a_flipped_structure_constant(word, constants):
 
 
 def test_so4_point_fails_a_flipped_smoothing_sign(monkeypatch):
-    """`kauffman_D` with its smoothing term of the wrong sign, (D(L_turn) -
-    D(L_par)) for (D(L_par) - D(L_turn)), fails the SO(4) identity on the
-    bracket corpus."""
+    """`kauffman_D` and `bmw_D`, whose tangle recursion takes the same skein
+    step, with its smoothing term of the wrong sign, (D(L_turn) - D(L_par))
+    for (D(L_par) - D(L_turn)), each fail the SO(4) identity on the bracket
+    corpus."""
     monkeypatch.setattr(skein, "_smooth_h_events", _smooth_v_events)
     monkeypatch.setattr(skein, "_smooth_v_events", _smooth_h_events)
-    cache = SkeinCache()
-    failed = [b.text() for b, events, K in _corpus()
-              if not _at_q(kauffman_D(braid_closure(b), cache), 3,
-                           so4(K, components(events), _closure_writhe(events)))]
-    assert failed
+    cache, tables = SkeinCache(), {}
+    for engine in (lambda b: kauffman_D(braid_closure(b), cache),
+                   lambda b: bmw_D(b, tables)):
+        failed = [b.text() for b, events, K in _corpus()
+                  if not _at_q(engine(b), 3,
+                               so4(K, components(events), _closure_writhe(events)))]
+        assert failed
 
 
 def test_conventions_pinned():
