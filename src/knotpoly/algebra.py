@@ -44,19 +44,29 @@ Otherwise the opposite sign gives that one term, and the Dubrovnik
 relation g_i - g_i^-1 = z (1 - e_i) (Birman-Wenzl) leaves R_b e_i to
 expand.  On the witness 1,709 of the 3,035 constants are one term.
 
-R_b e_i comes from the descending recursion of the skein engine, run on
-open tangles: the crossings first met on their under strand are switched,
-and each smoothing of D's relation, from the skein step `skein.smoothings`,
-recurses with one crossing fewer.  Tangles are planar-reduced with
-`diagram.reduce_diagram` before they are memoized: the reduction rules are
-local, so they hold on open tangles too.
+R_b e_i joins A and B by a cap at E_i and E_(i+1), under a new arc from a
+cup there.  Where that tangle is descending it is one term, a^w delta_D^k
+R_b'', read off the matching too (`_join`): C, the arc that A and B join
+into, keeps their crossings, so the tangle descends when each crossing of
+C is still first met on its over strand, and A x B, if the arcs
+interleaved, is C's self-crossing of writhe w.  On the witness 1,013 of
+the 1,326 R_b e_i are one term.  The others come from the descending
+recursion of the skein engine, run on open tangles: the crossings first
+met on their under strand are switched, and each smoothing of D's
+relation, from the skein step `skein.smoothings`, recurses with one
+crossing fewer.  Tangles are planar-reduced with `diagram.reduce_diagram`
+before they are memoized: the reduction rules are local, so they hold on
+open tangles too.
 
 Both engines trace by closing the last strand, tr_n = tr_(n-1) E_n
-(Birman-Wenzl): E_n of R_b, on n strands, is the same recursion run on
-R_b with its last strand closed, an (n-1)-strand tangle, whose expansion
-on the basis of BMW_(n-1) is traced in turn (`_bmw_trace`), as
-`_hecke_trace` does for T_w.  The traces are memoized per matching, so
-each basis element of fewer strands is traced once.
+(Birman-Wenzl): E_n of R_b, on n strands, is R_b with its last strand
+closed, an (n-1)-strand tangle, whose expansion on the basis of
+BMW_(n-1) is traced in turn (`_bmw_trace`), as `_hecke_trace` does for
+T_w.  Closing joins the arcs through S_(n-1) and E_(n-1), so `_join` reads
+the expansion off the matching where the closed tangle descends (480 of
+the 664 traces on the witness), and the recursion gives the others.  The
+traces are memoized per matching, so each basis element of fewer strands
+is traced once.
 
 So the BMW path shares `diagram.scan` (with `ends` = n), the descending
 traversal `skein.descend`, the skein step `skein.smoothings` and
@@ -64,14 +74,16 @@ traversal `skein.descend`, the skein step `skein.smoothings` and
 `kauffman_D` does not check that code.  Its checks that share none of it
 are the Kauffman-bracket oracle of the tests, D at the SO(4) point a = q^3,
 z = q - q^-1 (there q^-w times the square of the Jones polynomial, which
-the bracket oracle gives), and the T(2,n) closed forms.  The tests also
-compare each constant with the recursion on R_b followed by the crossing,
-for every (b, letter) up to 5 strands, and each trace with the recursion on
-the closure of R_b, every strand closed at once, for every b up to 5
-strands.  The Hecke path shares none of the skein code; the tests also
-check it against the Burau matrix and against Jones's formula for the torus
-knots T(p,q), and each constant T_w g_i^+-1 against a letter product of
-their own.
+the bracket oracle gives), the T(2,n) closed forms, and, for each tangle
+`_join` reads off the matching up to 4 strands, the operators of U_q(so_3).
+The tests also compare each constant with the recursion on R_b followed by
+the crossing, for every (b, letter) up to 5 strands, each trace with the
+recursion on the closure of R_b, every strand closed at once, for every b
+up to 5 strands, and `_join` with the recursion on every R_b e_i and
+closed R_b up to 5 strands.  The Hecke path shares none of the skein code;
+the tests also check it against the Burau matrix and against Jones's
+formula for the torus knots T(p,q), and each constant T_w g_i^+-1 against
+a letter product of their own.
 
 One vector format serves the products, the expansions and the tangle
 memo: a flat vector {(basis, ez, ea): k}, one integer per basis element
@@ -105,9 +117,9 @@ head (`hecke_head`, `bmw_head`); the engines keep their traces
 tangles (`bmw_basis`).  A head entry holds one product vector, replaced,
 never changed, by the next head.  On the cold witness the Hecke tables
 hold 478 constants, 100 traces and 67 traced steps; the BMW tables hold
-2,182 memo tangles, 922 basis tangles, 3,035 constants, 664 traces (the
-540 of 5 strands and all 124 matchings on 1-4 strands) and 526 traced
-steps.
+1,474 memo tangles, 386 basis tangles (for the R_b e_i and closures that do
+not descend), 3,035 constants, 664 traces (the 540 of 5 strands and all
+124 matchings on 1-4 strands) and 526 traced steps.
 `braid_invariants` passes its `SkeinCache`'s `tables`, so that callers
 sharing a cache share its tables.  Nothing is built at import.
 
@@ -246,6 +258,13 @@ def hecke_R(b: BraidWord, tables: dict) -> LaurentPoly:
 # -- D in the BMW algebra -----------------------------------------------------
 
 
+def _term(b: tuple, w: int, k: int) -> dict:
+    """a^w delta_D^k R_b on the flat vector."""
+    if not k:
+        return {(b, 0, w): 1}
+    return {(b, dz, da): c for dz, da, c in _entries(_factor(True, w, k))}
+
+
 def _eval(n: int, events: tuple, memo: dict) -> dict:
     """The tangle on the R_b basis: {(brauer, ez, ea): k}."""
     events, _, a_pow, circles = reduce_diagram(events)
@@ -341,10 +360,10 @@ def _tangle(n: int, b: tuple, basis: dict) -> tuple:
     return events
 
 
-def _position(n: int, e: int) -> int:
-    """End point e's place around the boundary: S_0 ... S_(n-1) up the
+def _positions(n: int) -> list:
+    """Each end point's place around the boundary: S_0 ... S_(n-1) up the
     left side, then E_(n-1) ... E_0 down the right."""
-    return e if e < n else 3 * n - 1 - e
+    return [*range(n), *range(2 * n - 1, n - 1, -1)]
 
 
 def _one_term(n: int, b: tuple, i: int, s: int):
@@ -366,8 +385,9 @@ def _one_term(n: int, b: tuple, i: int, s: int):
     pa, pb = b[e], b[f]  # the other end points of A and B
     if pa == f:
         return b, -s
-    lo, hi = sorted((_position(n, e), _position(n, pa)))
-    if (lo < _position(n, f) < hi) != (lo < _position(n, pb) < hi):
+    pos = _positions(n)
+    lo, hi = sorted((pos[e], pos[pa]))
+    if (lo < pos[f] < hi) != (lo < pos[pb] < hi):
         first_a = min(e, pa) < min(f, pb)  # they cross in R_b
     else:
         first_a = min(f, pa) < min(e, pb)  # they cross in R_b'
@@ -378,6 +398,49 @@ def _one_term(n: int, b: tuple, i: int, s: int):
     return tuple(swapped), 0
 
 
+def _join(n: int, b: tuple, u: int, v: int):
+    """R_b with its arcs through u and v, end points adjacent around the
+    boundary, joined there: (b'', w, k) when that tangle is the descending
+    a^w delta_D^k R_b'', else None.
+
+    Let A and B be the arcs through u and v, and C the arc they join into,
+    from A's other end to B's.  b'' is b with C's ends and u and v matched.
+    If A = B, no end point lies between u and v, so A crosses nothing and
+    closes into a loop: k = 1.  Otherwise each crossing of R_b stays, where
+    the earlier arc (the one with the first end point) passes over; the
+    tangle descends when each crossing of C is still first met on its over
+    strand, in the new arc order and, for the A x B crossing, along C.  That
+    crossing, if the arcs interleaved, is C's self-crossing, of writhe w.
+    """
+    pa, pb = b[u], b[v]
+    if pa == v:
+        return b, 0, 1
+    pos = _positions(n)
+
+    def interleave(e: int, f: int, g: int, h: int) -> bool:
+        lo, hi = sorted((pos[e], pos[f]))
+        return (lo < pos[g] < hi) != (lo < pos[h] < hi)
+
+    fa, fb, fc = min(pa, u), min(pb, v), min(pa, pb)  # first ends of A, B, C
+    # another arc, from x, crossing A changes sides over it exactly when x
+    # lies between the first ends of A and C; alike for B
+    for f, p, q in ((fa, pa, u), (fb, pb, v)):
+        for x in range(min(f, fc), max(f, fc)):
+            if x < b[x] and x != fa and x != fb and interleave(x, b[x], p, q):
+                return None
+    w = 0
+    if interleave(pa, u, pb, v):
+        if (fa < fb) != (pa < pb):  # C runs first along its under strand
+            return None
+        # the sign of the crossing of the arc x1 -> x2 over the arc from y1:
+        # +1 when y1 lies on the way round from x1 to x2 in position order
+        x1, x2, y1 = (pa, u, v) if fa < fb else (v, pb, pa)
+        w = 1 if (pos[y1] - pos[x1]) % (2 * n) < (pos[x2] - pos[x1]) % (2 * n) else -1
+    joined = list(b)
+    joined[pa], joined[pb], joined[u], joined[v] = pb, pa, v, u
+    return tuple(joined), w, 0
+
+
 def _step(n: int, b: tuple, l: int, basis: dict, memo: dict) -> tuple:
     """The structure constant R_b g_i^+-1 of the letter l, flattened.
 
@@ -386,16 +449,19 @@ def _step(n: int, b: tuple, l: int, basis: dict, memo: dict) -> tuple:
 
         R_b g_i^s = R_b' + s z R_b - s z R_b e_i,
 
-    so only R_b e_i, the tangle R_b with a cap and a cup at E_i, runs the
-    descending recursion.  For each (b, i) at most one sign needs it, so
-    the step table is its memo.
+    so only R_b e_i, the tangle R_b with a cap and a cup at E_i, is left.
+    It is read off the matching when it descends (`_join`), and runs the
+    descending recursion when not.  For each (b, i) at most one sign needs
+    it, so the step table is its memo.
     """
     i, s = abs(l) - 1, 1 if l > 0 else -1
     one = _one_term(n, b, i, s)
     if one is not None:
         return ((one[0], 0, one[1], 1),)
     acc = {(_one_term(n, b, i, -s)[0], 0, 0): 1, (b, 1, 0): s}
-    capped = _eval(n, _tangle(n, b, basis) + (("cap", i), ("cup", i)), memo)
+    joined = _join(n, b, n + i, n + i + 1)
+    capped = (_term(*joined) if joined else
+              _eval(n, _tangle(n, b, basis) + (("cap", i), ("cup", i)), memo))
     for (b2, dz, da), k in capped.items():
         key = (b2, dz + 1, da)
         acc[key] = acc.get(key, 0) - s * k
@@ -406,15 +472,22 @@ def _bmw_trace(b: tuple, basis: dict, memo: dict, traces: dict) -> tuple:
     """tr(R_b) as (dz, da, k) entries, memoized per matching in `traces`.
 
     Closing the last strand of R_b, on m strands, gives its expansion on
-    the (m-1)-strand basis, whose trace is tr(R_b) (tr_m = tr_(m-1) E_m).
+    the (m-1)-strand basis, whose trace is tr(R_b) (tr_m = tr_(m-1) E_m):
+    one term read off the matching when the closed tangle descends
+    (`_join`), else the descending recursion.
     """
     val = traces.get(b)
     if val is None:
         m = len(b) // 2
         if m == 0:
             return ((0, 0, 1),)
-        closed = _eval(m - 1, (("cup", m - 1),) + _tangle(m, b, basis)
-                       + (("cap", m - 1),), memo)
+        joined = _join(m, b, m - 1, 2 * m - 1)
+        if joined:  # S_(m-1) and E_(m-1) leave the matching
+            b2, w, k = joined
+            closed = _term(tuple(e - (e >= m) for e in b2[:m - 1] + b2[m:-1]), w, k)
+        else:
+            closed = _eval(m - 1, (("cup", m - 1),) + _tangle(m, b, basis)
+                           + (("cap", m - 1),), memo)
         val = traces[b] = _entries(_traced(
             closed, lambda b2: _bmw_trace(b2, basis, memo, traces)))
     return val

@@ -64,6 +64,18 @@ def paper_trefoil(cache):
     return matches[0]
 
 
+def matchings(points):
+    """Every perfect matching of `points`, as {point: partner}."""
+    if not points:
+        yield {}
+        return
+    first = points[0]
+    for j in range(1, len(points)):
+        rest = points[1:j] + points[j + 1:]
+        for m in matchings(rest):
+            yield {**m, first: points[j], points[j]: first}
+
+
 def random_braid(rng: random.Random, max_strands=4, max_letters=8,
                  knot_only=False):
     while True:

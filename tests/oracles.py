@@ -25,9 +25,21 @@ from the bracket: R(z = A^-2 - A^2, a = A^4) = (-1)^w A^w <K> by the
 conventions above, every z exponent of R has the parity of r for r
 components (R(unknot) = (a - a^-1) / z), and q = A^2 turns z = q - q^-1 into -(A^-2 - A^2).
 
-Polynomials in A (or q) are dicts {exponent: coefficient}; a knotpoly
-polynomial enters as its terms {(z exponent, a exponent): coefficient}.
+The so(N) point of D (Turaev, same paper) comes from the braid operator of
+the vector representation of U_q(so_N) (`so_events`): D(z = q - q^-1,
+a = q^(N-1)) is the value of the event list with Ř, Ř^-1, cups and caps
+read as operators on tensor powers of V = C^N.  On an open tangle the same
+reading gives an operator, so an identity of tangles in the BMW algebra is
+an identity of operators.
+
+Polynomials in A (or q) are dicts {exponent: coefficient}; those of the
+so(N) oracle are in s = q^(1/2), since rho is half-integral for odd N.  A
+knotpoly polynomial enters as its terms {(z exponent, a exponent):
+coefficient}.
 """
+
+from functools import lru_cache
+from itertools import product
 
 
 def closure(strands: int, letters) -> list:
@@ -244,3 +256,119 @@ def centred(p: dict) -> dict:
     shift = (min(p) + max(p)) // 2
     sign = 1 if sum(p.values()) > 0 else -1
     return {e - shift: sign * c for e, c in p.items()}
+
+
+# -- D at the so(N) point, from the R-matrix of U_q(so_N) ----------------------
+
+
+@lru_cache(maxsize=None)
+def so_tables(N: int) -> tuple:
+    """(Ř, Ř^-1, cup weights, cap weights) of the vector representation of
+    U_q(so_N), polynomials in s = q^(1/2); Ř and Ř^-1 as {(a, b): {(c, d):
+    coefficient}} on e_a (x) e_b.
+
+    The basis is 0..N-1 with a' = N - 1 - a; q^rho_a = s^(N - 2 - 2a) on the
+    first half, q^rho_a' = q^-rho_a, and rho = 0 on the middle index of odd
+    N.  Ř = P R with P the flip and R in the form of Faddeev, Reshetikhin
+    and Takhtajan (Leningrad Math. J. 1, 1990):
+
+        R = q sum_(a != a') E_aa (x) E_aa + sum_(b != a, a') E_aa (x) E_bb
+            + q^-1 sum_(a != a') E_a'a' (x) E_aa + E_mm (x) E_mm (odd N)
+            + (q - q^-1) sum_(a > b) E_ab (x) E_ba
+            - (q - q^-1) sum_(a > b) q^(rho_a - rho_b) E_ab (x) E_a'b'.
+
+    Ř^-1 comes from the cubic (Ř - q)(Ř + q^-1)(Ř - lambda) = 0, lambda =
+    q^(1 - N), with no matrix inverted.  A cup inserts sum_a u_a e_a (x)
+    e_a', u_a = q^-rho_a, and a cap takes e_a (x) e_a' to 1 / u_a'.
+    """
+    # 2 rho_a, the exponent of s in q^rho_a
+    rho = [N - 2 - 2 * a if 2 * a < N - 1 else 0 if 2 * a == N - 1
+           else N - 2 * a for a in range(N)]
+    q, qinv, z = {2: 1}, {-2: 1}, {2: 1, -2: -1}
+    R = {}
+    for a in range(N):
+        for b in range(N):
+            out: dict = {}
+
+            def put(c, d, coef):  # R's term e_c (x) e_d, flipped by P
+                out[d, c] = add(out.get((d, c), {}), coef)
+            if a == b:
+                put(a, b, q if a != N - 1 - a else {0: 1})
+            elif b != N - 1 - a:
+                put(a, b, {0: 1})
+            else:
+                put(a, b, qinv)
+            if b > a:
+                put(b, a, z)
+            if b == N - 1 - a:
+                for c in range(a + 1, N):
+                    put(c, N - 1 - c, mul({rho[c] - rho[a]: -1}, z))
+            R[a, b] = {k: v for k, v in out.items() if v}
+    lam = {2 - 2 * N: 1}
+    # Ř^-1 = lambda^-1 (-Ř^2 + (q - q^-1 + lambda) Ř + 1 - lambda (q - q^-1))
+    c1, c0 = add(z, lam), add({0: 1}, mul(lam, z), -1)
+    R_inv = {}
+    for pair in R:
+        x = {pair: {0: 1}}
+        once = _apply_pairs(R, x)
+        total = add_vectors(add_vectors(scaled(_apply_pairs(R, once), {0: -1}),
+                                        scaled(once, c1)), scaled(x, c0))
+        R_inv[pair] = scaled(total, {2 * N - 2: 1})
+    cup = [{-rho[a]: 1} for a in range(N)]
+    cap = [{rho[N - 1 - a]: 1} for a in range(N)]  # 1 / u_a', on e_a (x) e_a'
+    return R, R_inv, cup, cap
+
+
+def add_vectors(x: dict, y: dict) -> dict:
+    """x + y for vectors {basis tuple: polynomial}."""
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = add(out.get(k, {}), v)
+    return {k: v for k, v in out.items() if v}
+
+
+def scaled(x: dict, p: dict) -> dict:
+    """p x for a vector {basis tuple: polynomial}."""
+    return {k: mul(v, p) for k, v in x.items() if v}
+
+
+def _apply_pairs(table: dict, x: dict, i: int = 0) -> dict:
+    """The two-factor operator `table` applied at factors i and i + 1."""
+    out: dict = {}
+    for t, p in x.items():
+        for (c, d), coef in table[t[i], t[i + 1]].items():
+            key = t[:i] + (c, d) + t[i + 2:]
+            out[key] = add(out.get(key, {}), mul(p, coef))
+    return {k: v for k, v in out.items() if v}
+
+
+def so_events(N: int, events, x: dict) -> dict:
+    """The event list applied to the vector x {basis tuple: polynomial} of
+    a tensor power of V, in list order: ("x", i, +-1) is Ř^+-1 at factors
+    i and i + 1, a cup or a cap at i inserts or pairs factors i and i + 1."""
+    R, R_inv, cup, cap = so_tables(N)
+    for ev in events:
+        kind, i = ev[0], ev[1]
+        if kind == "x":
+            x = _apply_pairs(R if ev[2] == 1 else R_inv, x, i)
+        elif kind == "cup":
+            x = {t[:i] + (a, N - 1 - a) + t[i:]: mul(p, cup[a])
+                 for t, p in x.items() for a in range(N)}
+        else:
+            out: dict = {}
+            for t, p in x.items():
+                if t[i + 1] == N - 1 - t[i]:
+                    key = t[:i] + t[i + 2:]
+                    out[key] = add(out.get(key, {}), mul(p, cap[t[i]]))
+            x = {k: v for k, v in out.items() if v}
+    return x
+
+
+def so_operator(N: int, strands: int, events) -> dict:
+    """The operator of an event list from `strands` strands, as
+    {(input tuple, output tuple): polynomial}."""
+    out = {}
+    for t in product(range(N), repeat=strands):
+        for t2, p in so_events(N, events, {t: {0: 1}}).items():
+            out[t, t2] = p
+    return out

@@ -15,7 +15,7 @@ import pytest
 from knotpoly import algebra, harness, skein
 from knotpoly.algebra import (bmw_D, hecke_R, braid_invariants, _basis_tangle,
                               _bmw_trace, _eval, _hecke_step, _hecke_trace,
-                              _step, _traced)
+                              _join, _step, _traced)
 from knotpoly.cli import main
 from knotpoly.diagram import (DIAGRAM_KINDS, MAX_LETTERS, MAX_STRANDS, BraidWord,
                               DiagramError, ParseError, braid_closure, parse_braid,
@@ -25,29 +25,17 @@ from knotpoly.laurent import LaurentPoly
 from knotpoly.skein import (DELTA, DELTA_D, SkeinCache, descend, full_invariants,
                             homfly_R, kauffman_D)
 
-from conftest import (A, ZVAR, WITNESS_BRAID, random_braid, reference_descend,
-                      reference_walk)
+from conftest import (A, ZVAR, WITNESS_BRAID, matchings, random_braid,
+                      reference_descend, reference_walk)
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _matchings(points):
-    """Every perfect matching of `points`, as {point: partner}."""
-    if not points:
-        yield {}
-        return
-    first = points[0]
-    for j in range(1, len(points)):
-        rest = points[1:j] + points[j + 1:]
-        for m in _matchings(rest):
-            yield {**m, first: points[j], points[j]: first}
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_basis_tangles_expand_to_themselves(n):
     """Each R_b is descending with no self-crossing: its expansion is R_b."""
     count = 0
-    for m in _matchings(list(range(2 * n))):
+    for m in matchings(list(range(2 * n))):
         b = tuple(m[e] for e in range(2 * n))
         assert _eval(n, _basis_tangle(n, b), {}) == {(b, 0, 0): 1}, b
         count += 1
@@ -59,7 +47,7 @@ def test_basis_tangle_signs_match_the_descending_switch(n):
     """The signs `_basis_tangle` reads off the matching are the ones of the
     construction that emits every crossing +1 and then switches each one
     that `descend` finds first met on its under strand."""
-    for m in _matchings(list(range(2 * n))):
+    for m in matchings(list(range(2 * n))):
         tangle = _basis_tangle(n, tuple(m[e] for e in range(2 * n)))
         switched = tuple(("x", ev[1], 1) if ev[0] == "x" else ev for ev in tangle)
         for ev_idx, *_ in descend(switched, ends=n)[1]:
@@ -82,7 +70,7 @@ def test_structure_constants_match_the_recursion():
     for n in range(1, 6):
         basis, memo, ref_memo = {}, {}, {}
         one_term = 0
-        for m in _matchings(list(range(2 * n))):
+        for m in matchings(list(range(2 * n))):
             b = tuple(m[e] for e in range(2 * n))
             for l in [*range(1, n), *range(-1, -n, -1)]:
                 step = _step(n, b, l, basis, memo)
@@ -91,8 +79,49 @@ def test_structure_constants_match_the_recursion():
         counts.append((len(basis), one_term))
     # (basis tangles built, one-term constants): 945 basis elements at 5
     # strands, 8 letters each.  A curl is one term under either sign, any
-    # other (b, i) under exactly one; the one-term ones build no tangle.
-    assert counts == [(0, 0), (2, 4), (15, 36), (105, 360), (945, 4200)]
+    # other (b, i) under exactly one.  Only a b with some R_b e_i that does
+    # not descend builds its tangle: 558 of the 945 at 5 strands.
+    assert counts == [(0, 0), (0, 4), (2, 36), (44, 360), (558, 4200)]
+
+
+def _descending_term(b: tuple, w: int, k: int) -> dict:
+    """a^w delta_D^k R_b on the flat vector, from the tests' own delta_D."""
+    return {(b, ez, ea): c for (ez, ea), c in (DELTA_D ** k).shift(0, w).terms.items()}
+
+
+def test_join_reads_every_descending_tangle():
+    """Every R_b e_i and every R_b with its last strand closed, of BMW_n,
+    n <= 5: `_join` answers exactly when `descend` finds no violation on the
+    literal tangle, and its term is the recursion's expansion."""
+    counts = []
+    for n in range(1, 6):
+        memo = {}
+        tally = [0, 0, 0, 0]  # R_b e_i: tangles, descending; closures: alike
+        for m in matchings(list(range(2 * n))):
+            b = tuple(m[e] for e in range(2 * n))
+            tangle = _basis_tangle(n, b)
+            cases = [(0, n, tangle + (("cap", i), ("cup", i)), n + i, n + i + 1)
+                     for i in range(n - 1)]
+            cases.append((2, n - 1, (("cup", n - 1),) + tangle + (("cap", n - 1),),
+                          n - 1, 2 * n - 1))
+            for slot, ends, events, u, v in cases:
+                joined = _join(n, b, u, v)
+                assert (joined is not None) == (not descend(events, ends=ends)[1]), \
+                    (b, events)
+                tally[slot] += 1
+                if joined is None:
+                    continue
+                tally[slot + 1] += 1
+                b2, w, k = joined
+                if slot:  # S_(n-1) and E_(n-1) leave the matching
+                    b2 = tuple(e - (e >= n) for e in b2[:n - 1] + b2[n:-1])
+                assert _descending_term(b2, w, k) == _eval(ends, events, memo), \
+                    (b, events)
+        counts.append(tuple(tally))
+    # with A = B, (n - 1) (2n - 3)!! of the R_b e_i, a loop; of the other
+    # 3,656 at n <= 5, 2,756 descend, and 735 of the 1,069 closures
+    assert counts == [(0, 0, 1, 1), (3, 3, 3, 3), (30, 28, 15, 12),
+                      (315, 265, 105, 79), (3780, 2932, 945, 640)]
 
 
 def _closure_trace(n: int, b: tuple, memo: dict) -> tuple:
@@ -111,7 +140,7 @@ def test_traces_match_the_closure():
     basis, memo, traces, ref_memo = {}, {}, {}, {}
     count = 0
     for n in range(6):
-        for m in _matchings(list(range(2 * n))):
+        for m in matchings(list(range(2 * n))):
             b = tuple(m[e] for e in range(2 * n))
             assert (tuple(sorted(_bmw_trace(b, basis, memo, traces)))
                     == _closure_trace(n, b, ref_memo)), b
@@ -201,7 +230,7 @@ def _check_tangle_scan(events: tuple, n: int) -> None:
 
 @pytest.mark.parametrize("n", range(5))
 def test_tangle_scan_matches_reference_on_basis_tangles(n):
-    for m in _matchings(list(range(2 * n))):
+    for m in matchings(list(range(2 * n))):
         tangle = _basis_tangle(n, tuple(m[e] for e in range(2 * n)))
         _check_tangle_scan(tangle, n)
         if n > 1:  # and the tangles of the structure constants
@@ -237,21 +266,22 @@ def test_witness_agrees_with_skein(cache):
 def test_witness_table_sizes():
     """The cold witness build.  R: a Hecke constant per (permutation,
     letter) the product reads, 100 traces and 67 traced steps.  D: a
-    structure constant per (basis element, letter) the product reads, and
-    a tangle memo under the 5,091 tangles of the recursion run on every
-    constant (2,663 with the descending rule and the Dubrovnik relation,
-    fewer once each trace closes one strand at a time).  The last letter is traced per basis element: 526 traced
-    steps, whose constants reach 540 traces on 5 strands; closing the last
-    strand reaches all 124 matchings on 1-4 strands, whose basis tangles
-    join the 798 of the steps."""
+    structure constant per (basis element, letter) the product reads; 1,326
+    of them need R_b e_i.  The last letter is traced per basis element: 526
+    traced steps, whose constants reach 540 traces on 5 strands, and closing
+    the last strand reaches all 124 matchings on 1-4 strands.  Of the 1,326
+    R_b e_i and the 664 closures, 1,013 and 480 descend and are read off
+    the matching; only the other 313 and 184 run the recursion, whose memo
+    holds 1,474 tangles (2,182 when every one ran it).  They build 386
+    basis tangles, 246 for the steps and 184 for the traces, 44 shared."""
     tables = {}
     hecke_R(parse_braid(WITNESS_BRAID), tables)
     assert (len(tables["hecke_step"]), len(tables["hecke_trace"]),
             len(tables["hecke_step_trace"])) == (478, 100, 67)
     bmw_D(parse_braid(WITNESS_BRAID), tables)
     assert len(tables["bmw_step"]) == 3035
-    assert len(tables["bmw_memo"]) < 2663
-    assert len(tables["bmw_basis"]) == 922
+    assert len(tables["bmw_memo"]) == 1474
+    assert len(tables["bmw_basis"]) == 386
     traces = tables["bmw_trace"]
     assert (sum(len(b) == 10 for b in traces), sum(len(b) < 10 for b in traces),
             len(tables["bmw_step_trace"])) == (540, 124, 526)

@@ -8,7 +8,9 @@ morsifications of fronts and on spliced diagram states.  It checks D
 again at the SO(4) point, where D is q^-w times the square of the Jones
 polynomial: on the same diagrams, and on links under every orientation
 of their components.  The Alexander polynomial of the reduced Burau
-matrix checks R on braid closures through the Conway polynomial."""
+matrix checks R on braid closures through the Conway polynomial.  The
+operators of U_q(so_N) check the tangles that `algebra._join` reads off
+the Brauer matching, as identities of operators."""
 
 import random
 from functools import lru_cache
@@ -16,16 +18,18 @@ from functools import lru_cache
 import pytest
 
 from knotpoly import skein
-from knotpoly.algebra import bmw_D, hecke_R
+from knotpoly.algebra import bmw_D, hecke_R, _basis_tangle, _join
 from knotpoly.diagram import (BraidWord, MorseDiagram, braid_closure, parse_braid,
                               _smooth_h_events, _smooth_v_events)
 from knotpoly.harness import SearchConfig, enumerate_braids
 from knotpoly.jaeger import DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, nonzero_states
-from knotpoly.skein import SkeinCache, homfly_R, kauffman_D
+from knotpoly.skein import DELTA_D, SkeinCache, homfly_R, kauffman_D
 
-from conftest import WITNESS_BRAID, random_braid, random_front, reference_walk
-from oracles import (add, alexander, bracket, centred, closure, components,
-                     conway, jones, mul, power, so4, specialize)
+from conftest import (WITNESS_BRAID, matchings, random_braid, random_front,
+                      reference_walk)
+from oracles import (add, add_vectors, alexander, bracket, centred, closure,
+                     components, conway, jones, mul, power, scaled, so4,
+                     so_events, so_operator, specialize)
 
 Z_D = {1: 1, -1: -1}   # z = A - A^-1, with a = -A^3
 Z_R = {-2: 1, 2: -1}   # z = A^-2 - A^2, with a = A^4
@@ -282,3 +286,72 @@ def test_five_strand_search_rows_against_the_oracles():
         assert _r_holds(K, _closure_writhe(events), R), b.text()
         assert _matches_burau(b, R), b.text()
     assert len(knots) == 3568
+
+
+# -- the so(N) operators ------------------------------------------------------
+
+
+def _so_unit(N: int) -> dict:
+    """The so(N) loop, a cup then a cap, as a polynomial in s."""
+    return so_events(N, [("cup", 0), ("cap", 0)], {(): {0: 1}})[()]
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_so_operators(N):
+    """The braid relation, Ř Ř^-1 = 1 both ways and the cubic; and the
+    conventions that make the oracle's value D at z = q - q^-1, a =
+    q^(N-1): a curl is a, the loop is delta_D, and Ř - Ř^-1 = z (1 - e)."""
+    def op(strands, events):
+        return so_operator(N, strands, events)
+    assert (op(3, [("x", 0, 1), ("x", 1, 1), ("x", 0, 1)])
+            == op(3, [("x", 1, 1), ("x", 0, 1), ("x", 1, 1)]))
+    pairs = [(a, b) for a in range(N) for b in range(N)]
+    one = {(t, t): {0: 1} for t in pairs}
+    assert op(2, [("x", 0, 1), ("x", 0, -1)]) == one
+    assert op(2, [("x", 0, -1), ("x", 0, 1)]) == one
+    for t in pairs:  # (Ř - q)(Ř + q^-1)(Ř - q^(1 - N)) e_t = 0
+        x = {t: {0: 1}}
+        for c in ({2 - 2 * N: -1}, {-2: 1}, {2: -1}):
+            x = add_vectors(so_events(N, [("x", 0, 1)], x), scaled(x, c))
+        assert x == {}, t
+    z, a = {2: 1, -2: -1}, {2 * N - 2: 1}
+    for events in ([("cup", 1), ("x", 0, 1), ("cap", 1)],
+                   [("cup", 0), ("x", 1, 1), ("cap", 0)]):
+        assert op(1, events) == {((c,), (c,)): a for c in range(N)}
+    assert mul(_so_unit(N), z) == specialize(DELTA_D.terms, z, (1, 2 * N - 2), 1)
+    e = op(2, [("cap", 0), ("cup", 0)])
+    assert (add_vectors(op(2, [("x", 0, 1)]), scaled(op(2, [("x", 0, -1)]), {0: -1}))
+            == scaled(add_vectors(one, scaled(e, {0: -1})), z))
+
+
+def test_join_terms_are_so3_operator_identities():
+    """Each R_b e_i and each R_b with its last strand closed that `_join`
+    reads off the matching, up to 4 strands, as an operator identity at
+    so(3): the tangle's operator is a^w delta_D^k times that of R_b''."""
+    N = 3
+    unit = _so_unit(N)
+    basis_ops: dict = {}
+    checked, curled = 0, 0
+    for n in range(1, 5):
+        for m in matchings(list(range(2 * n))):
+            b = tuple(m[e] for e in range(2 * n))
+            tangle = _basis_tangle(n, b)
+            cases = [(n, tangle + (("cap", i), ("cup", i)), n + i, n + i + 1)
+                     for i in range(n - 1)]
+            cases.append((n - 1, (("cup", n - 1),) + tangle + (("cap", n - 1),),
+                          n - 1, 2 * n - 1))
+            for ends, events, u, v in cases:
+                joined = _join(n, b, u, v)
+                if joined is None:
+                    continue
+                b2, w, k = joined
+                if ends < n:  # S_(n-1) and E_(n-1) leave the matching
+                    b2 = tuple(e - (e >= n) for e in b2[:n - 1] + b2[n:-1])
+                if b2 not in basis_ops:
+                    basis_ops[b2] = so_operator(N, ends, _basis_tangle(ends, b2))
+                scale = mul({(2 * N - 2) * w: 1}, power(unit, k))
+                assert so_operator(N, ends, events) == scaled(basis_ops[b2], scale), \
+                    (b, u, joined)
+                checked += 1
+                curled += w != 0
+    assert (checked, curled) == (391, 156)  # 156 with a self-crossing
