@@ -36,7 +36,7 @@ self-crossings and k its loops.  R_b is the descending tangle of b whose
 arcs do not cross themselves.
 
 The structure constants R_b g_i^+-1 are read off the matching b
-(`_one_term`).  A and B, the arcs through E_i and E_(i+1), cross in just
+(`_step`).  A and B, the arcs through E_i and E_(i+1), cross in just
 one of R_b and R_b', b' being b with E_i and E_(i+1) swapped.  When the
 letter's crossing passes the earlier of the two over, as that crossing
 does, the constant is R_b'; when A = B it closes a curl, a^-+1 R_b.
@@ -59,14 +59,16 @@ before they are memoized: the reduction rules are local, so they hold on
 open tangles too.
 
 Both engines trace by closing the last strand, tr_n = tr_(n-1) E_n
-(Birman-Wenzl): E_n of R_b, on n strands, is R_b with its last strand
-closed, an (n-1)-strand tangle, whose expansion on the basis of
-BMW_(n-1) is traced in turn (`_bmw_trace`), as `_hecke_trace` does for
-T_w.  Closing joins the arcs through S_(n-1) and E_(n-1), so `_join` reads
-the expansion off the matching where the closed tangle descends (480 of
-the 664 traces on the witness), and the recursion gives the others.  The
-traces are memoized per matching, so each basis element of fewer strands
-is traced once.
+(Birman-Wenzl), in one memoized recursion (`_trace`): each engine only
+closes the last strand of a basis element, giving its expansion on the
+basis of one strand fewer, which is traced in turn.  For T_w that is the
+Ocneanu step above (`_hecke_close`).  E_n of R_b, on n strands, is R_b
+with its last strand closed, an (n-1)-strand tangle (`_bmw_close`).
+Closing joins the arcs through S_(n-1) and E_(n-1), so `_join` reads the
+expansion off the matching where the closed tangle descends (480 of the
+664 traces on the witness), and the recursion gives the others.  The
+traces are memoized per basis element, so each basis element of fewer
+strands is traced once.
 
 So the BMW path shares `diagram.scan` (with `ends` = n), the descending
 traversal `skein.descend`, the skein step `skein.smoothings` and
@@ -82,8 +84,9 @@ recursion on the closure of R_b, every strand closed at once, for every b
 up to 5 strands, and `_join` with the recursion on every R_b e_i and
 closed R_b up to 5 strands.  The Hecke path shares none of the skein code;
 the tests also check it against the Burau matrix and against Jones's
-formula for the torus knots T(p,q), and each constant T_w g_i^+-1 against
-a letter product of their own.
+formula for the torus knots T(p,q), each constant T_w g_i^+-1 against a
+letter product of their own, and each trace tr(T_w) up to 5 strands
+against `skein.homfly_R` of the closure of a reduced word of w.
 
 One vector format serves the products, the expansions and the tangle
 memo: a flat vector {(basis, ez, ea): k}, one integer per basis element
@@ -96,25 +99,26 @@ are integer multiply-adds on shifted keys, whatever the number of terms:
 no Laurent product is formed per letter.
 
 Both engines run one product-and-trace loop, `_closure_poly`, and differ
-only in the identity, the constants and the trace they hand it.  The last
-letter is not multiplied out.  The product of the head (all letters but
-the last) is contracted with the traced steps tr(T_w g_i^+-1) and
-tr(R_b g_i^+-1), one table entry per (basis element, letter), each the sum
-of its structure constant's terms times their traces.  A traced step reads the
-trace of every basis element its constant reaches, also of those whose
-coefficient then cancels in the product: on the witness, 526 traced steps
-reach 540 traces of 5 strands, where tracing the product reached 466.
-`_closure_poly` keeps the last head it multiplied out, with its product,
-and reuses that product when the next word has the same strands and head:
-`search` visits its words in lexicographic order, so words that differ
-only in the last letter come one after the other.
+only in the identity, the constants and the closure they hand it; the
+loop owns the traces.  The last letter is not multiplied out.  The
+product of the head (all letters but the last) is contracted with the
+traced steps tr(T_w g_i^+-1) and tr(R_b g_i^+-1), one table entry per
+(basis element, letter), each the sum of its structure constant's terms
+times their traces.  A traced step reads the trace of every basis element
+its constant reaches, also of those whose coefficient then cancels in the
+product: on the witness, 526 traced steps reach 540 traces of 5 strands,
+where tracing the product reached 466.  `_closure_poly` keeps the last
+head it multiplied out, with its product, and reuses that product when
+the next word has the same strands and head: `search` visits its words in
+lexicographic order, so words that differ only in the last letter come
+one after the other.
 
 Tables are built on demand in a dict the caller passes, in memory only.
 `_closure_poly` keeps each engine's structure constants (`hecke_step`,
-`bmw_step`), traced steps (`hecke_step_trace`, `bmw_step_trace`) and last
-head (`hecke_head`, `bmw_head`); the engines keep their traces
-(`hecke_trace`, `bmw_trace`), and D its tangle memo (`bmw_memo`) and basis
-tangles (`bmw_basis`).  A head entry holds one product vector, replaced,
+`bmw_step`), traces (`hecke_trace`, `bmw_trace`), traced steps
+(`hecke_step_trace`, `bmw_step_trace`) and last head (`hecke_head`,
+`bmw_head`); D keeps its tangle memo (`bmw_memo`) and basis tangles
+(`bmw_basis`).  A head entry holds one product vector, replaced,
 never changed, by the next head.  On the cold witness the Hecke tables
 hold 478 constants, 100 traces and 67 traced steps; the BMW tables hold
 1,474 memo tangles, 386 basis tangles (for the R_b e_i and closures that do
@@ -132,8 +136,9 @@ from __future__ import annotations
 
 from .laurent import LaurentPoly
 from .diagram import BraidWord, closure_events, reduce_diagram
-from .skein import (DELTA, Oriented, SkeinCache, SkeinResult, _factor, descend,
-                    memo_value, smoothings)
+from . import skein
+from .skein import (Oriented, SkeinCache, SkeinResult, descend, memo_value,
+                    smoothings)
 
 
 def _entries(p: LaurentPoly) -> tuple:
@@ -165,6 +170,31 @@ def _traced(x: dict, trace) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
+def _factor(x: dict, kauffman: bool, w: int, k: int) -> dict:
+    """x times a^w delta^k (delta_D^k for D), a factor that keeps each basis
+    element, on the flat vector; x itself when the factor is 1."""
+    if not k:
+        return {(b, ez, ea + w): c for (b, ez, ea), c in x.items()} if w else x
+    f = _entries(skein._factor(kauffman, w, k))
+    return _mul(x, lambda b, _: [(b, dz, da, c) for dz, da, c in f], 0)
+
+
+def _trace(x: tuple, close, traces: dict) -> tuple:
+    """tr(x) as (dz, da, k) entries, memoized per basis element in `traces`.
+
+    `close(x)` is x with its last strand closed, a flat vector on the basis
+    of one strand fewer, whose trace is tr(x) (tr_n = tr_(n-1) E_n); the
+    basis element of no strands is 1.
+    """
+    val = traces.get(x)
+    if val is None:
+        if not x:
+            return ((0, 0, 1),)
+        val = traces[x] = _entries(_traced(close(x),
+                                           lambda y: _trace(y, close, traces)))
+    return val
+
+
 def _head_product(b: BraidWord, tables: dict, name: str, x: dict, step) -> dict:
     """The product of the identity `x` and every letter of `b` but the last.
 
@@ -185,13 +215,17 @@ def _head_product(b: BraidWord, tables: dict, name: str, x: dict, step) -> dict:
 
 
 def _closure_poly(b: BraidWord, tables: dict, engine: str, identity: tuple,
-                  constant, trace) -> LaurentPoly:
+                  constant, close) -> LaurentPoly:
     """The trace of the product of the letters of `b`, from the structure
-    constants `constant(basis, letter)` and the traces `trace(basis)`.
-    `tables` keeps the constants, the traced steps and the last head's
-    product under `engine` + "_step", "_step_trace" and "_head"."""
-    steps, step_traces = (tables.setdefault(engine + name, {})
-                          for name in ("_step", "_step_trace"))
+    constants `constant(basis, letter)` and the closures `close(basis)`
+    (`_trace`).  `tables` keeps the constants, the traces, the traced steps
+    and the last head's product under `engine` + "_step", "_trace",
+    "_step_trace" and "_head"."""
+    steps, traces, step_traces = (tables.setdefault(engine + name, {}) for name
+                                  in ("_step", "_trace", "_step_trace"))
+
+    def trace(basis: tuple) -> tuple:
+        return _trace(basis, close, traces)
 
     def step(basis: tuple, l: int) -> tuple:
         st = steps.get((basis, l))
@@ -230,29 +264,22 @@ def _hecke_step(w: tuple, l: int) -> tuple:
     return (swapped, (w, 1, 0, 1 if l > 0 else -1))
 
 
-def _hecke_trace(w: tuple, traces: dict) -> tuple:
-    """tr(T_w) as (dz, da, k) entries, memoized per permutation in `traces`."""
-    val = traces.get(w)
-    if val is None:
-        n = len(w)
-        if n == 0:
-            return ((0, 0, 1),)
-        p = w.index(n - 1)
-        y = {(w[:p] + w[p + 1:], 0, 0): 1}
-        for i in range(n - 2, p, -1):
-            y = _mul(y, _hecke_step, i)
-        sub = _traced(y, lambda v: _hecke_trace(v, traces))
-        sub = sub * DELTA if p == n - 1 else sub.shift(0, 1)
-        val = traces[w] = _entries(sub)
-    return val
+def _hecke_close(w: tuple) -> dict:
+    """T_w with its last strand closed, on the basis of one strand fewer:
+    delta T_u when w fixes the last strand, else a T_u g_(n-3) ... g_p."""
+    n = len(w)
+    p = w.index(n - 1)
+    y = {(w[:p] + w[p + 1:], 0, 0): 1}
+    for i in range(n - 2, p, -1):
+        y = _mul(y, _hecke_step, i)
+    return _factor(y, False, 0, 1) if p == n - 1 else _factor(y, False, 1, 0)
 
 
 def hecke_R(b: BraidWord, tables: dict) -> LaurentPoly:
     """R of the closure of `b`, from the product of its letters in H_n, on
     the tables kept for later calls in `tables` (a `SkeinCache`'s)."""
-    traces = tables.setdefault("hecke_trace", {})
     return _closure_poly(b, tables, "hecke", tuple(range(b.strands)), _hecke_step,
-                         lambda w: _hecke_trace(w, traces))
+                         _hecke_close)
 
 
 # -- D in the BMW algebra -----------------------------------------------------
@@ -260,9 +287,7 @@ def hecke_R(b: BraidWord, tables: dict) -> LaurentPoly:
 
 def _term(b: tuple, w: int, k: int) -> dict:
     """a^w delta_D^k R_b on the flat vector."""
-    if not k:
-        return {(b, 0, w): 1}
-    return {(b, dz, da): c for dz, da, c in _entries(_factor(True, w, k))}
+    return _factor({(b, 0, 0): 1}, True, w, k)
 
 
 def _eval(n: int, events: tuple, memo: dict) -> dict:
@@ -271,11 +296,7 @@ def _eval(n: int, events: tuple, memo: dict) -> dict:
     val = memo.get((n, events))
     if val is None:
         val = memo[n, events] = _expand(n, events, memo)
-    if not a_pow and not circles:
-        return val
-    # times a^a_pow delta_D^circles, a factor that keeps each basis element
-    mult = _entries(_factor(True, a_pow, circles))
-    return _mul(val, lambda b, _: [(b, dz, da, k) for dz, da, k in mult], 0)
+    return _factor(val, True, a_pow, circles)
 
 
 def _expand(n: int, events: tuple, memo: dict) -> dict:
@@ -288,8 +309,7 @@ def _expand(n: int, events: tuple, memo: dict) -> dict:
     for e, t in enumerate([*range(n), *sc.right_ends]):
         f = first.setdefault(sc.component_of[t], e)
         brauer[e], brauer[f] = f, e
-    acc = {(tuple(brauer), dz, da): k for dz, da, k
-           in _entries(_factor(True, writhe, len(sc.components) - n))}
+    acc = _term(tuple(brauer), writhe, len(sc.components) - n)
     get = acc.get
     for smoothed, _dirs, sign in smoothings(events, None, viols):
         for (b, ez, ea), c in _eval(n, smoothed, memo).items():
@@ -366,38 +386,6 @@ def _positions(n: int) -> list:
     return [*range(n), *range(2 * n - 1, n - 1, -1)]
 
 
-def _one_term(n: int, b: tuple, i: int, s: int):
-    """R_b g_i^s as (b', da) when it is the one term a^da R_b', else None.
-
-    Let A and B be the arcs of b through E_i and E_(i+1); the crossing
-    passes A over B when s = +1.  If A = B, the crossing closes A into a
-    curl of writhe -s, so the step is a^-s R_b.  Otherwise the step's
-    matching b' is b with E_i and E_(i+1) swapped.  Swapping two adjacent
-    end points makes two arcs interleave around the boundary exactly when
-    they did not, so A and B cross in just one of R_b and R_b', and there
-    the earlier of the two (the one with the first end point) passes
-    over.  If the new crossing passes that arc over too, the step is
-    R_b': the new crossing is R_b''s crossing of A and B, or it cancels
-    R_b's by a Reidemeister II move.  If not, the opposite sign does, and
-    None is returned.
-    """
-    e, f = n + i, n + i + 1
-    pa, pb = b[e], b[f]  # the other end points of A and B
-    if pa == f:
-        return b, -s
-    pos = _positions(n)
-    lo, hi = sorted((pos[e], pos[pa]))
-    if (lo < pos[f] < hi) != (lo < pos[pb] < hi):
-        first_a = min(e, pa) < min(f, pb)  # they cross in R_b
-    else:
-        first_a = min(f, pa) < min(e, pb)  # they cross in R_b'
-    if first_a != (s == 1):
-        return None
-    swapped = list(b)
-    swapped[pa], swapped[f], swapped[pb], swapped[e] = f, pa, e, pb
-    return tuple(swapped), 0
-
-
 def _join(n: int, b: tuple, u: int, v: int):
     """R_b with its arcs through u and v, end points adjacent around the
     boundary, joined there: (b'', w, k) when that tangle is the descending
@@ -442,10 +430,19 @@ def _join(n: int, b: tuple, u: int, v: int):
 
 
 def _step(n: int, b: tuple, l: int, basis: dict, memo: dict) -> tuple:
-    """The structure constant R_b g_i^+-1 of the letter l, flattened.
+    """The structure constant R_b g_i^s of the letter l, flattened.
 
-    When it is not one term (`_one_term`), the opposite sign is, R_b', and
-    the Dubrovnik relation g_i - g_i^-1 = z (1 - e_i) gives
+    Let A and B be the arcs of b through E_i and E_(i+1); the crossing
+    passes A over B when s = +1.  If A = B, the crossing closes A into a
+    curl of writhe -s, so the step is a^-s R_b.  Otherwise let b' be b with
+    E_i and E_(i+1) swapped.  Swapping two adjacent end points makes two
+    arcs interleave around the boundary exactly when they did not, so A
+    and B cross in just one of R_b and R_b', and there the earlier of the
+    two (the one with the first end point) passes over.  If the new
+    crossing passes that arc over too, the step is R_b': the new crossing
+    is R_b''s crossing of A and B, or it cancels R_b's by a Reidemeister II
+    move.  If not, the opposite sign does, and the Dubrovnik relation
+    g_i - g_i^-1 = z (1 - e_i) gives
 
         R_b g_i^s = R_b' + s z R_b - s z R_b e_i,
 
@@ -455,11 +452,23 @@ def _step(n: int, b: tuple, l: int, basis: dict, memo: dict) -> tuple:
     it, so the step table is its memo.
     """
     i, s = abs(l) - 1, 1 if l > 0 else -1
-    one = _one_term(n, b, i, s)
-    if one is not None:
-        return ((one[0], 0, one[1], 1),)
-    acc = {(_one_term(n, b, i, -s)[0], 0, 0): 1, (b, 1, 0): s}
-    joined = _join(n, b, n + i, n + i + 1)
+    e, f = n + i, n + i + 1
+    pa, pb = b[e], b[f]  # the other end points of A and B
+    if pa == f:
+        return ((b, 0, -s, 1),)
+    pos = _positions(n)
+    lo, hi = sorted((pos[e], pos[pa]))
+    if (lo < pos[f] < hi) != (lo < pos[pb] < hi):
+        first_a = min(e, pa) < min(f, pb)  # they cross in R_b
+    else:
+        first_a = min(f, pa) < min(e, pb)  # they cross in R_b'
+    swapped = list(b)
+    swapped[pa], swapped[f], swapped[pb], swapped[e] = f, pa, e, pb
+    swapped = tuple(swapped)
+    if first_a == (s == 1):
+        return ((swapped, 0, 0, 1),)
+    acc = {(swapped, 0, 0): 1, (b, 1, 0): s}
+    joined = _join(n, b, e, f)
     capped = (_term(*joined) if joined else
               _eval(n, _tangle(n, b, basis) + (("cap", i), ("cup", i)), memo))
     for (b2, dz, da), k in capped.items():
@@ -468,40 +477,27 @@ def _step(n: int, b: tuple, l: int, basis: dict, memo: dict) -> tuple:
     return tuple((b2, dz, da, k) for (b2, dz, da), k in acc.items() if k)
 
 
-def _bmw_trace(b: tuple, basis: dict, memo: dict, traces: dict) -> tuple:
-    """tr(R_b) as (dz, da, k) entries, memoized per matching in `traces`.
-
-    Closing the last strand of R_b, on m strands, gives its expansion on
-    the (m-1)-strand basis, whose trace is tr(R_b) (tr_m = tr_(m-1) E_m):
-    one term read off the matching when the closed tangle descends
-    (`_join`), else the descending recursion.
-    """
-    val = traces.get(b)
-    if val is None:
-        m = len(b) // 2
-        if m == 0:
-            return ((0, 0, 1),)
-        joined = _join(m, b, m - 1, 2 * m - 1)
-        if joined:  # S_(m-1) and E_(m-1) leave the matching
-            b2, w, k = joined
-            closed = _term(tuple(e - (e >= m) for e in b2[:m - 1] + b2[m:-1]), w, k)
-        else:
-            closed = _eval(m - 1, (("cup", m - 1),) + _tangle(m, b, basis)
-                           + (("cap", m - 1),), memo)
-        val = traces[b] = _entries(_traced(
-            closed, lambda b2: _bmw_trace(b2, basis, memo, traces)))
-    return val
+def _bmw_close(b: tuple, basis: dict, memo: dict) -> dict:
+    """R_b, on m strands, with its last strand closed, on the (m-1)-strand
+    basis: one term read off the matching when the closed tangle descends
+    (`_join`), else the descending recursion."""
+    m = len(b) // 2
+    joined = _join(m, b, m - 1, 2 * m - 1)
+    if joined:  # S_(m-1) and E_(m-1) leave the matching
+        b2, w, k = joined
+        return _term(tuple(e - (e >= m) for e in b2[:m - 1] + b2[m:-1]), w, k)
+    return _eval(m - 1, (("cup", m - 1),) + _tangle(m, b, basis) + (("cap", m - 1),),
+                 memo)
 
 
 def bmw_D(b: BraidWord, tables: dict) -> LaurentPoly:
     """D of the closure of `b`, from the product of its letters in BMW_n, on
     the tables kept for later calls in `tables` (a `SkeinCache`'s)."""
-    memo, basis, traces = (tables.setdefault(name, {}) for name in
-                           ("bmw_memo", "bmw_basis", "bmw_trace"))
+    memo, basis = (tables.setdefault(name, {}) for name in ("bmw_memo", "bmw_basis"))
     n = b.strands
     return _closure_poly(b, tables, "bmw", tuple(range(n, 2 * n)) + tuple(range(n)),
                          lambda br, l: _step(n, br, l, basis, memo),
-                         lambda br: _bmw_trace(br, basis, memo, traces))
+                         lambda br: _bmw_close(br, basis, memo))
 
 
 def braid_invariants(b: BraidWord, cache: SkeinCache) -> SkeinResult:

@@ -44,7 +44,7 @@ CSV_HEADER = ",".join(column for column, _ in COLUMNS)
 @dataclass
 class BoundReport:
     subject: str
-    kind: str                      # "front" | "braid" | "diagram"
+    kind: str                      # "front" | "braid"
     tb: Optional[int] = None
     maslov: Optional[int] = None
     e_P: Optional[int] = None

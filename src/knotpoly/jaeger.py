@@ -330,11 +330,13 @@ class Certificate:
 def _rhs_image(r: LaurentPoly, cache: SkeinCache) -> tuple[LaurentPoly,
                                                            DeltaFraction]:
     """(R, R's image under the right-hand side's substitution), computed
-    once per distinct R on a cache (`SkeinCache.substituted`); the R
-    returned is the first one stored, so equal values are one object."""
-    entry = cache.substituted.get(r)
+    once per distinct R on a cache and kept, keyed by R, in its table
+    `substituted`; the R returned is the first one stored, so equal values
+    are one object."""
+    images = cache.tables.setdefault("substituted", {})
+    entry = images.get(r)
     if entry is None:
-        entry = cache.substituted[r] = (r, substitute_jaeger(r, "homfly_rhs"))
+        entry = images[r] = (r, substitute_jaeger(r, "homfly_rhs"))
     return entry
 
 
@@ -379,15 +381,15 @@ def _front_states(f: FrontWord, cache: SkeinCache,
     """The front's state table, enumerated once per front and weight table
     on a cache.
 
-    The table sits in `SkeinCache.front_states` until another front or
-    table comes, and is dropped before the next one is built.  Each splice
+    The table sits in the cache's table `front_states` until another front
+    or table comes, and is dropped before the next one is built.  Each splice
     choice is morsified once (its states share their event list), and each
     state reaches `homfly_R` once, with its events morsified.
     """
-    slot = cache.front_states
+    slot = cache.tables.get("front_states")
     if slot is not None and slot.events == f.events and slot.weights == table:
         return slot
-    cache.front_states = None
+    cache.tables.pop("front_states", None)
     lhs = substitute_jaeger(kauffman_D(f.morsify(), cache), "kauffman_lhs")
     states, r_values, terms = [], [], []
     events = morse = None
@@ -410,8 +412,8 @@ def _front_states(f: FrontWord, cache: SkeinCache,
         states.append(st)
         r_values.append(r)
         terms.append(term)
-    slot = cache.front_states = _FrontStates(f.events, dict(table), lhs,
-                                             states, r_values, terms)
+    slot = cache.tables["front_states"] = _FrontStates(
+        f.events, dict(table), lhs, states, r_values, terms)
     return slot
 
 

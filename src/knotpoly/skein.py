@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Protocol
 
-from .laurent import DeltaFraction, LaurentPoly, exact_divide
+from .laurent import LaurentPoly, exact_divide
 from .diagram import (DIAGRAM_KINDS, DiagramError, MorseDiagram, Scan,
                       reduce_diagram, encode_events, encode_dirs, find_split, scan,
                       _switch_events, _smooth_h_events, _smooth_v_events,
@@ -104,19 +104,15 @@ class SkeinCache:
     append cut short: it is skipped, and cut off the file before this cache
     appends to it.
 
-    Five stores are kept in memory only.  They are never persisted and
+    Three stores are kept in memory only.  They are never persisted and
     change no memo key:
 
-    - `tables`, the algebra engines' tables (`algebra.py`), built on demand;
+    - `tables`, the named tables of the algebra engines (`algebra.py`) and
+      the state sums (`jaeger.py`), each built on demand and documented
+      where it is filled;
     - `last_reduction`, the planar reduction of the last event list an
       engine entry saw (`_entry_reduced`), with its thread map and the
       reduced events' encoding; None before the first entry;
-    - `substituted`, each R with its image under the state-sum
-      substitution (`jaeger`), keyed by R;
-    - `front_states`, the state table of the last front and weight table
-      a front check saw (`jaeger._front_states`), keyed by the front's
-      events and a copy of the table, dropped before the next one is
-      built; None before the first front check;
     - `circled`, each memo value that a memo hit with c > 0 removed
       circles read, times delta^c (delta_D^c for D), keyed by (memo key,
       c) and formed on the first such hit (`_eval_reduced`).
@@ -124,11 +120,8 @@ class SkeinCache:
 
     def __init__(self, path: Optional[str] = None):
         self.mem: dict[bytes, LaurentPoly] = {}
-        self.tables: dict[str, dict] = {}
+        self.tables: dict[str, object] = {}
         self.last_reduction: Optional[tuple] = None
-        self.substituted: dict[LaurentPoly,
-                               tuple[LaurentPoly, DeltaFraction]] = {}
-        self.front_states: Optional[tuple] = None
         self.circled: dict[tuple[bytes, int], LaurentPoly] = {}
         self.path = path
         self._fh = None

@@ -14,8 +14,8 @@ import pytest
 
 from knotpoly import algebra, harness, skein
 from knotpoly.algebra import (bmw_D, hecke_R, braid_invariants, _basis_tangle,
-                              _bmw_trace, _eval, _hecke_step, _hecke_trace,
-                              _join, _step, _traced)
+                              _bmw_close, _eval, _hecke_close, _hecke_step,
+                              _join, _step, _trace, _traced)
 from knotpoly.cli import main
 from knotpoly.diagram import (DIAGRAM_KINDS, MAX_LETTERS, MAX_STRANDS, BraidWord,
                               DiagramError, ParseError, braid_closure, parse_braid,
@@ -126,7 +126,7 @@ def test_join_reads_every_descending_tangle():
 
 def _closure_trace(n: int, b: tuple, memo: dict) -> tuple:
     """tr(R_b) by the descending recursion on the closure of R_b, every
-    strand closed at once: the reference for `_bmw_trace`."""
+    strand closed at once: the reference for `_trace` with `_bmw_close`."""
     closure = (tuple(("cup", i) for i in range(n)) + _basis_tangle(n, b)
                + tuple(("cap", i) for i in range(n - 1, -1, -1)))
     return tuple(sorted((dz, da, k)
@@ -142,8 +142,8 @@ def test_traces_match_the_closure():
     for n in range(6):
         for m in matchings(list(range(2 * n))):
             b = tuple(m[e] for e in range(2 * n))
-            assert (tuple(sorted(_bmw_trace(b, basis, memo, traces)))
-                    == _closure_trace(n, b, ref_memo)), b
+            trace = _trace(b, lambda x: _bmw_close(x, basis, memo), traces)
+            assert tuple(sorted(trace)) == _closure_trace(n, b, ref_memo), b
             count += 1
     assert (count, len(traces)) == (1070, 1069)  # the empty matching is not kept
 
@@ -177,6 +177,27 @@ def test_hecke_constants_match_the_reference():
                 assert len(step) == len({e[:3] for e in step}), (w, l)
                 count += 1
     assert count == 2 * 2 + 6 * 4 + 24 * 6 + 120 * 8
+
+
+def test_hecke_traces_match_skein(cache):
+    """Every permutation w of n <= 5 strands: tr(T_w) by closing the last
+    strand against `homfly_R` of the closure of a reduced word of w, which
+    shares no algebra code.  Bubble-sorting w to the identity swaps one
+    descent per letter, so the swaps, last first, spell a reduced word."""
+    count = 0
+    for n in range(1, 6):
+        for w in itertools.permutations(range(n)):
+            x, letters = list(w), []
+            for top in range(n - 1, 0, -1):
+                for i in range(top):
+                    if x[i] > x[i + 1]:
+                        x[i], x[i + 1] = x[i + 1], x[i]
+                        letters.insert(0, i + 1)
+            closure = braid_closure(BraidWord(n, tuple(letters)))
+            trace = LaurentPoly({(dz, da): k for dz, da, k in _trace(w, _hecke_close, {})})
+            assert trace == homfly_R(closure, cache), w
+            count += 1
+    assert count == 153
 
 
 def _random_tangle(rng: random.Random, n: int, length: int) -> tuple:
@@ -298,7 +319,7 @@ def _reference_invariants(b: BraidWord, ref: dict) -> tuple:
     for l in b.letters:
         x = _hecke_mul(x, abs(l) - 1, l > 0)
     hecke_traces = ref.setdefault("hecke_trace", {})
-    R = _traced(x, lambda w: _hecke_trace(w, hecke_traces))
+    R = _traced(x, lambda w: _trace(w, _hecke_close, hecke_traces))
     basis, memo = ref.setdefault("basis", {}), ref.setdefault("memo", {})
     y = {tuple(range(n, 2 * n)) + tuple(range(n)): LaurentPoly.one()}
     for l in b.letters:

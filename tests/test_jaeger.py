@@ -418,7 +418,7 @@ def test_proof_chain_refuses_a_state_off_its_k_sigma():
                     proof_chain_check(f, cache)
                 tampered += 1
             table.states[i] = st
-        assert cache.front_states is table
+        assert cache.tables["front_states"] is table
         assert all(proof_chain_check(f, cache)[k] for k in PROOF_FLAGS)
     assert tampered >= 2 * len(fronts)
 

@@ -520,7 +520,8 @@ def test_no_engine_mutates_a_polynomial():
         return out
 
     first = round_()
-    kept = [first, cache.mem, cache.circled, cache.substituted, cache.front_states,
+    kept = [first, cache.mem, cache.circled, cache.tables["substituted"],
+            cache.tables["front_states"],
             DELTA, DELTA_D, skein._DELTA_NUM, skein._DELTA_D_NUM,
             [skein._unknot_power(k, c) for k in (False, True) for c in range(8)]]
     terms = [(p, dict(p.terms)) for p in _polys(kept)]
