@@ -26,14 +26,16 @@ index); crossings contribute nothing to it.
 
 `scan` is the one walk of the strand stack, for diagrams and fronts alike
 (a kinds tuple names the birth, death and crossing kinds and the seed dir).
-It can splice crossings on the way, validates the events (levels, crossing
-signs, closedness, kinds) and orients the threads: given dirs are checked,
-else each component's first-born thread gets the seed dir and the rest
-alternate along the loop.  Its `Scan` holds the spliced events, the dirs,
-each thread's cap mate, the components (named by their first-born threads)
-and each thread's component, the lower threads of the births and deaths,
-the kept crossings, each thread's passes, the splice probes and the
-right-end threads.
+It can splice crossings on the way and validates the events (levels,
+crossing signs, closedness, kinds).  Then it walks each component along
+its flow, orienting the threads as it goes: a loop's first-born thread gets
+its given dir, else the seed dir, and the rest alternate along the loop.
+Given dirs are compared once with the orientation the walk assigns.  Its
+`Scan` holds the spliced events, the dirs, each thread's cap mate, the
+components (named by their first-born threads), each thread's component,
+the threads in the walk's flow order, the lower threads of the births and
+deaths, the kept crossings, each thread's passes, the splice probes and
+the right-end threads.
 
 `scan` walks open tangles too, whose stack starts and ends with `ends`
 strands: the left-end threads are 0 .. ends-1 and the k-th cup's are
@@ -79,6 +81,8 @@ class Scan(NamedTuple):
     cap_mate: list        # per thread, the thread it dies with
     components: list      # the arcs' first end threads, then the loops' first-born
     component_of: list    # per thread, its component
+    flow: list            # the threads along the flow: each component in turn,
+                          # in `components` order, from its named thread
     cup_lows: range       # the lower thread of each birth: ends + 2k for the k-th
     cap_lows: list        # the lower thread of each death, in event order
     crossings: list       # kept: (ev_idx in events, lo, hi, sign or 0 unsigned)
@@ -97,6 +101,10 @@ def scan(events: Iterable[Event], alphabet: tuple,
     horizontally and 2 replaces it by a death-birth wall; the wall's birth
     mints the next two threads.  The stack starts and must end with `ends`
     strands; given dirs must orient each arc from its first end point.
+    Each loop is walked along its flow, two threads a step, from the thread
+    of its first birth that flows east by the first-born thread's given
+    (else the seed) dir, and listed from its first-born thread.  Given dirs
+    must equal the orientation the walk assigns.
     """
     birth, death, cross, seed = alphabet[:4]
     events = tuple(events)
@@ -164,14 +172,14 @@ def scan(events: Iterable[Event], alphabet: tuple,
                            else f"tangle ends with {len(active)} strands, not {ends}")
 
     n = len(cap_mate)
-    if dirs is None:
-        d = [0] * n
-    else:
-        d = tuple(dirs)
-        if len(d) != n or any(x != 1 and x != -1 for x in d):
+    if dirs is not None:
+        dirs = tuple(dirs)
+        if len(dirs) != n or any(x != 1 and x != -1 for x in dirs):
             raise DiagramError("orientation vector has wrong shape")
+    d = [0] * n
     component_of = [-1] * n
     components = []
+    flow = []
     if ends:
         # the arcs: a left end flows east (+1), a right end west (-1)
         for start in [*range(ends), *active]:
@@ -181,10 +189,8 @@ def scan(events: Iterable[Event], alphabet: tuple,
             t, way = start, 1 if start < ends else -1
             while t >= 0:  # -1 past the arc's last end point
                 component_of[t] = start
-                if dirs is None:
-                    d[t] = way
-                elif d[t] != way:
-                    raise DiagramError("inconsistent orientation assignment")
+                d[t] = way
+                flow.append(t)
                 if way == 1:
                     t = cap_mate[t]
                 else:
@@ -194,22 +200,24 @@ def scan(events: Iterable[Event], alphabet: tuple,
         if component_of[start] >= 0:
             continue
         components.append(start)
-        t = start
-        while True:  # cap mate, then birth mate, back to start
+        first = len(flow)
+        # from whichever thread of the loop's first birth flows east
+        t = start if (seed if dirs is None else dirs[start]) == 1 else start + 1
+        while component_of[t] < 0:  # east to the cap mate, west to its birth mate
             m = cap_mate[t]
             component_of[t] = component_of[m] = start
-            mate = ends + ((m - ends) ^ 1)
-            if dirs is None:
-                d[t] = seed
-                d[m] = -seed
-            elif d[m] == d[t] or d[mate] == d[m]:
-                raise DiagramError("inconsistent orientation assignment")
-            t = mate
-            if t == start:
-                break
-    return Scan(events if out is None else tuple(out), tuple(d), cap_mate,
-                components, component_of, range(ends, n, 2), cap_lows, crossings,
-                passes, probes, active)
+            d[t] = 1
+            d[m] = -1
+            flow += (t, m)
+            t = ends + ((m - ends) ^ 1)
+        if t != start:  # start flows west, so it ends the walk; it leads its loop
+            flow.insert(first, flow.pop())
+    d = tuple(d)
+    if dirs is not None and d != dirs:
+        raise DiagramError("inconsistent orientation assignment")
+    return Scan(events if out is None else tuple(out), d, cap_mate,
+                components, component_of, flow, range(ends, n, 2), cap_lows,
+                crossings, passes, probes, active)
 
 
 class MorseDiagram:

@@ -23,11 +23,11 @@ the two relations' smoothings, the one place they are written; the BMW
 engine of `algebra.py` runs its tangle recursion through it too.
 
 Each memo miss makes one `descend`: a `diagram.scan` of the events, which
-validates the diagram and orients it, and one walk of its threads, which
-yields the violations and the writhe of the descending diagram.  The
-descending diagram is not built: switching keeps the components, so its
-value follows from that writhe.  `descend` walks open tangles too, for the
-BMW engine of `algebra.py`.
+validates the diagram, orients it and lists its threads along the flow,
+and one pass over that flow order, which yields the violations and the
+writhe of the descending diagram.  The descending diagram is not built:
+switching keeps the components, so its value follows from that writhe.
+`descend` takes open tangles too, for the BMW engine of `algebra.py`.
 
 Diagrams are planar-reduced and level-normalized before memoization.
 Reduction reads only the events, so an engine entry (`homfly_R`,
@@ -71,10 +71,8 @@ from .diagram import (DIAGRAM_KINDS, DiagramError, MorseDiagram, Scan,
                       _switch_events, _smooth_h_events, _smooth_v_events,
                       _cups_before)
 
-# unknot values
-DELTA = LaurentPoly({(-1, 1): 1, (-1, -1): -1})            # (a - a^-1)/z
-DELTA_D = LaurentPoly({(-1, 1): 1, (-1, -1): -1, (0, 0): 1})
-# denominators cleared: delta = (a - a^-1)/z, delta_D = (z + a - a^-1)/z
+# the unknot values with denominators cleared: delta = (a - a^-1)/z,
+# delta_D = (z + a - a^-1)/z
 _DELTA_NUM = LaurentPoly({(0, 1): 1, (0, -1): -1})
 _DELTA_D_NUM = LaurentPoly({(1, 0): 1, (0, 1): 1, (0, -1): -1})
 
@@ -184,47 +182,35 @@ def descend(events: tuple, dirs: Optional[tuple] = None,
     """Walk a diagram, or a tangle with `ends` end points on each side, to
     its descending form: (`diagram.scan` of it, violations, writhe).
 
-    The walk takes the scan's components in order, each from its named
-    thread along the flow.  Violations are the crossings first met on the
-    under strand, as (ev_idx, lo_thread, hi_thread, sign, oriented_sign), in
-    the order met.  Switching them all gives the descending diagram, and
-    `writhe` is the writhe of its self-crossings: in a closed diagram the
-    crossings of two layered components cancel, so that is its writhe.
+    One pass over the scan's flow order meets each thread's crossings along
+    the flow.  Violations are the crossings first met on the under strand,
+    as (ev_idx, lo_thread, hi_thread, sign, oriented_sign), in the order
+    met.  Switching them all gives the descending diagram, and `writhe` is
+    the writhe of its self-crossings: in a closed diagram the crossings of
+    two layered components cancel, so that is its writhe.
     """
     sc = scan(events, DIAGRAM_KINDS, dirs, ends=ends)
     d = sc.dirs
     cross = sc.crossings
     passes = sc.passes
-    cap_mate = sc.cap_mate
     component_of = sc.component_of
     seen = bytearray(len(cross))
     writhe = 0
     viols = []
-    for start in sc.components:
-        t = start
-        while True:
-            east = d[t] == 1
-            plist = passes[t]
-            for cn in (plist if east else reversed(plist)):
-                if seen[cn]:
-                    continue
-                seen[cn] = 1
-                ev_idx, lo, hi, s = cross[cn]
-                eps = s * d[lo] * d[hi]
-                # s = +1: the strand entering at the lower level passes over
-                if (t == lo) == (s == -1):
-                    viols.append((ev_idx, lo, hi, s, eps))
-                    eps = -eps
-                if component_of[lo] == component_of[hi]:
-                    writhe += eps
-            if east:
-                t = cap_mate[t]
-            elif t >= ends:
-                t = ends + ((t - ends) ^ 1)
-            else:
-                break  # out at a left end
-            if t == start or t < 0:  # a loop closes, or out at a right end
-                break
+    for t in sc.flow:
+        plist = passes[t]
+        for cn in (plist if d[t] == 1 else reversed(plist)):
+            if seen[cn]:
+                continue
+            seen[cn] = 1
+            ev_idx, lo, hi, s = cross[cn]
+            eps = s * d[lo] * d[hi]
+            # s = +1: the strand entering at the lower level passes over
+            if (t == lo) == (s == -1):
+                viols.append((ev_idx, lo, hi, s, eps))
+                eps = -eps
+            if component_of[lo] == component_of[hi]:
+                writhe += eps
     return sc, viols, writhe
 
 

@@ -9,7 +9,11 @@ from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               _smooth_h_events, _smooth_v_events)
 from knotpoly.front import FrontWord
 from knotpoly.cli import CACHE_ENV_VAR
-from knotpoly.skein import SkeinCache, full_invariants, DELTA, DELTA_D
+from knotpoly.skein import SkeinCache, full_invariants
+
+# unknot values
+DELTA = LaurentPoly({(-1, 1): 1, (-1, -1): -1})            # (a - a^-1)/z
+DELTA_D = LaurentPoly({(-1, 1): 1, (-1, -1): -1, (0, 0): 1})
 
 A = LaurentPoly.monomial(1, 0, 1)
 AINV = LaurentPoly.monomial(1, 0, -1)
@@ -103,6 +107,23 @@ def random_surgered_closure(rng: random.Random) -> MorseDiagram:
                       "smooth_vertical": _smooth_v_events}[act]
             d = MorseDiagram(smooth(d.events, ev_idx))
     return d
+
+
+def random_tangle(rng: random.Random, n: int, length: int) -> tuple:
+    """Random events on a stack of n strands, closed back to n strands."""
+    events, k = [], n
+    for _ in range(length):
+        kind = rng.choice(("cup", "cap", "x", "x") if k >= 2 else ("cup",))
+        if kind == "x":
+            events.append(("x", rng.randint(0, k - 2), rng.choice((1, -1))))
+        else:
+            events.append((kind, rng.randint(0, k if kind == "cup" else k - 2)))
+            k += 2 if kind == "cup" else -2
+    for k in range(k, n, -2):
+        events.append(("cap", rng.randint(0, k - 2)))
+    for k in range(k, n, 2):
+        events.append(("cup", rng.randint(0, k)))
+    return tuple(events)
 
 
 def random_front(rng: random.Random, max_crossings=6, knot_only=False):
@@ -259,6 +280,21 @@ def reference_walk(events, kinds=DIAGRAM_KINDS, dirs=None, ends=0):
         rotation=rot2 // 2)
 
 
+def reference_flow(ref):
+    """The threads of a reference walk `ref`, in the order `reference_descend`
+    visits them: each component in turn, from its named thread along the
+    flow, east to the cap mate and west to the birth mate."""
+    order = []
+    for start in ref.components:  # arcs from their first end, then loops
+        t = start
+        while t is not None:
+            order.append(t)
+            t = (ref.cap_pair if ref.dirs[t] == 1 else ref.cup_pair).get(t)
+            if t == start:
+                break
+    return order
+
+
 def reference_descend(events, dirs=None, ends=0):
     """`skein.descend` recomputed from the reference walk, thread by thread:
     (component count, dirs, writhe, violations).
@@ -271,22 +307,16 @@ def reference_descend(events, dirs=None, ends=0):
     cross_at = {ci[0]: ci for ci in ref.cross_info}
     seen = set()
     viols = []
-    for start in ref.components:  # arcs from their first end, then loops
-        t = start
-        while t is not None:
-            east = ref.dirs[t] == 1
-            plist = ref.thread_passes[t]
-            for ev_idx, entered_lower in (plist if east else reversed(plist)):
-                if ev_idx in seen:
-                    continue
-                seen.add(ev_idx)
-                _, lo, hi, s = cross_at[ev_idx]
-                over = (s == 1) if entered_lower else (s == -1)
-                if not over:
-                    viols.append((ev_idx, lo, hi, s, s * ref.dirs[lo] * ref.dirs[hi]))
-            t = (ref.cap_pair if east else ref.cup_pair).get(t)
-            if t == start:
-                break
+    for t in reference_flow(ref):
+        plist = ref.thread_passes[t]
+        for ev_idx, entered_lower in (plist if ref.dirs[t] == 1 else reversed(plist)):
+            if ev_idx in seen:
+                continue
+            seen.add(ev_idx)
+            _, lo, hi, s = cross_at[ev_idx]
+            over = (s == 1) if entered_lower else (s == -1)
+            if not over:
+                viols.append((ev_idx, lo, hi, s, s * ref.dirs[lo] * ref.dirs[hi]))
     switched = {v[0] for v in viols}
     desc = reference_walk([("x", ev[1], -ev[2]) if idx in switched else ev
                            for idx, ev in enumerate(events)], dirs=ref.dirs, ends=ends)

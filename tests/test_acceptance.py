@@ -17,12 +17,12 @@ from knotpoly.diagram import (BraidWord, MorseDiagram, parse_braid,
                               braid_closure, connected_sum)
 from knotpoly.front import FrontWord, saucer_front, crossed_saucer_front
 from knotpoly.skein import (SkeinCache, SkeinStats, homfly_R, kauffman_D,
-                            full_invariants, DELTA)
+                            full_invariants)
 from knotpoly.jaeger import jaeger_both_sides, lj_both_sides, lemma_check, \
     proof_chain_check
 from knotpoly.inequalities import check_front_bounds, mfw_check
 
-from conftest import (A, AINV, ZVAR, P_TREFOIL, Y_TREFOIL, EP3_BRAID,
+from conftest import (A, AINV, ZVAR, DELTA, P_TREFOIL, Y_TREFOIL, EP3_BRAID,
                       WITNESS_BRAID, random_braid, random_front)
 
 ONE = LaurentPoly.one()

@@ -22,11 +22,12 @@ from knotpoly.diagram import (DIAGRAM_KINDS, MAX_LETTERS, MAX_STRANDS, BraidWord
                               scan, _switch_events)
 from knotpoly.harness import SearchConfig
 from knotpoly.laurent import LaurentPoly
-from knotpoly.skein import (DELTA, DELTA_D, SkeinCache, descend, full_invariants,
-                            homfly_R, kauffman_D)
+from knotpoly.skein import (SkeinCache, descend, full_invariants, homfly_R,
+                            kauffman_D)
 
-from conftest import (A, ZVAR, WITNESS_BRAID, matchings, random_braid,
-                      reference_descend, reference_walk)
+from conftest import (A, ZVAR, DELTA, DELTA_D, WITNESS_BRAID, matchings,
+                      random_braid, random_tangle, reference_descend,
+                      reference_walk)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -200,23 +201,6 @@ def test_hecke_traces_match_skein(cache):
     assert count == 153
 
 
-def _random_tangle(rng: random.Random, n: int, length: int) -> tuple:
-    """Random events on a stack of n strands, closed back to n strands."""
-    events, k = [], n
-    for _ in range(length):
-        kind = rng.choice(("cup", "cap", "x", "x") if k >= 2 else ("cup",))
-        if kind == "x":
-            events.append(("x", rng.randint(0, k - 2), rng.choice((1, -1))))
-        else:
-            events.append((kind, rng.randint(0, k if kind == "cup" else k - 2)))
-            k += 2 if kind == "cup" else -2
-    for k in range(k, n, -2):
-        events.append(("cap", rng.randint(0, k - 2)))
-    for k in range(k, n, 2):
-        events.append(("cup", rng.randint(0, k)))
-    return tuple(events)
-
-
 def _check_tangle_scan(events: tuple, n: int) -> None:
     """`scan(ends=n)` and `descend` against the reference walk."""
     sc = scan(events, DIAGRAM_KINDS, ends=n)
@@ -262,7 +246,7 @@ def test_tangle_scan_matches_reference_on_random_tangles():
     rng = random.Random(13)
     for _ in range(300):
         n = rng.randint(0, 4)
-        _check_tangle_scan(_random_tangle(rng, n, rng.randint(0, 12)), n)
+        _check_tangle_scan(random_tangle(rng, n, rng.randint(0, 12)), n)
 
 
 def test_tangle_scan_rejects_wrong_end_width():

@@ -100,7 +100,7 @@ def test_tracer_installs_and_restores_every_binding(tmp_path):
              for owner, attr, _original in patched}
     for binding in (("knotpoly.jaeger", "lemma_check"),
                     ("knotpoly.jaeger", "homfly_R"),
-                    ("knotpoly", "proof_chain_check"),
+                    ("knotpoly.jaeger", "proof_chain_check"),
                     ("knotpoly.cli", "main"),
                     ("knotpoly.harness", "search"),
                     ("knotpoly.skein", "full_invariants"),

@@ -6,12 +6,14 @@ import pytest
 from knotpoly.diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
                               parse_braid, braid_closure, closure_events,
                               connected_sum, encode_events, find_split,
-                              reduce_diagram, _normalize_pass, _swap_adjacent,
+                              reduce_diagram, scan, _normalize_pass, _swap_adjacent,
                               _smooth_h_events, _smooth_v_events, _switch_events)
 from knotpoly.jaeger import DIAGRAM_ALPHABET, nonzero_states
 
-from conftest import (INVALID_EVENTS, random_braid, random_front,
-                      random_surgered_closure, reference_flip)
+from conftest import (DIAGRAM_KINDS, FRONT_KINDS, INVALID_EVENTS, random_braid,
+                      random_front, random_surgered_closure, random_tangle,
+                      reference_flip, reference_flow, reference_splice,
+                      reference_walk)
 
 
 def test_parse_braid_examples():
@@ -154,6 +156,55 @@ def test_validation_errors():
     for events in INVALID_EVENTS:
         with pytest.raises(DiagramError):
             MorseDiagram(events)
+
+
+def _assert_flow(sc, ref):
+    """`sc.flow` is the reference walk's order, and lists every thread once,
+    each component as one run, in `components` order, from its named thread."""
+    assert sc.dirs == ref.dirs
+    assert sc.flow == reference_flow(ref)
+    assert sorted(sc.flow) == list(range(len(sc.dirs)))
+    heads = [t for i, t in enumerate(sc.flow)
+             if not i or sc.component_of[t] != sc.component_of[sc.flow[i - 1]]]
+    assert heads == list(sc.components)
+
+
+def test_scan_flow_follows_the_reference_walk():
+    """Closed diagrams and fronts under every orientation, spliced states
+    with and without given dirs, and open tangles on 1-5 strands with their
+    loops flipped."""
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(80):
+        d = random_surgered_closure(rng)
+        f = random_front(rng, max_crossings=5)
+        for events, kinds in ((d.events, DIAGRAM_KINDS), (f.events, FRONT_KINDS)):
+            ref = reference_walk(events, kinds)
+            _assert_flow(scan(events, kinds), ref)
+            for flips in itertools.product((False, True),
+                                           repeat=len(ref.components)):
+                dirs = reference_flip(ref, flips)
+                _assert_flow(scan(events, kinds, dirs),
+                             reference_walk(events, kinds, dirs))
+            choices = tuple(rng.randint(0, 2) for ev in events if ev[0] == kinds[2])
+            spliced, _probes, ref = reference_splice(events, choices, kinds)
+            _assert_flow(scan(events, kinds, choices=choices), ref)
+            dirs = reference_flip(ref, [rng.random() < 0.5 for _ in ref.components])
+            _assert_flow(scan(spliced, kinds, dirs),
+                         reference_walk(spliced, kinds, dirs))
+            checked += 1
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        events = random_tangle(rng, n, rng.randint(0, 12))
+        ref = reference_walk(events, ends=n)
+        _assert_flow(scan(events, DIAGRAM_KINDS, ends=n), ref)
+        arcs = len(ref.components) - ref.loops
+        flips = [False] * arcs + [rng.random() < 0.5 for _ in range(ref.loops)]
+        dirs = reference_flip(ref, flips)
+        _assert_flow(scan(events, DIAGRAM_KINDS, dirs, ends=n),
+                     reference_walk(events, dirs=dirs, ends=n))
+        checked += 1
+    assert checked == 2 * 80 + 200
 
 
 @pytest.mark.parametrize("strands, letters, message", [

@@ -300,6 +300,22 @@ def test_cli_io_error_has_own_code(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["poly", "--braid", "braid 2: 1 1 1"], ""),
+    (["search", "--max-strands", "2", "--max-letters", "3"], "cannot write report "),
+])
+def test_cli_unwritable_out_is_io_error(tmp_path, capsys, argv, reason):
+    """An `--out` in a missing directory is exit 3 with one `io error:` line
+    on stderr and nothing on stdout; `search` names the report it could not
+    write."""
+    out = str(tmp_path / "no" / "such" / "dir" / "out")
+    assert main(argv + ["--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"io error: {reason}")
+    assert captured.err.count("\n") == 1 and out in captured.err
+
+
 @pytest.mark.parametrize("content, where", [
     (b"max_strands=2\nmax_letters=two\n", ":2: max_letters must be an integer"),
     (b"max_strands=\xff\n", ": not UTF-8 text"),

@@ -423,6 +423,40 @@ def test_proof_chain_refuses_a_state_off_its_k_sigma():
     assert tampered >= 2 * len(fronts)
 
 
+def test_proof_chain_flags_each_fail_on_their_own_tamper():
+    """Each proof-chain flag turns False when the cached front state table
+    is tampered where that flag reads it, and the other four stay True:
+    one state's V or #left-up one larger, its sign flipped, its R(l_sigma)
+    doubled, or the front's D replaced."""
+    rng = random.Random(2929)
+    fronts = [crossed_saucer_front()]
+    fronts += [random_front(rng, max_crossings=3) for _ in range(10)]
+    import knotpoly.jaeger as jaeger
+    for f in fronts:
+        cache = SkeinCache()
+        table = jaeger._front_states(f, cache, FRONT_WEIGHTS)
+        i = rng.randrange(len(table.states))
+        st = table.states[i]
+
+        def with_state(**changes):
+            states = list(table.states)
+            states[i] = replace(st, **changes)
+            return table._replace(states=states)
+        r_values = list(table.r_values)
+        r_values[i] = r_values[i] * 2
+        tampered = {"nu_ok": with_state(v_count=st.v_count + 1),
+                    "rot_ok": with_state(left_up=st.left_up + 1),
+                    "weight_ok": with_state(sign=-st.sign),
+                    "r_factor_ok": table._replace(r_values=r_values),
+                    "master_ok": table._replace(lhs=table.lhs.scaled(A, 0))}
+        for flag, bad in tampered.items():
+            cache.tables["front_states"] = bad
+            out = proof_chain_check(f, cache)
+            assert {k for k in PROOF_FLAGS if not out[k]} == {flag}, flag
+        cache.tables["front_states"] = table
+        assert all(proof_chain_check(f, cache)[k] for k in PROOF_FLAGS)
+
+
 def test_front_states_reach_the_engine_as_they_are(monkeypatch):
     """The front sums hand `homfly_R` each state with its events morsified,
     and `proof_chain_check` each state's K_sigma with its events rounded.

@@ -23,10 +23,10 @@ from knotpoly.diagram import (BraidWord, MorseDiagram, braid_closure, parse_brai
                               _smooth_h_events, _smooth_v_events)
 from knotpoly.harness import SearchConfig, enumerate_braids
 from knotpoly.jaeger import DIAGRAM_ALPHABET, DIAGRAM_WEIGHTS, nonzero_states
-from knotpoly.skein import DELTA_D, SkeinCache, homfly_R, kauffman_D
+from knotpoly.skein import SkeinCache, homfly_R, kauffman_D
 
-from conftest import (WITNESS_BRAID, matchings, random_braid, random_front,
-                      reference_walk)
+from conftest import (DELTA_D, WITNESS_BRAID, matchings, random_braid,
+                      random_front, reference_walk)
 from oracles import (add, add_vectors, alexander, bracket, centred, closure,
                      components, conway, jones, mul, power, scaled, so4,
                      so_events, so_operator, specialize)

@@ -15,11 +15,10 @@ from knotpoly.diagram import (DiagramError, MorseDiagram, parse_braid,
                               _smooth_v_events, _cups_before)
 from knotpoly import jaeger, skein
 from knotpoly.skein import (Oriented, SkeinCache, SkeinStats, homfly_R,
-                            kauffman_D, full_invariants, memo_value, DELTA,
-                            DELTA_D, descend)
+                            kauffman_D, full_invariants, memo_value, descend)
 
-from conftest import (A, AINV, ZVAR, P_TREFOIL, Y_TREFOIL, INVALID_EVENTS,
-                      FRONT_KINDS, DIAGRAM_KINDS, assert_scan_rejects,
+from conftest import (A, AINV, ZVAR, DELTA, DELTA_D, P_TREFOIL, Y_TREFOIL,
+                      INVALID_EVENTS, FRONT_KINDS, DIAGRAM_KINDS, assert_scan_rejects,
                       front_twin, random_braid, random_front,
                       random_surgered_closure, reference_descend,
                       reference_flip, reference_walk)
