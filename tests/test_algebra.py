@@ -535,9 +535,15 @@ def test_braid_invariants_match_full_invariants(cache):
 
 
 def test_package_import_leaves_algebra_out():
-    """`import knotpoly` does not compile or run `algebra.py`: a process
-    that runs no algebra engine does not pay for it at start-up."""
-    code = "import sys, knotpoly; sys.exit('knotpoly.algebra' in sys.modules)"
+    """Importing every other package module, the CLI entry point among
+    them, does not compile or run `algebra.py`: a process that runs no
+    algebra engine does not pay for it at start-up."""
+    code = ("import importlib, pkgutil, sys, knotpoly\n"
+            "for m in pkgutil.iter_modules(knotpoly.__path__):\n"
+            "    if m.name != 'algebra':\n"
+            "        importlib.import_module('knotpoly.' + m.name)\n"
+            "sys.exit('knotpoly.cli' not in sys.modules\n"
+            "         or 'knotpoly.algebra' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(algebra.__file__))}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
