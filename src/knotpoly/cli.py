@@ -164,7 +164,6 @@ def _cmd_search(args) -> int:
         if value is not None:
             setattr(cfg, field.name, value)
     cfg.cache = _cache_path(cfg.cache)
-    cfg.validate()
     reports = search(cfg)
     flagged = sum(1 for r in reports if _flag(cfg.predicate, r))
     sys.stdout.write(f"rows={len(reports)} flagged={flagged}\n")

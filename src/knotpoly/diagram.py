@@ -565,8 +565,7 @@ def _event_code(e: Event) -> bytes:
                   0 if len(e) < 3 else (1 if e[2] > 0 else 2)))
 
 
-def encode_events(events: Sequence[Event],
-                  dirs: Optional[Sequence[int]] = None) -> bytes:
+def encode_events(events: Sequence[Event]) -> bytes:
     table = _CODE_TABLE
     codes = []
     for e in events:
@@ -574,12 +573,10 @@ def encode_events(events: Sequence[Event],
         if code is None:
             code = table[e] = _event_code(e)
         codes.append(code)
-    if dirs is not None:
-        codes.append(encode_dirs(dirs))
     return b"".join(codes)
 
 
 def encode_dirs(dirs: Sequence[int]) -> bytes:
-    """The orientation's part of `encode_events(events, dirs)`, which follows
-    the events' part."""
+    """The orientation's part of a memo key, which follows the events' part
+    (`encode_events`)."""
     return b"\xff" + bytes([1 if d > 0 else 0 for d in dirs])

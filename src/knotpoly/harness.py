@@ -14,11 +14,13 @@ reversal is smaller, in the manner of bracelet generation (Sawada, SIAM J.
 Comput. 2001).
 
 Closures with more than one component are skipped; the report counts knot
-diagrams, not knot types.  A word whose length does not have the parity of
-n - 1 is skipped before it is parsed: its permutation cannot be an
-n-cycle.  Each knot row's R and D come from the algebra engines
-(`inequalities.mfw_check`), and each flagged row is computed again on the
-skein engines, which share no memo with the rows.
+diagrams, not knot types.  `search` keeps the knot words once, before any
+row is computed: a word whose length does not have the parity of n - 1 is
+dropped before its components are counted, since its permutation cannot
+be an n-cycle.  Each knot row's R and D come from the algebra engines
+(`inequalities.mfw_check`) on the enumerator's own `BraidWord`, and each
+flagged row is computed again on the skein engines, which share no memo
+with the rows.
 """
 
 from __future__ import annotations
@@ -156,46 +158,33 @@ def _flag(predicate: str, report: BoundReport) -> bool:
     return True
 
 
-def _row_for_word(n: int, letters: tuple[int, ...],
-                  cache: SkeinCache) -> Optional[BoundReport]:
-    # each letter is a transposition and an n-cycle has the parity of n - 1,
-    # so a word of the other parity closes to a link
-    if (len(letters) - n + 1) % 2:
-        return None
-    b = BraidWord(n, letters)
-    if b.component_count() != 1:
-        return None
-    return mfw_check(b, cache)
-
-
-def _worker(payload: tuple[int, list[tuple[int, ...]], Optional[str]]
-            ) -> tuple[list[Optional[BoundReport]], list]:
+def _worker(payload: tuple[list[BraidWord], Optional[str]]
+            ) -> tuple[list[BoundReport], list]:
     """A pool worker's rows, and the memo records it made that the cache
     file did not hold (none without a file)."""
-    n, words, cache_path = payload
+    words, cache_path = payload
     cache = SkeinCache(cache_path)
     cache.close()  # read the file, append nothing: the parent appends once
     known = len(cache.mem)
-    rows = [_row_for_word(n, letters, cache) for letters in words]
+    rows = [mfw_check(b, cache) for b in words]
     return rows, (list(itertools.islice(cache.mem.items(), known, None))
                   if cache_path else [])
 
 
-def _rows(n: int, words: list[tuple[int, ...]], workers: int,
-          cache_path: Optional[str]) -> list[Optional[BoundReport]]:
+def _rows(words: list[BraidWord], workers: int,
+          cache_path: Optional[str]) -> list[BoundReport]:
     """The row of each word, serially or on a pool of `workers`; the
     workers' new memo records go to the cache file, each key once."""
     cache = SkeinCache(cache_path)
     try:
         if workers == 1:
-            return [_row_for_word(n, letters, cache) for letters in words]
+            return [mfw_check(b, cache) for b in words]
         chunks = [words[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
-                _worker,
-                [(n, chunk, cache_path) for chunk in chunks]))
+                _worker, [(chunk, cache_path) for chunk in chunks]))
         # restore enumeration order from the strided split
-        rows: list[Optional[BoundReport]] = [None] * len(words)
+        rows: list = [None] * len(words)
         for j, (chunk_rows, records) in enumerate(results):
             rows[j::workers] = chunk_rows
             for key, value in records:  # two workers may make one record
@@ -218,24 +207,24 @@ def search(cfg: SearchConfig) -> list[BoundReport]:
     appends their new records, each key once.
     """
     cfg.validate()
-    words = [tuple(b.letters) for b in enumerate_braids(cfg)]
-    n = cfg.max_strands
+    # each letter is a transposition and an n-cycle has the parity of n - 1,
+    # so a word of the other parity closes to a link
+    words = [b for b in enumerate_braids(cfg)
+             if not (len(b.letters) - b.strands + 1) % 2
+             and b.component_count() == 1]
     # the pool starts all its workers at once, so no more than there are CPUs
     workers = min(cfg.jobs, os.cpu_count() or 1)
-    rows = _rows(n, words, workers, cfg.cache)
-    knots = [(letters, rep) for letters, rep in zip(words, rows)
-             if rep is not None]
+    reports = _rows(words, workers, cfg.cache)
 
     verify: Optional[SkeinCache] = None  # made for the first flagged row
-    for letters, rep in knots:
+    for b, rep in zip(words, reports):
         if _flag(cfg.predicate, rep):
             if verify is None:
                 verify = SkeinCache()  # the skein engines' own: no row reads it
-            fresh = full_invariants(braid_closure(BraidWord(n, letters)), verify)
+            fresh = full_invariants(braid_closure(b), verify)
             if (fresh.e_P, fresh.e_Y) != (rep.e_P, rep.e_Y):
                 raise VerificationError(f"re-verification failed for {rep.subject}")
 
-    reports = [rep for _, rep in knots]
     if cfg.out:
         write_report(reports, cfg.out, cfg.format, cfg.predicate)
     return reports

@@ -91,7 +91,7 @@ def mfw_check(b: BraidWord, cache: SkeinCache) -> BoundReport:
     """Braid bound for a closure (knot or link), on the algebra engines."""
     from . import algebra  # on first use: see the module docstring
     res = algebra.braid_invariants(b, cache)
-    slack = res.e_P + b.exponent_sum() + b.strands
+    slack = res.e_P + res.w + b.strands
     return BoundReport(subject=b.text(), kind="braid",
                        e_P=res.e_P, e_Y=res.e_Y, mfw_slack=slack,
                        witness=res.e_P < res.e_Y)

@@ -259,20 +259,15 @@ def _split_dirs(events: tuple, dirs: Optional[tuple], pos: int):
     return e1, dirs[:n1], e2, d2
 
 
-def _keyed(events: tuple, dirs: Optional[tuple], a_pow: int, circles: int,
-           kauffman: bool, code: Optional[bytes] = None):
+def _keyed(events: tuple, code: bytes, dirs: Optional[tuple], a_pow: int,
+           circles: int, kauffman: bool):
     """(events, dirs, a_pow, circles, memo key) of a reduction's result;
-    the key is None when nothing is left.  `code` is `encode_events(events)`
-    when the caller has it."""
+    the key is None when nothing is left.  `code` is `encode_events(events)`."""
     if not events:
         return events, dirs, a_pow, circles, None
-    key = b"D" if kauffman else b"R"
-    if code is None:
-        key += encode_events(events, dirs)
-    elif dirs is None:
-        key += code
-    else:
-        key += code + encode_dirs(dirs)
+    key = (b"D" if kauffman else b"R") + code
+    if dirs is not None:
+        key += encode_dirs(dirs)
     return events, dirs, a_pow, circles, key
 
 
@@ -319,13 +314,15 @@ def _entry_reduced(d: ClosedDiagram, kauffman: bool, cache: SkeinCache):
         if len(dirs) != len(threads) or not _UNITS.issuperset(dirs):
             raise DiagramError("orientation vector has wrong shape")
         dirs = tuple(map(dirs.__getitem__, tmap))
-    return _keyed(reduced, dirs, a_pow, circles, kauffman, code)
+    return _keyed(reduced, code, dirs, a_pow, circles, kauffman)
 
 
 def _skein_eval(events: tuple, dirs: Optional[tuple], *, kauffman: bool,
                 cache: SkeinCache, stats: SkeinStats,
                 allow_split: bool) -> LaurentPoly:
-    return _eval_reduced(*_keyed(*reduce_diagram(events, dirs), kauffman),
+    reduced, dirs, a_pow, circles = reduce_diagram(events, dirs)
+    return _eval_reduced(*_keyed(reduced, encode_events(reduced), dirs, a_pow,
+                                 circles, kauffman),
                          kauffman=kauffman, cache=cache, stats=stats,
                          allow_split=allow_split)
 
@@ -399,21 +396,23 @@ def memo_value(d: ClosedDiagram, cache: SkeinCache, compute, *,
                kauffman: bool) -> LaurentPoly:
     """R (D when `kauffman`) of `d` from the memo, under the key the skein
     engine uses for the reduced diagram.  On a miss `compute()` gives the
-    value of `d`, and the reduced diagram's share of it is stored there."""
+    value of `d`, which is returned, and the reduced diagram's share of it
+    is stored."""
     _events, _dirs, a_pow, circles, key = _entry_reduced(d, kauffman, cache)
     if key is None:
         return _factor(kauffman, a_pow, circles)
     cached = cache.get(key)
-    if cached is None:
-        if circles:
-            cached = exact_divide(compute(), _factor(kauffman, a_pow, circles),
-                                  "second")
-            if cached is None:
-                raise AssertionError("value not divisible by the reduction factor")
-        else:
-            cached = _scaled(compute(), kauffman, -a_pow, 0)
-        cache.put(key, cached)
-    return _scaled(cached, kauffman, a_pow, circles)
+    if cached is not None:
+        return _scaled(cached, kauffman, a_pow, circles)
+    value = compute()
+    if circles:
+        share = exact_divide(value, _factor(kauffman, a_pow, circles), "second")
+        if share is None:
+            raise AssertionError("value not divisible by the reduction factor")
+    else:
+        share = _scaled(value, kauffman, -a_pow, 0)
+    cache.put(key, share)
+    return value
 
 
 @dataclass

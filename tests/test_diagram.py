@@ -1,11 +1,12 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from knotpoly.diagram import (MorseDiagram, BraidWord, DiagramError, ParseError,
                               parse_braid, braid_closure, closure_events,
-                              connected_sum, encode_events, find_split,
+                              connected_sum, encode_dirs, encode_events, find_split,
                               reduce_diagram, scan, _normalize_pass, _swap_adjacent,
                               _smooth_h_events, _smooth_v_events, _switch_events)
 from knotpoly.jaeger import DIAGRAM_ALPHABET, nonzero_states
@@ -123,6 +124,20 @@ def test_connected_sum_structure():
         connected_sum(tref, hopf)
 
 
+def test_connected_sum_refuses_unjoinable_ends():
+    """A knot diagram that does not end with `cap 0`, or one that does not
+    start with `cup 0`, cannot be joined.  A validated closed diagram always
+    has both ends (its first cup meets no strands, its last cap two), so
+    bare event lists stand in for the diagrams."""
+    tref = braid_closure(parse_braid("braid 2: 1 1 1"))
+    cut = SimpleNamespace(events=tref.events[:-1], components=tref.components)
+    for d1, d2 in ((cut, tref), (tref, SimpleNamespace(events=tref.events[1:],
+                                                       components=tref.components))):
+        with pytest.raises(DiagramError,
+                           match="diagrams must end with cap 0 / start with cup 0"):
+            connected_sum(d1, d2)
+
+
 def test_connected_sum_writhe_additive_random():
     rng = random.Random(55)
     for _ in range(40):
@@ -139,7 +154,9 @@ def _code(d, dirs=None):
     pairs = [(next(it), next(it)) if dirs and e[0] == "cup" else None for e in ev]
     while _normalize_pass(ev, pairs):
         pass
-    return encode_events(ev, None if dirs is None else [x for p in pairs if p for x in p])
+    if dirs is None:
+        return encode_events(ev)
+    return encode_events(ev) + encode_dirs([x for p in pairs if p for x in p])
 
 
 def test_canonical_code_examples():

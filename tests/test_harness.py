@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from knotpoly import harness
+from knotpoly.diagram import BraidWord
 from knotpoly.harness import SearchConfig, enumerate_braids, search, load_config
 from knotpoly.cli import main
 
@@ -64,34 +65,37 @@ def test_orbit_reps_match_brute_force(n, length):
     assert words == brute
 
 
-def test_parity_skip_drops_only_links(monkeypatch):
-    """Every word with n <= 4 and at most 6 letters: a word whose length
-    does not have the parity of n - 1 closes to a link, and `_row_for_word`
-    drops it without building a `BraidWord`; the others reach it."""
-    built = []
+def test_search_rows_are_the_knot_words(monkeypatch):
+    """Every word with n <= 4 and at most 6 letters: `_rows` gets the
+    enumerator's own `BraidWord`s of the knot words, in enumeration order,
+    and a word whose length does not have the parity of n - 1 is dropped
+    before its components are counted."""
+    counted = []
 
     class Counted(harness.BraidWord):
-        def __init__(self, n, letters):
-            built.append(letters)
-            super().__init__(n, letters)
+        __slots__ = ()
+
+        def component_count(self):
+            counted.append(self)
+            return super().component_count()
     monkeypatch.setattr(harness, "BraidWord", Counted)
-    monkeypatch.setattr(harness, "mfw_check", lambda b, cache: b)
-    skipped = 0
+    enumerate_all = harness.enumerate_braids
+    yielded, received = [], []
+    monkeypatch.setattr(harness, "enumerate_braids",
+                        lambda cfg: (yielded.append(b) or b for b in enumerate_all(cfg)))
+    monkeypatch.setattr(harness, "_rows",
+                        lambda words, workers, cache_path: received.extend(words) or [])
     for n in range(1, 5):
-        gens = [i for i in range(-(n - 1), n) if i != 0]
-        for length in range(7):
-            for letters in itertools.product(gens, repeat=length):
-                built.clear()
-                row = harness._row_for_word(n, letters, None)
-                if (length - n + 1) % 2:
-                    assert row is None and not built, (n, letters)
-                    assert harness.BraidWord(n, letters).component_count() != 1
-                    skipped += 1
-                else:
-                    assert built == [letters]
-                    knot = harness.BraidWord(n, letters).component_count() == 1
-                    assert (row is not None) == knot, (n, letters)
-    assert skipped == (1 + 4 + 16 + 64) + (4 + 64 + 1024) + (1 + 36 + 1296 + 46656)
+        del yielded[:], received[:], counted[:]
+        assert search(SearchConfig(max_strands=n, max_letters=6, dedup="none")) == []
+        knots = [b for b in yielded
+                 if BraidWord(n, b.letters).component_count() == 1]
+        assert len(received) == len(knots)
+        assert all(r is k for r, k in zip(received, knots)), n
+        parity = [b for b in yielded if not (len(b.letters) - n + 1) % 2]
+        assert len(counted) == len(parity)
+        assert all(c is p for c, p in zip(counted, parity)), n
+        assert len(yielded) == sum((2 * (n - 1)) ** k for k in range(7))
 
 
 def test_search_deterministic(tmp_path):
@@ -142,7 +146,7 @@ class TogetherPool(InProcessPool):
 
     def map(self, fn, payloads):
         payloads = list(payloads)
-        path = Path(payloads[0][2])
+        path = Path(payloads[0][1])
         start = path.read_bytes() if path.exists() else b""
         results = []
         for payload in payloads:
@@ -653,10 +657,9 @@ def test_cli_fixture_braids(capsys):
 
 def test_witness_word_flagged_when_injected(cache):
     """The known witness word, fed through the search row pipeline."""
-    from knotpoly.harness import _row_for_word, _flag
+    from knotpoly.harness import _flag, mfw_check
     from knotpoly.diagram import parse_braid
     b = parse_braid(WITNESS_BRAID)
-    rep = _row_for_word(b.strands, b.letters, cache)
-    assert rep is not None
+    rep = mfw_check(b, cache)
     assert _flag("ep_lt_ey", rep)
     assert rep.witness and rep.e_P < rep.e_Y

@@ -61,6 +61,20 @@ def test_exact_divide_delta_examples():
     assert exact_divide_delta(LaurentPoly()) == LaurentPoly()
 
 
+def test_exact_divide_refuses_a_non_unit_leading_coefficient():
+    """The divisor's leading coefficient in the divided variable must be
+    +-1 times one monomial in the other."""
+    for divisor in (A + A, A + T * A):
+        with pytest.raises(ValueError, match="divisor leading coefficient "
+                                             "must be a unit monomial"):
+            exact_divide(A * A, divisor, "second")
+
+
+def test_delta_fraction_refuses_a_negative_denom_power():
+    with pytest.raises(ValueError, match="denom_power must be nonnegative"):
+        DeltaFraction(ONE, -1)
+
+
 def test_exact_divide_random_roundtrip():
     rng = random.Random(1)
     for _ in range(200):

@@ -84,3 +84,20 @@ def test_package_top_level_binds_only_the_version():
             bound.update(n.id for n in ast.walk(node)
                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
     assert bound == {"__version__"}
+
+
+def test_no_unused_import():
+    """Every name a package module binds by an import, `from __future__`
+    aside, is read somewhere in that module."""
+    unused = []
+    for module, tree in _trees().items():
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{module}.{name}" for name in
+                           ((a.asname or a.name).split(".")[0] for a in node.names)
+                           if name not in read]
+    assert unused == []

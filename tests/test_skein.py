@@ -234,6 +234,21 @@ def test_engine_entry_checks_the_orientation(cache):
         == kauffman_D(tref, cache)
 
 
+@pytest.mark.parametrize("kauffman", [False, True])
+def test_memo_value_returns_the_computed_value(kauffman):
+    """On a miss `memo_value` returns the very value `compute()` gave, and
+    stores the reduced diagram's share: the record times the reduction
+    factor is that value.  The closure of `braid 3: 1 1` loses its third
+    strand's circle to reduction."""
+    d = braid_closure(parse_braid("braid 3: 1 1"))
+    value = (kauffman_D if kauffman else homfly_R)(d, SkeinCache())
+    memo = SkeinCache()
+    _events, _dirs, a_pow, circles, key = skein._entry_reduced(d, kauffman, memo)
+    assert circles == 1
+    assert memo_value(d, memo, lambda: value, kauffman=kauffman) is value
+    assert memo.get(key) * skein._factor(kauffman, a_pow, circles) == value
+
+
 def test_entry_reduces_each_event_list_once(monkeypatch):
     """R then D of one closure reduce its event list once; on a warm memo
     nothing else is reduced.  The empty event list is reduced on a fresh
