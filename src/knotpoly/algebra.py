@@ -386,6 +386,13 @@ def _positions(n: int) -> list:
     return [*range(n), *range(2 * n - 1, n - 1, -1)]
 
 
+def _interleave(pos: list, e: int, f: int, g: int, h: int) -> bool:
+    """Whether the end points e and f separate g from h around the
+    boundary, each end point at its place in `pos` (`_positions`)."""
+    lo, hi = sorted((pos[e], pos[f]))
+    return (lo < pos[g] < hi) != (lo < pos[h] < hi)
+
+
 def _join(n: int, b: tuple, u: int, v: int):
     """R_b with its arcs through u and v, end points adjacent around the
     boundary, joined there: (b'', w, k) when that tangle is the descending
@@ -404,20 +411,15 @@ def _join(n: int, b: tuple, u: int, v: int):
     if pa == v:
         return b, 0, 1
     pos = _positions(n)
-
-    def interleave(e: int, f: int, g: int, h: int) -> bool:
-        lo, hi = sorted((pos[e], pos[f]))
-        return (lo < pos[g] < hi) != (lo < pos[h] < hi)
-
     fa, fb, fc = min(pa, u), min(pb, v), min(pa, pb)  # first ends of A, B, C
     # another arc, from x, crossing A changes sides over it exactly when x
     # lies between the first ends of A and C; alike for B
     for f, p, q in ((fa, pa, u), (fb, pb, v)):
         for x in range(min(f, fc), max(f, fc)):
-            if x < b[x] and x != fa and x != fb and interleave(x, b[x], p, q):
+            if x < b[x] and x != fa and x != fb and _interleave(pos, x, b[x], p, q):
                 return None
     w = 0
-    if interleave(pa, u, pb, v):
+    if _interleave(pos, pa, u, pb, v):
         if (fa < fb) != (pa < pb):  # C runs first along its under strand
             return None
         # the sign of the crossing of the arc x1 -> x2 over the arc from y1:
@@ -456,9 +458,7 @@ def _step(n: int, b: tuple, l: int, basis: dict, memo: dict) -> tuple:
     pa, pb = b[e], b[f]  # the other end points of A and B
     if pa == f:
         return ((b, 0, -s, 1),)
-    pos = _positions(n)
-    lo, hi = sorted((pos[e], pos[pa]))
-    if (lo < pos[f] < hi) != (lo < pos[pb] < hi):
+    if _interleave(_positions(n), e, pa, f, pb):
         first_a = min(e, pa) < min(f, pb)  # they cross in R_b
     else:
         first_a = min(f, pa) < min(e, pb)  # they cross in R_b'

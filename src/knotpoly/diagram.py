@@ -397,10 +397,8 @@ def connected_sum(d1: MorseDiagram, d2: MorseDiagram) -> MorseDiagram:
     """Join two knot diagrams; writhe and crossing count add."""
     if len(d1.components) != 1 or len(d2.components) != 1:
         raise DiagramError("connected sum requires knot diagrams")
-    e1, e2 = d1.events, d2.events
-    if e1[-1] != ("cap", 0) or e2[0] != ("cup", 0):
-        raise DiagramError("diagrams must end with cap 0 / start with cup 0")
-    return MorseDiagram(e1[:-1] + e2[1:])
+    # a closed diagram opens with `cup 0` and closes with `cap 0` (`scan`)
+    return MorseDiagram(d1.events[:-1] + d2.events[1:])
 
 
 # -- reduction ---------------------------------------------------------------

@@ -5,6 +5,12 @@ integer coefficients and possibly negative exponents.  By convention the first
 exponent slot holds the skein variable (z before the state-sum substitution,
 t after it) and the second slot holds the framing variable a.
 
+Three divisors ever occur, all of the form x - x^-1 + c with c = 0 or z:
+t - t^-1 (DeltaFraction), and the unknot numerators a - a^-1 of R and
+z + a - a^-1 of D (the skein engines' reduction factor).  One synthetic
+divider, exact_divide, serves them all, row by row; no general long
+division is built.
+
 The module also provides DeltaFraction, the quotient type
 
     numerator / (t - t^-1)^denom_power
@@ -192,101 +198,56 @@ def tau_power(k: int) -> LaurentPoly:
     return TAU ** k
 
 
-def exact_divide(p: LaurentPoly, divisor: LaurentPoly, var: str) -> Optional[LaurentPoly]:
-    """Exact quotient p / divisor, dividing out the chosen variable.
+def exact_divide(p: LaurentPoly, var: str,
+                 middle: bool = False) -> Optional[LaurentPoly]:
+    """q with q * (x - x^-1 + [middle] y) = p, or None when p is not
+    divisible; x is the variable `var` selects and y the other one.
 
-    The divisor must have unit leading coefficient in that variable.  Returns
-    None when the division leaves a remainder.
+    Row k of p, its y^k terms, is (x - x^-1) q_k + [middle] q_(k-1), so
+    the rows run lowest first, each less q's row below when `middle` is
+    set, and each divides synthetically from its top x-degree down:
+    r_j = q_(j-1) - q_(j+1), so q_(j-1) = r_j + q_(j+1).  A row that
+    leaves q_lo or q_(lo-1) over is a remainder, and so is a nonzero last
+    q row.
     """
-    if p.is_zero():
-        return LaurentPoly()
-    idx = _var_index(var)
-    other = 1 - idx
-
-    # Gather divisor as {exp_in_var: poly-in-other-var}, shifted to degree-0 floor.
-    dlo = divisor.min_degree(var)
-    dterms: dict[int, dict[int, int]] = {}
-    for (e1, e2), c in divisor.terms.items():
-        e = (e1, e2)
-        dterms.setdefault(e[idx] - dlo, {})[e[other]] = c
-    ddeg = max(dterms)
-    lead = dterms[ddeg]
-    if len(lead) != 1 or next(iter(lead.values())) not in (1, -1):
-        raise ValueError("divisor leading coefficient must be a unit monomial")
-    lead_exp, lead_c = next(iter(lead.items()))
-
-    plo = p.min_degree(var)
-    work: dict[int, dict[int, int]] = {}
-    for (e1, e2), c in p.terms.items():
-        e = (e1, e2)
-        work.setdefault(e[idx] - plo, {})[e[other]] = c
-
-    quot: dict[tuple[int, int], int] = {}
-    while work:
-        top = max(work)
-        row = work[top]
-        if not row:
-            del work[top]
-            continue
-        if top < ddeg:
-            return None  # nonzero remainder of lower degree
-        for oe, c in list(row.items()):
-            if row.get(oe, 0) == 0:
-                continue
-            c = row[oe]
-            q = c * lead_c  # lead_c is a unit, so q * lead = c exactly
-            qo = oe - lead_exp
-            quot[(top - ddeg, qo)] = quot.get((top - ddeg, qo), 0) + q
-            for de, drow in dterms.items():
-                tgt = work.setdefault(top - ddeg + de, {})
-                for doe, dc in drow.items():
-                    ne = qo + doe
-                    s = tgt.get(ne, 0) - q * dc
-                    if s:
-                        tgt[ne] = s
-                    elif ne in tgt:
-                        del tgt[ne]
-        if not work.get(top):
-            work.pop(top, None)
-
-    shift_amt = plo - dlo
-    out = LaurentPoly()
-    out.terms = {}
-    for (ev, eo), c in quot.items():
-        if c == 0:
-            continue
-        key = (ev + shift_amt, eo) if idx == 0 else (eo, ev + shift_amt)
-        out.terms[key] = c
-    return out
+    x = _var_index(var)
+    rows: dict[int, dict[int, int]] = {}
+    for e, c in p.terms.items():
+        row = rows.get(e[1 - x])
+        if row is None:
+            rows[e[1 - x]] = {e[x]: c}
+        else:
+            row[e[x]] = c
+    out: dict[tuple[int, int], int] = {}
+    below: dict[int, int] = {}  # q_(k-1), while `middle`
+    for k in range(min(rows), max(rows) + 1) if middle and rows else rows:
+        row = rows.get(k, {})
+        if below:
+            for j, c in below.items():
+                row[j] = row.get(j, 0) - c
+            below = {}
+        if row:
+            lo = min(row)
+            q_above = q_at = 0  # q_(j+1) and q_j
+            for j in range(max(row), lo - 1, -1):
+                q_below = row.get(j, 0) + q_above
+                if q_below:
+                    out[(j - 1, k)] = q_below
+                    if middle:
+                        below[j - 1] = q_below
+                q_above, q_at = q_at, q_below
+            if q_above or q_at:  # q_lo or q_(lo-1) left over: a remainder
+                return None
+    if below:
+        return None
+    q = LaurentPoly.__new__(LaurentPoly)
+    q.terms = {(e2, e1): c for (e1, e2), c in out.items()} if x else out
+    return q
 
 
 def exact_divide_delta(p: LaurentPoly) -> Optional[LaurentPoly]:
-    """q with q * (t - t^-1) = p, or None when p is not divisible.
-
-    Each a-degree row divides synthetically from its top t-degree down:
-    p_j = q_(j-1) - q_(j+1), so q_(j-1) = p_j + q_(j+1).
-    """
-    rows: dict[int, dict[int, int]] = {}
-    for (et, ea), c in p.terms.items():
-        row = rows.get(ea)
-        if row is None:
-            rows[ea] = {et: c}
-        else:
-            row[et] = c
-    out: dict[tuple[int, int], int] = {}
-    for ea, row in rows.items():
-        lo = min(row)
-        q_above = q_at = 0  # q_(j+1) and q_j
-        for j in range(max(row), lo - 1, -1):
-            q_below = row.get(j, 0) + q_above
-            if q_below:
-                out[(j - 1, ea)] = q_below
-            q_above, q_at = q_at, q_below
-        if q_above or q_at:  # q_lo or q_(lo-1) left over: a remainder
-            return None
-    q = LaurentPoly.__new__(LaurentPoly)
-    q.terms = out
-    return q
+    """q with q * (t - t^-1) = p, or None when p is not divisible."""
+    return exact_divide(p, "first")
 
 
 class DeltaFraction:

@@ -41,10 +41,12 @@ that lost c > 0 circles to reduction reads the memo value times delta^c
 (delta_D^c for D) from the cache's `circled` store, formed on the first
 such hit, and applies a^a_pow as a shift.  When the factor is 1 the
 stored polynomial itself is returned, so no polynomial is changed once
-made.  Connected-sum slices are split off and recombined multiplicatively
-(R(A # B) = R(A) R(B) / delta);
-zero-strand slices need no rule of their own, since in a reduced diagram
-a connected-sum slice always comes first.
+made.  Connected-sum slices are split off and recombined multiplicatively,
+R(A # B) = R(A) R(B) / delta: `_unscaled`, the inverse of `_scaled`,
+divides the product by the reduction factor of one circle, as it divides
+a value stored by `memo_value` by its diagram's factor.  Zero-strand
+slices need no rule of their own, since in a reduced diagram a
+connected-sum slice always comes first.
 The splitter can be disabled to keep an independent computation path.
 
 The writhe-normalized knot invariants are P = a^-w R and Y = a^-w D, with
@@ -285,6 +287,18 @@ def _scaled(p: LaurentPoly, kauffman: bool, a_pow: int,
     return p * _factor(kauffman, a_pow, circles)
 
 
+def _unscaled(p: LaurentPoly, kauffman: bool, a_pow: int,
+              circles: int) -> LaurentPoly:
+    """p divided by the reduction factor, the inverse of `_scaled`: a
+    shift, then `circles` divisions by the unknot numerator."""
+    p = p.shift(circles, -a_pow)
+    for _ in range(circles):
+        p = exact_divide(p, "second", kauffman)
+        if p is None:
+            raise AssertionError("value not divisible by the reduction factor")
+    return p
+
+
 _UNITS = frozenset((1, -1))
 
 
@@ -355,10 +369,7 @@ def _eval_reduced(events: tuple, dirs: Optional[tuple], a_pow: int,
                          stats=stats, allow_split=allow_split)
         v2 = _skein_eval(e2, d2, kauffman=kauffman, cache=cache,
                          stats=stats, allow_split=allow_split)
-        unknot_num = _DELTA_D_NUM if kauffman else _DELTA_NUM
-        val = exact_divide((v1 * v2).shift(1, 0), unknot_num, "second")
-        if val is None:
-            raise AssertionError("connected-sum factor not divisible")
+        val = _unscaled(v1 * v2, kauffman, 0, 1)
     else:
         sc, viols, writhe = descend(events, dirs)
         acc = LaurentPoly()
@@ -405,13 +416,7 @@ def memo_value(d: ClosedDiagram, cache: SkeinCache, compute, *,
     if cached is not None:
         return _scaled(cached, kauffman, a_pow, circles)
     value = compute()
-    if circles:
-        share = exact_divide(value, _factor(kauffman, a_pow, circles), "second")
-        if share is None:
-            raise AssertionError("value not divisible by the reduction factor")
-    else:
-        share = _scaled(value, kauffman, -a_pow, 0)
-    cache.put(key, share)
+    cache.put(key, _unscaled(value, kauffman, a_pow, circles))
     return value
 
 

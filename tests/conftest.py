@@ -31,6 +31,8 @@ EP3_BRAID = "braid 4: -2 -2 -3 -3 -1 -1 -2 3 1 1 1"
 EP3_SLICE_GENUS_BOUND = 1
 # validated decoding of the twelve-crossing witness braid (e_P < e_Y)
 WITNESS_BRAID = "braid 5: 3 2 1 -2 3 -4 -1 2 3 -4 -3 -2 3 -1 2 -1 4 3 2 1"
+# a 12-letter witness, found by deleting letter pairs from the one above
+SHORT_WITNESS_BRAID = "braid 5: -4 2 3 -4 3 -1 2 -1 3 2 3 2"
 # maximal-tb front of the reference trefoil, found by bounded search
 TREFOIL_TB6_FRONT = (("L", 0), ("L", 0), ("L", 0), ("X", 1), ("X", 3),
                      ("R", 2), ("X", 1), ("R", 0), ("R", 0))

@@ -23,7 +23,8 @@ from knotpoly.jaeger import jaeger_both_sides, lj_both_sides, lemma_check, \
 from knotpoly.inequalities import check_front_bounds, mfw_check
 
 from conftest import (A, AINV, ZVAR, DELTA, P_TREFOIL, Y_TREFOIL, EP3_BRAID,
-                      WITNESS_BRAID, random_braid, random_front)
+                      WITNESS_BRAID, SHORT_WITNESS_BRAID, random_braid,
+                      random_front)
 
 ONE = LaurentPoly.one()
 
@@ -219,6 +220,24 @@ def test_criterion_10_witness(cache):
     ok = knot and res.e_P < res.e_Y
     _report(10, ok, f"e_P={res.e_P} < e_Y={res.e_Y}, "
                     f"{time.time() - t0:.0f}s")
+
+
+def test_criterion_10_short_witness():
+    """The 12-letter witness: both engines give e_P = -9 < e_Y = -8 and the
+    same R and D, each on a cache of its own so that neither reads the
+    other's memo, and the braid bound is sharp on it."""
+    b = parse_braid(SHORT_WITNESS_BRAID)
+    t0 = time.time()
+    algebra_cache = SkeinCache()
+    alg = braid_invariants(b, algebra_cache)
+    res = full_invariants(braid_closure(b), SkeinCache())
+    rep = mfw_check(b, algebra_cache)
+    ok = (b.component_count() == 1
+          and (alg.e_P, alg.e_Y) == (res.e_P, res.e_Y) == (-9, -8)
+          and (alg.R, alg.D) == (res.R, res.D)
+          and rep.mfw_slack == 0 and rep.witness)
+    _report(10, ok, f"12 letters: e_P={res.e_P} < e_Y={res.e_Y}, "
+                    f"slack_mfw={rep.mfw_slack}, {time.time() - t0:.1f}s")
 
 
 def test_criterion_11_markov(cache):

@@ -1,6 +1,5 @@
 import itertools
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -122,20 +121,6 @@ def test_connected_sum_structure():
     hopf = braid_closure(parse_braid("braid 2: 1 1"))
     with pytest.raises(DiagramError):
         connected_sum(tref, hopf)
-
-
-def test_connected_sum_refuses_unjoinable_ends():
-    """A knot diagram that does not end with `cap 0`, or one that does not
-    start with `cup 0`, cannot be joined.  A validated closed diagram always
-    has both ends (its first cup meets no strands, its last cap two), so
-    bare event lists stand in for the diagrams."""
-    tref = braid_closure(parse_braid("braid 2: 1 1 1"))
-    cut = SimpleNamespace(events=tref.events[:-1], components=tref.components)
-    for d1, d2 in ((cut, tref), (tref, SimpleNamespace(events=tref.events[1:],
-                                                       components=tref.components))):
-        with pytest.raises(DiagramError,
-                           match="diagrams must end with cap 0 / start with cup 0"):
-            connected_sum(d1, d2)
 
 
 def test_connected_sum_writhe_additive_random():

@@ -61,13 +61,12 @@ def test_exact_divide_delta_examples():
     assert exact_divide_delta(LaurentPoly()) == LaurentPoly()
 
 
-def test_exact_divide_refuses_a_non_unit_leading_coefficient():
-    """The divisor's leading coefficient in the divided variable must be
-    +-1 times one monomial in the other."""
-    for divisor in (A + A, A + T * A):
-        with pytest.raises(ValueError, match="divisor leading coefficient "
-                                             "must be a unit monomial"):
-            exact_divide(A * A, divisor, "second")
+def test_exact_divide_examples():
+    """a - a^-1 divides its one row by a - a^-1, but with the middle term z
+    the quotient row it leaves is a remainder."""
+    assert exact_divide(A * A - AINV * AINV, "second") == A + AINV
+    assert exact_divide(A - AINV, "second", True) is None
+    assert exact_divide((ZVAR + A - AINV) * (A + ZVAR), "second", True) == A + ZVAR
 
 
 def test_delta_fraction_refuses_a_negative_denom_power():
@@ -80,7 +79,8 @@ def test_exact_divide_random_roundtrip():
     for _ in range(200):
         p = rand_poly(rng)
         assert exact_divide_delta(p * TAU) == p
-        assert exact_divide(p * (A - AINV), A - AINV, "second") == p
+        assert exact_divide(p * (A - AINV), "second") == p
+        assert exact_divide(p * (ZVAR + A - AINV), "second", True) == p
         if not p.is_zero():
             q = exact_divide_delta(p * TAU + ONE)
             # the added 1 breaks divisibility unless it cancels a term
@@ -205,25 +205,56 @@ def test_from_json_rejects_terms_to_json_never_writes(blob):
         LaurentPoly.from_json(blob)
 
 
-def test_exact_divide_delta_matches_generic_division():
-    """The synthetic t - t^-1 kernel against the generic long division."""
+def _vanishes_at_units(p, var):
+    """p is 0 at x = 1 and at x = -1, x the variable in slot `var`: p is a
+    multiple of x - x^-1 = x^-1 (x - 1)(x + 1)."""
+    for x in (1, -1):
+        rest = {}
+        for e, c in p.terms.items():
+            rest[e[1 - var]] = rest.get(e[1 - var], 0) + c * x ** abs(e[var])
+        if any(rest.values()):
+            return False
+    return True
+
+
+def _vanishes_at_minus_delta(p):
+    """z^N p, N clearing the negative powers of z, is 0 at z = a^-1 - a:
+    p is a multiple of z + a - a^-1."""
+    n = max(0, -p.min_degree("first")) if p else 0
+    value = LaurentPoly()
+    for (ez, ea), c in p.terms.items():
+        value = value + (AINV - A) ** (ez + n) * LaurentPoly.monomial(c, 0, ea)
+    return value.is_zero()
+
+
+@pytest.mark.parametrize("divisor, var, middle, divisible", [
+    (TAU, "first", False, lambda p: _vanishes_at_units(p, 0)),
+    (A - AINV, "second", False, lambda p: _vanishes_at_units(p, 1)),
+    (ZVAR + A - AINV, "second", True, _vanishes_at_minus_delta),
+], ids=["t", "a", "z+a"])
+def test_exact_divide_matches_root_oracles(divisor, var, middle, divisible):
+    """The divider against divisibility read off the divisor's roots, which
+    shares none of its code; every quotient times the divisor gives p."""
     rng = random.Random(3)
     inputs = [LaurentPoly()]
-    for _ in range(300):
+    for _ in range(150):
         row = rng.randint(-3, 3)
         inputs.append(LaurentPoly({(rng.randint(-6, 6), row): rng.randint(-9, 9)
                                    for _ in range(rng.randint(1, 6))}))
         inputs.append(rand_poly(rng, span=6, terms=10))
-    divisible = 0
+    quotients = 0
     for p in inputs:
-        for k in range(4):
-            for q in (p * TAU ** k, p * TAU ** k + rand_poly(rng, span=2, terms=2)):
-                got = exact_divide_delta(q)
-                assert got == exact_divide(q, TAU, "first"), q
-                divisible += got is not None and not q.is_zero()
+        for k in range(3):
+            for q in (p * divisor ** k,
+                      p * divisor ** k + rand_poly(rng, span=2, terms=2)):
+                got = exact_divide(q, var, middle)
+                assert (got is not None) == divisible(q), q
                 if got is not None:
-                    assert got * TAU == q
-    assert divisible > 1000
+                    assert got * divisor == q
+                    quotients += not q.is_zero()
+                if var == "first":
+                    assert exact_divide_delta(q) == got
+    assert quotients > 400
 
 
 def test_delta_fraction_sum_and_scaled_match_operators():

@@ -249,6 +249,18 @@ def test_memo_value_returns_the_computed_value(kauffman):
     assert memo.get(key) * skein._factor(kauffman, a_pow, circles) == value
 
 
+@pytest.mark.parametrize("kauffman", [False, True])
+def test_memo_value_refuses_a_value_the_factor_does_not_divide(kauffman):
+    """A computed value that is no multiple of the reduction factor is an
+    internal error, and nothing is stored.  The closure of `braid 3: 1 1`
+    loses one circle, so the factor has the unknot numerator once."""
+    d = braid_closure(parse_braid("braid 3: 1 1"))
+    memo = SkeinCache()
+    with pytest.raises(AssertionError, match="not divisible by the reduction factor"):
+        memo_value(d, memo, LaurentPoly.one, kauffman=kauffman)
+    assert not memo.mem
+
+
 def test_entry_reduces_each_event_list_once(monkeypatch):
     """R then D of one closure reduce its event list once; on a warm memo
     nothing else is reduced.  The empty event list is reduced on a fresh
