@@ -109,9 +109,10 @@ its constant reaches, also of those whose coefficient then cancels in the
 product: on the witness, 526 traced steps reach 540 traces of 5 strands,
 where tracing the product reached 466.  `_closure_poly` keeps the last
 head it multiplied out, with its product, and reuses that product when
-the next word has the same strands and head: `search` visits its words in
-lexicographic order, so words that differ only in the last letter come
-one after the other.
+the next word has the same strands and head: each `search` process visits
+its words in lexicographic order (a `--jobs` worker its one contiguous
+run of them), so words that differ only in the last letter come one after
+the other.
 
 Tables are built on demand in a dict the caller passes, in memory only.
 `_closure_poly` keeps each engine's structure constants (`hecke_step`,
@@ -199,10 +200,10 @@ def _head_product(b: BraidWord, tables: dict, name: str, x: dict, step) -> dict:
     """The product of the identity `x` and every letter of `b` but the last.
 
     `tables[name]` keeps the last head (strands and letters) with its
-    product, which is reused when the next word has the same head: `search`
-    visits the words in lexicographic order, so siblings that differ in
-    their last letter come one after the other.  The kept vector is never
-    changed, only replaced.
+    product, which is reused when the next word has the same head: each
+    `search` process visits its run of the words in lexicographic order, so
+    siblings that differ in their last letter come one after the other.
+    The kept vector is never changed, only replaced.
     """
     head = (b.strands, b.letters[:-1])
     kept = tables.get(name)

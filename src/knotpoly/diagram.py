@@ -91,6 +91,16 @@ class Scan(NamedTuple):
     right_ends: list      # the threads at the right ends, bottom to top
 
 
+_UNITS = frozenset((1, -1))
+
+
+def check_dirs(dirs: tuple, n: int) -> None:
+    """Raise `DiagramError` unless `dirs` gives each of `n` threads a dir
+    +-1."""
+    if len(dirs) != n or not _UNITS.issuperset(dirs):
+        raise DiagramError("orientation vector has wrong shape")
+
+
 def scan(events: Iterable[Event], alphabet: tuple,
          dirs: Optional[Sequence[int]] = None,
          choices: Optional[Sequence[int]] = None, ends: int = 0) -> Scan:
@@ -174,8 +184,7 @@ def scan(events: Iterable[Event], alphabet: tuple,
     n = len(cap_mate)
     if dirs is not None:
         dirs = tuple(dirs)
-        if len(dirs) != n or any(x != 1 and x != -1 for x in dirs):
-            raise DiagramError("orientation vector has wrong shape")
+        check_dirs(dirs, n)
     d = [0] * n
     component_of = [-1] * n
     components = []

@@ -20,7 +20,8 @@ dropped before its components are counted, since its permutation cannot
 be an n-cycle.  Each knot row's R and D come from the algebra engines
 (`inequalities.mfw_check`) on the enumerator's own `BraidWord`, and each
 flagged row is computed again on the skein engines, which share no memo
-with the rows.
+with the rows.  Under `--jobs` each worker takes one contiguous run of the
+knot words, in enumeration order, and the rows come back run after run.
 """
 
 from __future__ import annotations
@@ -174,21 +175,22 @@ def _worker(payload: tuple[list[BraidWord], Optional[str]]
 def _rows(words: list[BraidWord], workers: int,
           cache_path: Optional[str]) -> list[BoundReport]:
     """The row of each word, serially or on a pool of `workers`; the
-    workers' new memo records go to the cache file, each key once."""
+    workers' new memo records go to the cache file, each key once.  Each
+    worker takes one contiguous run of the words, in enumeration order, the
+    order in which the algebra engines reuse a head product."""
     cache = SkeinCache(cache_path)
     try:
         if workers == 1:
             return [mfw_check(b, cache) for b in words]
-        chunks = [words[i::workers] for i in range(workers)]
+        size = -(-len(words) // workers) or 1  # no words: a step of 0 raises
+        runs = [words[i:i + size] for i in range(0, len(words), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _worker, [(chunk, cache_path) for chunk in chunks]))
-        # restore enumeration order from the strided split
-        rows: list = [None] * len(words)
-        for j, (chunk_rows, records) in enumerate(results):
-            rows[j::workers] = chunk_rows
+            results = list(pool.map(_worker, [(run, cache_path) for run in runs]))
+        rows = []
+        for run_rows, records in results:
+            rows += run_rows
             for key, value in records:  # two workers may make one record
-                if cache.get(key) is None:
+                if key not in cache.mem:
                     cache.put(key, value)
         return rows
     finally:

@@ -68,10 +68,9 @@ from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, DeltaFraction, substitute_jaeger
-from .diagram import DIAGRAM_KINDS, DiagramError, Scan, scan
+from .diagram import DIAGRAM_KINDS, DiagramError, Scan, check_dirs, scan
 from .front import FRONT_KINDS, FrontWord, diagram_events_of
-from .skein import (ClosedDiagram, Oriented, SkeinCache, homfly_R, kauffman_D,
-                    _UNITS)
+from .skein import ClosedDiagram, Oriented, SkeinCache, homfly_R, kauffman_D
 
 # weight = coeff * tau at the listed oriented pattern; all others vanish
 DIAGRAM_WEIGHTS: dict[tuple[int, str, tuple[int, int]], int] = {
@@ -465,9 +464,8 @@ def _check_flips(k_sigma: Scan, dirs: tuple) -> None:
     """Check that `dirs` are `k_sigma`'s dirs flipped on whole components:
     the orientations `scan` accepts, each thread's dir +-1 and opposite to
     its cap mate's and its birth mate's."""
+    check_dirs(dirs, len(k_sigma.dirs))
     flip = list(map(operator.mul, dirs, k_sigma.dirs))
-    if len(dirs) != len(k_sigma.dirs) or not _UNITS.issuperset(flip):
-        raise DiagramError("orientation vector has wrong shape")
     # a component is named by one of its threads
     if flip != [flip[c] for c in k_sigma.component_of]:
         raise DiagramError("inconsistent orientation assignment")

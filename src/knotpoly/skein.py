@@ -68,7 +68,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Protocol
 
 from .laurent import LaurentPoly, exact_divide
-from .diagram import (DIAGRAM_KINDS, DiagramError, MorseDiagram, Scan,
+from .diagram import (DIAGRAM_KINDS, MorseDiagram, Scan, check_dirs,
                       reduce_diagram, encode_events, encode_dirs, find_split, scan,
                       _switch_events, _smooth_h_events, _smooth_v_events,
                       _cups_before)
@@ -154,9 +154,6 @@ class SkeinCache:
         except UnicodeDecodeError as exc:
             raise OSError(f"cache file {path} is not ASCII "
                           f"({exc.reason})") from None
-
-    def get(self, key: bytes) -> Optional[LaurentPoly]:
-        return self.mem.get(key)
 
     def put(self, key: bytes, value: LaurentPoly) -> None:
         self.mem[key] = value
@@ -299,9 +296,6 @@ def _unscaled(p: LaurentPoly, kauffman: bool, a_pow: int,
     return p
 
 
-_UNITS = frozenset((1, -1))
-
-
 def _entry_reduced(d: ClosedDiagram, kauffman: bool, cache: SkeinCache):
     """`_keyed` of an engine entry's reduced diagram, its event list
     reduced once.
@@ -325,8 +319,7 @@ def _entry_reduced(d: ClosedDiagram, kauffman: bool, cache: SkeinCache):
     dirs = None
     if not kauffman:
         dirs = d.dirs
-        if len(dirs) != len(threads) or not _UNITS.issuperset(dirs):
-            raise DiagramError("orientation vector has wrong shape")
+        check_dirs(dirs, len(threads))
         dirs = tuple(map(dirs.__getitem__, tmap))
     return _keyed(reduced, code, dirs, a_pow, circles, kauffman)
 
@@ -349,7 +342,7 @@ def _eval_reduced(events: tuple, dirs: Optional[tuple], a_pow: int,
     if key is None:
         return _factor(kauffman, a_pow, circles)
     stats.nodes += 1
-    cached = cache.get(key)
+    cached = cache.mem.get(key)
     if cached is not None:
         stats.cache_hits += 1
         if circles:
@@ -412,7 +405,7 @@ def memo_value(d: ClosedDiagram, cache: SkeinCache, compute, *,
     _events, _dirs, a_pow, circles, key = _entry_reduced(d, kauffman, cache)
     if key is None:
         return _factor(kauffman, a_pow, circles)
-    cached = cache.get(key)
+    cached = cache.mem.get(key)
     if cached is not None:
         return _scaled(cached, kauffman, a_pow, circles)
     value = compute()

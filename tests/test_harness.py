@@ -175,6 +175,36 @@ def test_search_jobs_bounded_by_cpu_count(monkeypatch, cpus, pools):
     assert asked == pools
 
 
+@pytest.mark.parametrize("strands, letters, cpus",
+                         [(2, 0, 3), (2, 1, 3), (3, 5, 2), (3, 5, 3)])
+def test_search_jobs_split_words_into_contiguous_runs(monkeypatch, strands,
+                                                      letters, cpus):
+    """Each worker gets one non-empty run of the knot words, the runs in
+    enumeration order, at most one per worker; none when there are no
+    knot words (2 strands, 0 letters) and fewer than the workers when
+    there are fewer words (2 strands, 1 letter)."""
+    got, runs = [], []
+    rows = harness._rows
+    monkeypatch.setattr(harness, "_rows", lambda words, *rest:
+                        got.append(words) or rows(words, *rest))
+
+    class RecordingPool(InProcessPool):
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            runs.extend(words for words, _cache in payloads)
+            return map(fn, payloads)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    settings = dict(max_strands=strands, max_letters=letters, predicate="all")
+    reports = search(SearchConfig(**settings, jobs=cpus))
+    [words] = got
+    assert len(runs) <= cpus and all(runs)
+    assert list(itertools.chain.from_iterable(runs)) == words
+    assert len(reports) == len(words)
+    assert reports == search(SearchConfig(**settings))
+
+
 def _keys(path) -> list:
     return [line.split("\t", 1)[0] for line in path.read_text().splitlines()]
 

@@ -246,7 +246,7 @@ def test_memo_value_returns_the_computed_value(kauffman):
     _events, _dirs, a_pow, circles, key = skein._entry_reduced(d, kauffman, memo)
     assert circles == 1
     assert memo_value(d, memo, lambda: value, kauffman=kauffman) is value
-    assert memo.get(key) * skein._factor(kauffman, a_pow, circles) == value
+    assert memo.mem[key] * skein._factor(kauffman, a_pow, circles) == value
 
 
 @pytest.mark.parametrize("kauffman", [False, True])
